@@ -27,11 +27,9 @@ from .embedding import (
     build_feature_table,
     conv_mean_map_feature,
     augment_pixel,
-    load_feature_table,
     mean_map_feature,
     mean_map_kernel,
     median_heuristic,
-    save_feature_table,
     tensor_product_features,
 )
 from .errors import (
@@ -90,9 +88,7 @@ from .rff import (
     exact_gaussian_kernel,
     feature,
     feature_matrix,
-    load_feature_map,
     sample_frequencies,
-    save_feature_map,
 )
 from .svm import (
     BinarySeparator,

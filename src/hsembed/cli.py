@@ -35,6 +35,7 @@ from .errors import (
     ShapeError,
     StageError,
     UndefinedInputError,
+    reject_unknown_keys,
 )
 from .evaluation import (
     ClassifierSpec,
@@ -177,7 +178,6 @@ class PipelineConfig:
     mp_scales: int = 4
     mp_shape: str = "disk"
     svm_c: float | None = None
-    svm_grid: bool = True
     folds: int = 5
     runs: int = 20
     per_class: int = 5
@@ -193,14 +193,25 @@ class PipelineConfig:
             raise UsageError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {path} is not valid JSON: {exc}")
+        reject_unknown_keys(
+            obj,
+            ("seed", "data", "method", "embedding", "mp", "svm", "protocol", "output_dir"),
+            "config",
+        )
         cfg = cls()
         cfg.seed = int(obj.get("seed", cfg.seed))
         data = obj.get("data", {})
+        reject_unknown_keys(data, ("image", "ground_truth", "synthetic"), "config 'data'")
         cfg.image = data.get("image")
         cfg.ground_truth = data.get("ground_truth")
         cfg.synthetic = data.get("synthetic")
         cfg.method = obj.get("method", cfg.method)
         emb = obj.get("embedding", {})
+        reject_unknown_keys(
+            emb,
+            ("patch_side", "border", "n_features", "sigma", "beta", "normalize", "tensor_cap"),
+            "config 'embedding'",
+        )
         cfg.patch_side = int(emb.get("patch_side", cfg.patch_side))
         cfg.border = emb.get("border", cfg.border)
         cfg.n_features = int(emb.get("n_features", cfg.n_features))
@@ -209,14 +220,18 @@ class PipelineConfig:
         cfg.normalize = bool(emb.get("normalize", cfg.normalize))
         cfg.tensor_cap = int(emb.get("tensor_cap", cfg.tensor_cap))
         mp = obj.get("mp", {})
+        reject_unknown_keys(mp, ("pca_dims", "n_scales", "se_shape"), "config 'mp'")
         cfg.mp_dims = int(mp.get("pca_dims", cfg.mp_dims))
         cfg.mp_scales = int(mp.get("n_scales", cfg.mp_scales))
         cfg.mp_shape = mp.get("se_shape", cfg.mp_shape)
         svm = obj.get("svm", {})
+        reject_unknown_keys(svm, ("c", "folds"), "config 'svm'")
         cfg.svm_c = svm.get("c", None)
-        cfg.svm_grid = bool(svm.get("grid", cfg.svm_c is None))
         cfg.folds = int(svm.get("folds", cfg.folds))
         proto = obj.get("protocol", {})
+        reject_unknown_keys(
+            proto, ("runs", "per_class", "eval_on_train", "fixed_test"), "config 'protocol'"
+        )
         cfg.runs = int(proto.get("runs", cfg.runs))
         cfg.per_class = int(proto.get("per_class", cfg.per_class))
         cfg.eval_on_train = bool(proto.get("eval_on_train", cfg.eval_on_train))
@@ -239,10 +254,8 @@ class PipelineConfig:
                 setattr(self, attr, value)
         if getattr(args, "c", None) is not None:
             self.svm_c = args.c
-            self.svm_grid = False
         if getattr(args, "c_grid", False):
             self.svm_c = None
-            self.svm_grid = True
 
     def classifier_spec(self) -> ClassifierSpec:
         embedding = EmbeddingConfig(
@@ -255,9 +268,7 @@ class PipelineConfig:
             tensor_cap=self.tensor_cap,
         )
         mp = MorphoProfileConfig(self.mp_dims, self.mp_scales, self.mp_shape)
-        svm_cfg = SvmConfig(
-            c=None if self.svm_grid else self.svm_c, folds=self.folds, seed=self.seed
-        )
+        svm_cfg = SvmConfig(c=self.svm_c, folds=self.folds, seed=self.seed)
         return ClassifierSpec(self.method, embedding, mp, svm_cfg)
 
     def resolve_output_dir(self) -> Path:
@@ -406,15 +417,37 @@ def cmd_theory(args: argparse.Namespace) -> int:
         raise UsageError(f"config file not found: {args.config}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {args.config} is not valid JSON: {exc}")
+    reject_unknown_keys(
+        obj,
+        ("seed", "output_dir", "checks", "meta", "features", "bound", "predictors", "loss",
+         "trials"),
+        "theory config",
+    )
     seed = int(obj.get("seed", 0) if args.seed is None else args.seed)
     out = Path(args.output or obj.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or "out")
     out.mkdir(parents=True, exist_ok=True)
     checks = obj.get("checks", ["embedding_gap", "combined_risk"])
 
     meta_obj = obj.get("meta", {})
+    reject_unknown_keys(
+        meta_obj,
+        ("n_groups", "group_size", "dim", "group_sigma", "center_scale", "mean_spread",
+         "label_flip"),
+        "theory config 'meta'",
+    )
     feat_obj = obj.get("features", {})
+    reject_unknown_keys(feat_obj, ("count", "bandwidth"), "theory config 'features'")
     bound_obj = obj.get("bound", {})
+    reject_unknown_keys(
+        bound_obj,
+        ("delta", "r_bound", "rademacher_draws", "dictionary_size", "dictionary_norm",
+         "holdout_draws", "rhs_form"),
+        "theory config 'bound'",
+    )
     pred_obj = obj.get("predictors", {})
+    reject_unknown_keys(
+        pred_obj, ("count", "norm_low", "norm_high", "combined_norm"), "theory config 'predictors'"
+    )
     loss = bounds.LossSpec.hinge() if obj.get("loss", "hinge") == "hinge" else bounds.LossSpec.logistic()
 
     spec = bounds.MetaSampleSpec(

@@ -13,21 +13,12 @@ spatial RBF (bandwidth beta) times a spectral RBF (bandwidth sigma).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .errors import (
-    CapacityError,
-    ContractViolation,
-    FormatError,
-    ParameterError,
-    ShapeError,
-    TruncationError,
-)
+from .errors import CapacityError, ContractViolation, ParameterError, ShapeError
 from .hsi import GroundTruthMap, HyperspectralImage, PatchSpec
 from .morphology import MorphoProfileConfig, morphological_profile
 from .rff import RandomFeatureMap, feature_matrix, sample_frequencies
@@ -355,35 +346,3 @@ def build_feature_table(
     stack = weighted.reshape(h, w, fmap.feature_dim)
     cm = _sliding_window_mean(stack, side, config.patch.border).reshape(h * w, -1)
     return FeatureTable(cm, "convmeanmap", meta)
-
-
-def save_feature_table(table: FeatureTable, basename: str | Path) -> tuple[Path, Path]:
-    """Serialize as ``<basename>.json`` descriptor + ``<basename>.bin`` matrix."""
-    basename = Path(basename)
-    json_path = basename.with_suffix(".json")
-    bin_path = basename.with_suffix(".bin")
-    desc = {
-        "kind": table.kind,
-        "rows": table.n_rows,
-        "cols": table.dim,
-        "dtype": "<f8",
-        "meta": table.meta,
-    }
-    json_path.write_text(json.dumps(desc, sort_keys=True, indent=1) + "\n")
-    table.values.astype("<f8").tofile(bin_path)
-    return json_path, bin_path
-
-
-def load_feature_table(basename: str | Path) -> FeatureTable:
-    basename = Path(basename)
-    json_path = basename.with_suffix(".json")
-    bin_path = basename.with_suffix(".bin")
-    try:
-        desc = json.loads(json_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read table descriptor {json_path}: {exc}") from exc
-    rows, cols = int(desc["rows"]), int(desc["cols"])
-    values = np.fromfile(bin_path, dtype="<f8")
-    if values.size != rows * cols:
-        raise TruncationError(f"{bin_path}: expected {rows * cols} values, found {values.size}")
-    return FeatureTable(values.reshape(rows, cols), str(desc["kind"]), dict(desc.get("meta", {})))

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy shared by every module, and the config key check.
 
 The CLI maps these onto exit codes: parameter/usage problems exit 1,
 malformed or degenerate data exits 2, numerical failures exit 3.
 """
+
+from collections.abc import Iterable
 
 
 class HsembedError(Exception):
@@ -44,6 +46,18 @@ class ContractViolation(HsembedError):
 
 class NumericalError(HsembedError):
     """A numerical computation failed or produced non-finite values."""
+
+
+def reject_unknown_keys(obj: object, allowed: Iterable[str], where: str) -> None:
+    """Raise ParameterError unless ``obj`` is a JSON object whose keys are
+    all in ``allowed``; the message names the first unknown key."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ParameterError(
+            f"unknown key {unknown[0]!r} in {where}; expected one of {sorted(allowed)}"
+        )
 
 
 class StageError(HsembedError):

@@ -222,9 +222,7 @@ def run_split(
         c = report.best_c
     else:
         c = svm_cfg.c
-    model = train_multiclass(
-        x_tr, y_tr, c, classes=list(range(1, n_classes + 1)), seed=svm_cfg.seed
-    )
+    model = train_multiclass(x_tr, y_tr, c, classes=list(range(1, n_classes + 1)))
     return predict_table(model, table.values[test_idx]), float(c)
 
 

@@ -20,6 +20,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     TruncationError,
+    reject_unknown_keys,
 )
 
 # ENVI "data type" codes accepted by the reader/writer.
@@ -181,6 +182,12 @@ def scene_spec_from_json(obj: dict) -> SceneSpec:
     ``class_spectra`` may be omitted, in which case endmembers are drawn
     deterministically from the spec seed.
     """
+    reject_unknown_keys(
+        obj,
+        ("height", "width", "bands", "classes", "class_spectra", "region_scale",
+         "noise_sigma", "seed"),
+        "scene spec",
+    )
     required = ("height", "width", "bands", "classes")
     for key in required:
         if key not in obj:
@@ -425,6 +432,28 @@ def save_ground_truth(gt: GroundTruthMap, path: str | Path) -> Path:
 # Synthetic scenes
 # ---------------------------------------------------------------------------
 
+# elements of the int64 distance scratch computed at once (32 MB)
+_DISTANCE_BLOCK = 1 << 22
+
+
+def _nearest_centre(
+    height: int, width: int, center_rows: np.ndarray, center_cols: np.ndarray
+) -> np.ndarray:
+    """(height, width) index of the nearest centre in squared pixel distance.
+
+    Computed in row blocks so the distance scratch stays bounded; ties
+    resolve to the lowest centre index.
+    """
+    col_d2 = (np.arange(width)[:, None] - center_cols[None, :]) ** 2
+    nearest = np.empty((height, width), dtype=np.int64)
+    step = max(1, _DISTANCE_BLOCK // col_d2.size)
+    for start in range(0, height, step):
+        rows = np.arange(start, min(start + step, height))
+        d2 = ((rows[:, None] - center_rows[None, :]) ** 2)[:, None, :] + col_d2[None]
+        nearest[start : start + rows.size] = np.argmin(d2, axis=2)
+    return nearest
+
+
 def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, GroundTruthMap]:
     """Deterministically generate a labeled scene from ``spec``.
 
@@ -449,13 +478,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, Groun
         ]
     )
 
-    rows = np.arange(spec.height)[:, None]
-    cols = np.arange(spec.width)[None, :]
-    d2 = (
-        (rows[..., None] - center_rows[None, None, :]) ** 2
-        + (cols[..., None] - center_cols[None, None, :]) ** 2
-    )
-    nearest = np.argmin(d2, axis=2)  # ties resolve to the lowest region index
+    nearest = _nearest_centre(spec.height, spec.width, center_rows, center_cols)
     labels = region_class[nearest] + 1
 
     cube = spec.class_spectra[labels - 1].astype(np.float64)

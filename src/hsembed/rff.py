@@ -17,13 +17,11 @@ ziggurat normals), divided by the bandwidth. Rebuilding from
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, ShapeError, TruncationError
+from .errors import ParameterError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -111,40 +109,3 @@ def exact_gaussian_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> flo
         raise ShapeError(f"shape mismatch: {x.shape} vs {y.shape}")
     d2 = float(np.sum((x - y) ** 2))
     return float(np.exp(-0.5 * d2 / bandwidth**2))
-
-
-def save_feature_map(fmap: RandomFeatureMap, basename: str | Path) -> tuple[Path, Path]:
-    """Serialize as ``<basename>.json`` descriptor + ``<basename>.bin`` frequencies."""
-    basename = Path(basename)
-    json_path = basename.with_suffix(".json")
-    bin_path = basename.with_suffix(".bin")
-    desc = {
-        "kind": "random_feature_map",
-        "seed": fmap.seed,
-        "count": fmap.n_frequencies,
-        "input_dim": fmap.input_dim,
-        "bandwidth": fmap.bandwidth,
-        "dtype": "<f8",
-    }
-    json_path.write_text(json.dumps(desc, sort_keys=True, indent=1) + "\n")
-    fmap.frequencies.astype("<f8").tofile(bin_path)
-    return json_path, bin_path
-
-
-def load_feature_map(basename: str | Path) -> RandomFeatureMap:
-    basename = Path(basename)
-    json_path = basename.with_suffix(".json")
-    bin_path = basename.with_suffix(".bin")
-    try:
-        desc = json.loads(json_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read feature map descriptor {json_path}: {exc}") from exc
-    if desc.get("kind") != "random_feature_map":
-        raise FormatError(f"{json_path}: not a feature map descriptor")
-    count, dim = int(desc["count"]), int(desc["input_dim"])
-    freqs = np.fromfile(bin_path, dtype="<f8")
-    if freqs.size != count * dim:
-        raise TruncationError(f"{bin_path}: expected {count * dim} values, found {freqs.size}")
-    return RandomFeatureMap(
-        freqs.reshape(count, dim), float(desc["bandwidth"]), int(desc["seed"])
-    )

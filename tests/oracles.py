@@ -1,5 +1,7 @@
 """Independent reference implementations shared by test modules."""
 
+import itertools
+
 import numpy as np
 
 
@@ -51,3 +53,28 @@ def brute_force_window(f, se, reducer):
                 vals.append(f[rr, cc])
             out[r, c] = reducer(vals)
     return out
+
+
+def box_qp_brute_force(q, c):
+    """Minimum of 0.5 a'Qa - 1'a over 0 <= a <= c by enumeration.
+
+    Tries all 3^n patterns of variables held at 0, held at c, or free. For
+    each, the free block takes the minimum-norm minimizer of the objective
+    on that face, clipped into the box, and is scored. Every score belongs
+    to a feasible point, so none is below the optimum; the optimal solution
+    with the fewest free variables is the unique minimizer on its face, so
+    the best score is the optimum. Returns (objective, alphas).
+    """
+    q = np.asarray(q, dtype=np.float64)
+    best = (np.inf, None)
+    for pattern in itertools.product((0, 1, 2), repeat=q.shape[0]):
+        pattern = np.array(pattern)
+        free = np.flatnonzero(pattern == 2)
+        a = np.where(pattern == 1, c, 0.0)
+        rhs = 1.0 - q[free] @ a
+        a[free] = np.linalg.lstsq(q[np.ix_(free, free)], rhs, rcond=None)[0]
+        a = np.clip(a, 0.0, c)
+        value = 0.5 * a @ q @ a - a.sum()
+        if value < best[0]:
+            best = (value, a)
+    return best

@@ -217,7 +217,6 @@ def test_criterion_05_pca_oracle():
     report(5, time.perf_counter() - t0, 5.0, f"max |projection - oracle| = {worst:.2e}")
 
 
-@pytest.mark.filterwarnings("ignore:dual solver stopped")
 def test_criterion_06_svm_correctness():
     """Solver reaches separability, feasible duals, duplication equivalence,
     and the model-selection grid is exactly 2^-15..2^15."""
@@ -342,7 +341,6 @@ def _ordering_scene(seed=42):
     return HyperspectralImage(cube), gt
 
 
-@pytest.mark.filterwarnings("ignore:dual solver stopped")
 def test_criterion_10_method_ordering():
     """Patch embeddings dominate per-pixel features, and the weighted
     convolutional map at s=7 beats the uniform mean map at s=3."""

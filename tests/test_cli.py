@@ -243,3 +243,49 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert main(["classify", "--config", str(path)]) == 2
         assert "stage 'data'" in capsys.readouterr().err
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "section, key",
+        [(None, "seeds"), ("data", "ground_thruth"), ("embedding", "n_feature"),
+         ("mp", "pca_dim"), ("svm", "grid"), ("protocol", "run")],
+    )
+    def test_pipeline_config_key_exits_one(self, tmp_path, scene_config, capsys, section, key):
+        _, _, cfg = scene_config
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = 1
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    def test_scene_spec_key_exits_one(self, tmp_path, capsys):
+        spec = {"height": 8, "width": 9, "bands": 4, "classes": 2, "noise": 0.3}
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "scene_out"
+        assert main(["synth", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "'noise'" in capsys.readouterr().err
+
+    def test_synthetic_data_key_exits_one(self, tmp_path, scene_config, capsys):
+        _, _, cfg = scene_config
+        cfg["data"]["synthetic"]["region"] = 5.0
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["classify", "--config", str(path)]) == 1
+        assert "'region'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [(None, "trial"), ("meta", "n_group"), ("features", "counts"),
+         ("bound", "delt"), ("predictors", "norm")],
+    )
+    def test_theory_config_key_exits_one(self, tmp_path, capsys, section, key):
+        obj = {"seed": 1}
+        (obj if section is None else obj.setdefault(section, {}))[key] = 1
+        cfg = tmp_path / "theory.json"
+        cfg.write_text(json.dumps(obj))
+        out = tmp_path / "theory_out"
+        assert main(["theory", "--config", str(cfg), "--output", str(out)]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (out / "embedding_gap_bound.json").exists()

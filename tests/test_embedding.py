@@ -18,13 +18,11 @@ from hsembed import (
     conv_mean_map_feature,
     extract_patch,
     generate_synthetic_scene,
-    load_feature_table,
     mean_map_feature,
     mean_map_kernel,
     median_heuristic,
     normalize_spectra,
     sample_frequencies,
-    save_feature_table,
     tensor_product_features,
 )
 from hsembed.rff import feature, feature_matrix
@@ -365,17 +363,6 @@ class TestFeatureTable:
         image, _ = small_scene
         with pytest.raises(ParameterError):
             build_feature_table(image, "spectral_unmixing")
-
-    def test_serialization_round_trip(self, small_scene, tmp_path):
-        image, _ = small_scene
-        table = build_feature_table(
-            image, "meanmap", EmbeddingConfig(patch=PatchSpec(3), n_features=16, seed=4)
-        )
-        save_feature_table(table, tmp_path / "table")
-        back = load_feature_table(tmp_path / "table")
-        np.testing.assert_array_equal(back.values, table.values)
-        assert back.kind == table.kind
-        assert back.meta == table.meta
 
 
 class TestMedianHeuristic:

@@ -21,7 +21,8 @@ from hsembed import (
     save_envi,
     save_ground_truth,
 )
-from hsembed.hsi import scene_spec_from_json
+import hsembed.hsi
+from hsembed.hsi import _nearest_centre, scene_spec_from_json
 
 
 def write_envi_raw(tmp_path, name, array_file_order, header_lines):
@@ -228,6 +229,23 @@ class TestSyntheticScene:
         for seed in range(5):
             _, gt = generate_synthetic_scene(self.spec(seed=seed))
             assert set(np.unique(gt.labels)) == {1, 2, 3}
+
+    def test_equidistant_centres_go_to_the_lowest_index(self, monkeypatch):
+        # pixel (0, 1) is equidistant from both centres, whichever is listed first
+        cols = np.array([0, 2])
+        np.testing.assert_array_equal(_nearest_centre(1, 3, np.zeros(2, int), cols), [[0, 0, 1]])
+        np.testing.assert_array_equal(
+            _nearest_centre(1, 3, np.zeros(2, int), cols[::-1]), [[1, 0, 0]]
+        )
+        # oracle: per-pixel loop on a lattice of centres full of ties, with
+        # blocks of a single row
+        monkeypatch.setattr(hsembed.hsi, "_DISTANCE_BLOCK", 1)
+        rows, cols = np.array([0, 0, 4, 4, 2, 2]), np.array([0, 4, 0, 4, 2, 2])
+        got = _nearest_centre(5, 5, rows, cols)
+        for r in range(5):
+            for c in range(5):
+                d2 = [(r - a) ** 2 + (c - b) ** 2 for a, b in zip(rows, cols)]
+                assert got[r, c] == d2.index(min(d2))
 
     def test_noise_degrades_nearest_endmember_accuracy(self):
         # oracle: nearest-endmember classification on both scenes

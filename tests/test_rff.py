@@ -10,9 +10,7 @@ from hsembed import (
     exact_gaussian_kernel,
     feature,
     feature_matrix,
-    load_feature_map,
     sample_frequencies,
-    save_feature_map,
 )
 
 
@@ -171,13 +169,3 @@ class TestProperties:
         gram = z @ z.T
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-8
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        fmap = sample_frequencies(7, 33, 0.6, seed=21)
-        save_feature_map(fmap, tmp_path / "fmap")
-        back = load_feature_map(tmp_path / "fmap")
-        np.testing.assert_array_equal(back.frequencies, fmap.frequencies)
-        assert back.bandwidth == fmap.bandwidth
-        assert back.seed == fmap.seed

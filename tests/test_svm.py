@@ -1,8 +1,12 @@
-"""Dual coordinate-ascent SVM, one-vs-one multiclass, CV grid search."""
+"""Exact dual SVM solver, one-vs-one multiclass, CV grid search."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import hsembed.svm
 from hsembed import (
     BinarySeparator,
     DegenerateDataError,
@@ -15,7 +19,8 @@ from hsembed import (
     train_binary,
     train_multiclass,
 )
-from hsembed.svm import SvmModel, load_model, save_model
+from hsembed.svm import SvmModel, decision_matrix
+from oracles import box_qp_brute_force
 
 
 def make_blobs(n_per_class, centers, scale, seed):
@@ -45,7 +50,6 @@ class TestTrainBinary:
         sep = train_binary(x, y, 2.0**10)
         assert np.all(np.sign(sep.decision(x)) == y)
 
-    @pytest.mark.filterwarnings("ignore:dual solver stopped")
     def test_duplication_matches_doubled_c(self):
         # objective equivalence: duplicating every point doubles the loss
         # term, the same as doubling C
@@ -101,10 +105,22 @@ class TestTrainBinary:
         x = rng.normal(size=(30, 3))
         y = np.sign(rng.normal(size=30))
         y[y == 0] = 1.0
-        a = train_binary(x, y, 2.0, seed=9)
-        b = train_binary(x, y, 2.0, seed=9)
+        a = train_binary(x, y, 2.0)
+        b = train_binary(x, y, 2.0)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.bias == b.bias
+
+    def test_step_cap_reports_unconverged(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(10, 3))
+        y = np.tile([1.0, -1.0], 5)
+        assert train_binary(x, y, 1.0).diagnostics.epochs > 10
+        monkeypatch.setattr(hsembed.svm, "STEP_CAP_PER_ROW", 1)
+        with pytest.warns(RuntimeWarning, match="step cap"):
+            diag = train_binary(x, y, 1.0).diagnostics
+        assert not diag.converged
+        assert diag.epochs == 10
+        assert diag.kkt_violation > 1e-4
 
     def test_errors(self):
         x = np.ones((3, 2))
@@ -182,10 +198,12 @@ class TestPredict:
         model = train_multiclass(x, y, 4.0)
         test_x, _ = make_blobs(10, [(2, 0), (-2, 0), (0, 2)], 0.8, 12)
         preds = predict_table(model, test_x)
+        decisions = decision_matrix(model, test_x)
         for i, row in enumerate(test_x):
             votes = {c: 0 for c in model.classes}
-            for (a, b), sep in zip(model.pairs, model.separators):
+            for p, ((a, b), sep) in enumerate(zip(model.pairs, model.separators)):
                 d = float(sep.decision(row[None, :])[0])
+                assert decisions[i, p] == pytest.approx(d, rel=1e-12, abs=1e-12)
                 votes[a if d >= 0 else b] += 1
             best = max(sorted(votes), key=lambda c: votes[c])
             assert preds[i] == best
@@ -260,12 +278,40 @@ class TestScaleEquivariance:
         )
 
 
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        x, y = make_blobs(12, [(2, 0), (-2, 0), (0, 2)], 0.4, 20)
-        model = train_multiclass(x, y, 2.0)
-        save_model(model, tmp_path / "model")
-        back = load_model(tmp_path / "model")
-        assert back.classes == model.classes
-        assert back.feature_dim == model.feature_dim
-        np.testing.assert_array_equal(predict_table(back, x), predict_table(model, x))
+@st.composite
+def box_qp_problems(draw):
+    n = draw(st.integers(2, 7))
+    dim = draw(st.integers(1, 11))
+    x = draw(arrays(np.float64, (n, dim), elements=st.floats(-2.0, 2.0, width=32)))
+    rest = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n - 2, max_size=n - 2))
+    c = 2.0 ** draw(st.integers(-6, 7))
+    return x, np.array([1.0, -1.0] + rest), c
+
+
+class TestExactSolverOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(box_qp_problems())
+    # a gradient of 4e-11, inside tol, that leaves the objective 2e-11 short
+    @example((np.array([[6.27858598e-11], [1.0], [0.0], [0.0]]),
+              np.array([1.0, -1.0, 1.0, 1.0]), 1.0))
+    def test_matches_brute_force_and_meets_kkt(self, problem):
+        # dim < n makes Q rank-deficient
+        x, y, c = problem
+        tol = 1e-9
+        sep = train_binary(x, y, c, tol=tol)
+        alphas = sep.diagnostics.alphas
+        assert sep.diagnostics.converged
+        assert np.all((alphas >= 0.0) & (alphas <= c))
+        xy = np.concatenate([x, np.ones((len(y), 1))], axis=1) * y[:, None]
+        q = xy @ xy.T
+        grad = q @ alphas - 1.0
+        pg = np.where(alphas <= 0.0, np.minimum(grad, 0.0),
+                      np.where(alphas >= c, np.maximum(grad, 0.0), grad))
+        assert np.abs(pg).max() <= tol
+        # by convexity, f(a) - f* <= grad'(a - a*) <= c * sum|pg|: exact to
+        # 1e-12 when the solve ends on its exact face, within the KKT
+        # tolerance's reach otherwise
+        best, _ = box_qp_brute_force(q, c)
+        value = 0.5 * alphas @ q @ alphas - alphas.sum()
+        slack = 1e-12 * max(1.0, abs(best))
+        assert best - slack <= value <= best + slack + c * np.abs(pg).sum()
