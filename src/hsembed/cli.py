@@ -1,10 +1,10 @@
 """Batch command-line orchestrator.
 
-Commands: classify (train once, predict every pixel, write a map),
-evaluate (full Monte-Carlo protocol), synth (write a synthetic scene),
-theory (bound-check reports), render (label grid to PPM). Configuration
-is a single JSON document; a few flags override its fields. Every
-artifact byte is determined by the master seed.
+Commands: classify (run 0 of the protocol, also predicting every pixel
+into a map), evaluate (full Monte-Carlo protocol), synth (write a
+synthetic scene), theory (bound-check reports), render (label grid to
+PPM). Configuration is a single JSON document; a few flags override its
+fields. Every artifact byte is determined by the master seed.
 
 Exit codes: 0 success, 1 usage/parameter error, 2 data error,
 3 numerical failure.
@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import colorsys
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +40,11 @@ from .errors import (
 from .evaluation import (
     ClassifierSpec,
     McProtocol,
-    confusion_matrix,
-    average_accuracy,
+    McSummary,
     format_summary_table,
-    kappa,
     monte_carlo_protocol,
-    overall_accuracy,
+    protocol_split,
     run_split,
-    sample_training_indices,
 )
 from .hsi import (
     GroundTruthMap,
@@ -56,6 +53,7 @@ from .hsi import (
     generate_synthetic_scene,
     load_envi,
     load_ground_truth,
+    read_label_grid,
     save_envi,
     save_ground_truth,
     scene_spec_from_json,
@@ -65,6 +63,7 @@ from .rff import sample_frequencies
 from .svm import SvmConfig
 
 OUTPUT_DIR_ENV = "HSEMBED_OUT"
+THEORY_CHECKS = ("embedding_gap", "combined_risk")
 
 
 class UsageError(HsembedError):
@@ -158,7 +157,7 @@ def read_ppm(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclasses.dataclass
 class PipelineConfig:
     """JSON-backed pipeline settings; CLI flags override individual fields."""
 
@@ -217,7 +216,7 @@ class PipelineConfig:
         cfg.n_features = int(emb.get("n_features", cfg.n_features))
         cfg.sigma = emb.get("sigma", None)
         cfg.beta = emb.get("beta", None)
-        cfg.normalize = bool(emb.get("normalize", cfg.normalize))
+        cfg.normalize = _json_bool(emb, "normalize", cfg.normalize, "config 'embedding'")
         cfg.tensor_cap = int(emb.get("tensor_cap", cfg.tensor_cap))
         mp = obj.get("mp", {})
         reject_unknown_keys(mp, ("pca_dims", "n_scales", "se_shape"), "config 'mp'")
@@ -234,7 +233,9 @@ class PipelineConfig:
         )
         cfg.runs = int(proto.get("runs", cfg.runs))
         cfg.per_class = int(proto.get("per_class", cfg.per_class))
-        cfg.eval_on_train = bool(proto.get("eval_on_train", cfg.eval_on_train))
+        cfg.eval_on_train = _json_bool(
+            proto, "eval_on_train", cfg.eval_on_train, "config 'protocol'"
+        )
         cfg.fixed_test = proto.get("fixed_test")
         cfg.output_dir = obj.get("output_dir")
         return cfg
@@ -257,6 +258,21 @@ class PipelineConfig:
         if getattr(args, "c_grid", False):
             self.svm_c = None
 
+    def protocol(self, image: HyperspectralImage) -> McProtocol:
+        """The Monte-Carlo protocol; ``fixed_test`` becomes the flat indices
+        of the labeled pixels of its label file."""
+        fixed_test = None
+        if self.fixed_test:
+            mask_gt = load_ground_truth(self.fixed_test, image.height, image.width)
+            fixed_test = np.flatnonzero(mask_gt.labels.ravel() > 0)
+        return McProtocol(
+            runs=self.runs,
+            per_class=self.per_class,
+            seed=self.seed,
+            eval_on_train=self.eval_on_train,
+            fixed_test=fixed_test,
+        )
+
     def classifier_spec(self) -> ClassifierSpec:
         embedding = EmbeddingConfig(
             patch=PatchSpec(self.patch_side, self.border),
@@ -276,6 +292,14 @@ class PipelineConfig:
         path = Path(out)
         path.mkdir(parents=True, exist_ok=True)
         return path
+
+
+def _json_bool(obj: dict, key: str, default: bool, where: str) -> bool:
+    """``obj[key]`` if it is a JSON true or false, ``default`` if absent."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ParameterError(f"{where} key {key!r} must be true or false, got {value!r}")
+    return value
 
 
 def _load_data(cfg: PipelineConfig) -> tuple[HyperspectralImage, GroundTruthMap]:
@@ -314,50 +338,32 @@ def _write_json(obj: dict, path: Path) -> None:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    """Run 0 of the protocol, predicting every pixel instead of the test set."""
     cfg = PipelineConfig.from_json(args.config)
+    cfg.runs = 1
     cfg.apply_overrides(args)
     out = cfg.resolve_output_dir()
     with _stage("data"):
         image, gt = _load_data(cfg)
+        protocol = cfg.protocol(image)
+        train_idx, test_idx = protocol_split(gt, protocol, 0)
     spec = cfg.classifier_spec()
     with _stage("features"):
         table = build_feature_table(image, spec.method, spec.embedding, spec.mp)
     with _stage("train"):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-        train_idx = sample_training_indices(gt, cfg.per_class, rng)
         labels_flat = gt.labels.ravel()
-        all_idx = np.arange(labels_flat.size)
         preds_all, c_used = run_split(
-            table, labels_flat, train_idx, all_idx, gt.n_classes, spec.svm
+            table, labels_flat, train_idx, np.arange(labels_flat.size), gt.n_classes, spec.svm
         )
     with _stage("metrics"):
-        in_train = np.zeros(labels_flat.size, dtype=bool)
-        in_train[train_idx] = True
-        test_mask = (labels_flat > 0) & ~in_train
-        cm = confusion_matrix(preds_all[test_mask], labels_flat[test_mask], gt.n_classes)
-        metrics = {
-            "method": spec.method,
-            "params": dict(table.meta, per_class=cfg.per_class, c=c_used),
-            "runs": [
-                {
-                    "oa": 100.0 * overall_accuracy(cm),
-                    "aa": 100.0 * average_accuracy(cm),
-                    "kappa": 100.0 * kappa(cm),
-                }
-            ],
-            "mean": {
-                "oa": 100.0 * overall_accuracy(cm),
-                "aa": 100.0 * average_accuracy(cm),
-                "kappa": 100.0 * kappa(cm),
-            },
-            "std": {"oa": 0.0, "aa": 0.0, "kappa": 0.0},
-        }
+        summary = McSummary.empty(spec.method, table, protocol)
+        summary.add_run(preds_all[test_idx], labels_flat[test_idx], gt.n_classes, c_used)
     with _stage("write"):
         pred_grid = preds_all.reshape(gt.labels.shape)
         palette = default_palette(gt.n_classes)
         render_map(pred_grid, palette, out / "map.ppm")
         save_ground_truth(GroundTruthMap(pred_grid), out / "predictions.csv")
-        _write_json(metrics, out / "metrics.json")
+        _write_json(summary.to_dict(), out / "metrics.json")
     print(f"wrote {out / 'map.ppm'}, {out / 'predictions.csv'}, {out / 'metrics.json'}")
     return 0
 
@@ -368,17 +374,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out = cfg.resolve_output_dir()
     with _stage("data"):
         image, gt = _load_data(cfg)
-        fixed_test = None
-        if cfg.fixed_test:
-            mask_gt = load_ground_truth(cfg.fixed_test, image.height, image.width)
-            fixed_test = np.flatnonzero(mask_gt.labels.ravel() > 0)
-    protocol = McProtocol(
-        runs=cfg.runs,
-        per_class=cfg.per_class,
-        seed=cfg.seed,
-        eval_on_train=cfg.eval_on_train,
-        fixed_test=fixed_test,
-    )
+        protocol = cfg.protocol(image)
     spec = cfg.classifier_spec()
     with _stage("protocol"):
         summary = monte_carlo_protocol(image, gt, protocol, spec)
@@ -425,8 +421,11 @@ def cmd_theory(args: argparse.Namespace) -> int:
     )
     seed = int(obj.get("seed", 0) if args.seed is None else args.seed)
     out = Path(args.output or obj.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or "out")
-    out.mkdir(parents=True, exist_ok=True)
-    checks = obj.get("checks", ["embedding_gap", "combined_risk"])
+    checks = obj.get("checks", list(THEORY_CHECKS))
+    if not (isinstance(checks, list) and checks and all(c in THEORY_CHECKS for c in checks)):
+        raise ParameterError(
+            f"theory config 'checks' must be a non-empty list of {THEORY_CHECKS}, got {checks!r}"
+        )
 
     meta_obj = obj.get("meta", {})
     reject_unknown_keys(
@@ -448,7 +447,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
     reject_unknown_keys(
         pred_obj, ("count", "norm_low", "norm_high", "combined_norm"), "theory config 'predictors'"
     )
-    loss = bounds.LossSpec.hinge() if obj.get("loss", "hinge") == "hinge" else bounds.LossSpec.logistic()
+    loss = bounds.LossSpec(obj.get("loss", "hinge"))
 
     spec = bounds.MetaSampleSpec(
         n_groups=int(meta_obj.get("n_groups", 5)),
@@ -477,6 +476,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
         seed=seed,
     )
 
+    out.mkdir(parents=True, exist_ok=True)
     with _stage("theory"):
         written = []
         if "embedding_gap" in checks:
@@ -524,16 +524,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
                     predictor_norm,
                     seed=int(trial_rng.integers(2**32)),
                 )[0]
-                cfg_t = bounds.BoundConfig(
-                    delta=config.delta,
-                    r_bound=config.r_bound,
-                    rademacher_draws=config.rademacher_draws,
-                    dictionary_size=config.dictionary_size,
-                    dictionary_norm=config.dictionary_norm,
-                    holdout_draws=config.holdout_draws,
-                    rhs_form=config.rhs_form,
-                    seed=int(trial_rng.integers(2**32)),
-                )
+                cfg_t = dataclasses.replace(config, seed=int(trial_rng.integers(2**32)))
                 reports.append(
                     bounds.check_combined_risk_bound(meta_t, fmap, w, loss, cfg_t)
                 )
@@ -559,15 +550,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     with _stage("render"):
-        path = Path(args.labels)
-        if not path.is_file():
-            raise FormatError(f"label file not found: {path}")
-        rows = [
-            [int(tok) for tok in line.split(",")]
-            for line in path.read_text().splitlines()
-            if line.strip()
-        ]
-        labels = np.array(rows, dtype=np.int64)
+        labels = read_label_grid(args.labels)
         n = args.classes if args.classes is not None else int(labels.max())
         palette = default_palette(n)
         out = Path(args.output)

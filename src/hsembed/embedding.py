@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .errors import CapacityError, ContractViolation, ParameterError, ShapeError
-from .hsi import GroundTruthMap, HyperspectralImage, PatchSpec
+from .hsi import HyperspectralImage, PatchSpec
 from .morphology import MorphoProfileConfig, morphological_profile
 from .rff import RandomFeatureMap, feature_matrix, sample_frequencies
 
@@ -66,7 +66,6 @@ class EmbeddingConfig:
     beta: float | None = None
     n_features: int = 1024
     seed: int = 0
-    weighting: str = "magnitude"
     normalize: bool = True
     tensor_cap: int = 65536
 
@@ -77,8 +76,6 @@ class EmbeddingConfig:
             raise ParameterError(f"beta must be positive, got {self.beta}")
         if self.n_features < 1:
             raise ParameterError(f"n_features must be >= 1, got {self.n_features}")
-        if self.weighting not in ("uniform", "magnitude"):
-            raise ParameterError(f"weighting must be 'uniform' or 'magnitude'")
         if self.tensor_cap < 1:
             raise ParameterError(f"tensor_cap must be >= 1, got {self.tensor_cap}")
 
@@ -152,8 +149,6 @@ def conv_mean_map_feature(
     its spectral norm times the feature of [row/beta, col/beta, unit
     spectrum/sigma]; the sum is divided by the patch size.
     """
-    if config.weighting != "magnitude":
-        raise ContractViolation("convolutional features require magnitude weighting")
     if config.sigma is None or config.beta is None:
         raise ParameterError("config.sigma and config.beta must be resolved")
     spectra = np.atleast_2d(np.asarray(spectra, dtype=np.float64))
@@ -259,15 +254,13 @@ def build_feature_table(
     method: str,
     config: EmbeddingConfig | None = None,
     mp_config: MorphoProfileConfig | None = None,
-    gt: GroundTruthMap | None = None,
 ) -> FeatureTable:
     """Build one feature row per pixel for the requested method.
 
     Methods: raw spectra, per-pixel random features, neighbourhood mean
     maps, magnitude-weighted convolutional mean maps, morphological
     profiles, and the tensor-product fusion of profiles with mean maps.
-    Deterministic for a fixed config seed. ``gt`` is accepted for interface
-    parity and not consulted.
+    Deterministic for a fixed config seed.
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
@@ -335,8 +328,6 @@ def build_feature_table(
         return FeatureTable(fused, "tensor", meta)
 
     # convmeanmap
-    if config.weighting != "magnitude":
-        raise ContractViolation("convolutional features require magnitude weighting")
     fmap = sample_frequencies(d + 2, config.n_features, 1.0, config.seed)
     rows_grid, cols_grid = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     positions = np.stack([rows_grid.ravel(), cols_grid.ravel()], axis=1).astype(np.float64)

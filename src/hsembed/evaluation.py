@@ -140,26 +140,19 @@ class McSummary:
     kappa: list[float]
     best_c: list[float]
 
-    @staticmethod
-    def _mean(xs: list[float]) -> float:
-        return float(np.mean(xs))
-
-    @staticmethod
-    def _std(xs: list[float]) -> float:
-        return float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0
+    @classmethod
+    def empty(cls, method: str, table: FeatureTable, protocol: McProtocol) -> "McSummary":
+        """No runs yet; params are the table's plus the protocol's."""
+        params = dict(table.meta, per_class=protocol.per_class, runs=protocol.runs)
+        return cls(method, params, [], [], [], [])
 
     def mean(self) -> dict:
-        return {
-            "oa": self._mean(self.oa),
-            "aa": self._mean(self.aa),
-            "kappa": self._mean(self.kappa),
-        }
+        return {k: float(np.mean(getattr(self, k))) for k in ("oa", "aa", "kappa")}
 
     def std(self) -> dict:
         return {
-            "oa": self._std(self.oa),
-            "aa": self._std(self.aa),
-            "kappa": self._std(self.kappa),
+            k: float(np.std(xs, ddof=1)) if len(xs) > 1 else 0.0
+            for k, xs in (("oa", self.oa), ("aa", self.aa), ("kappa", self.kappa))
         }
 
     def to_dict(self) -> dict:
@@ -177,6 +170,16 @@ class McSummary:
             "std": {k: pct(v) for k, v in std.items()},
             "best_c": self.best_c,
         }
+
+    def add_run(
+        self, predicted: np.ndarray, truth: np.ndarray, n_classes: int, c: float
+    ) -> None:
+        """Score one run's test predictions against their truth labels."""
+        cm = confusion_matrix(predicted, truth, n_classes)
+        self.oa.append(overall_accuracy(cm))
+        self.aa.append(average_accuracy(cm))
+        self.kappa.append(kappa(cm))
+        self.best_c.append(c)
 
 
 def sample_training_indices(
@@ -202,6 +205,39 @@ def sample_training_indices(
     return np.concatenate(picks)
 
 
+def protocol_split(
+    gt: GroundTruthMap, protocol: McProtocol, run: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (training, test) pixel indices of protocol run ``run``; the
+    training pixels come from the run's own seed, outside ``fixed_test``."""
+    counts = gt.class_counts()
+    if counts.size < 2:
+        raise DegenerateDataError("protocol needs at least two labeled classes")
+    needed = protocol.per_class if protocol.eval_on_train else protocol.per_class + 1
+    if protocol.fixed_test is None and (counts < needed).any():
+        small = int(np.flatnonzero(counts < needed)[0]) + 1
+        raise DegenerateDataError(
+            f"class {small} has {int(counts[small - 1])} labeled pixels, "
+            f"needs at least {needed}"
+        )
+    rng = np.random.default_rng(np.random.SeedSequence([protocol.seed, run]))
+    train_idx = sample_training_indices(
+        gt, protocol.per_class, rng, exclude=protocol.fixed_test
+    )
+    if protocol.eval_on_train:
+        return train_idx, train_idx
+    if protocol.fixed_test is not None:
+        return train_idx, protocol.fixed_test
+    labels_flat = gt.labels.ravel()
+    in_train = np.zeros(labels_flat.size, dtype=bool)
+    in_train[train_idx] = True
+    return train_idx, np.flatnonzero((labels_flat > 0) & ~in_train)
+
+
+# float64 elements of test rows gathered and predicted at once (32 MB)
+_PREDICT_BLOCK = 1 << 22
+
+
 def run_split(
     table: FeatureTable,
     labels_flat: np.ndarray,
@@ -213,7 +249,8 @@ def run_split(
     """Train on the given rows and predict the test rows.
 
     Returns (predictions, C actually used). Grid search runs on the
-    training rows when the config has no fixed C.
+    training rows when the config has no fixed C. Test rows are gathered
+    in blocks, so no copy of all of them is ever held.
     """
     x_tr = table.values[train_idx]
     y_tr = labels_flat[train_idx]
@@ -223,7 +260,13 @@ def run_split(
     else:
         c = svm_cfg.c
     model = train_multiclass(x_tr, y_tr, c, classes=list(range(1, n_classes + 1)))
-    return predict_table(model, table.values[test_idx]), float(c)
+    test_idx = np.asarray(test_idx)
+    preds = np.empty(test_idx.size, dtype=np.int64)
+    step = max(1, _PREDICT_BLOCK // table.dim)
+    for start in range(0, test_idx.size, step):
+        block = test_idx[start : start + step]
+        preds[start : start + block.size] = predict_table(model, table.values[block])
+    return preds, float(c)
 
 
 def monte_carlo_protocol(
@@ -241,54 +284,19 @@ def monte_carlo_protocol(
     """
     if gt.labels.shape != (image.height, image.width):
         raise ShapeError("ground truth dimensions do not match the image")
-    n_classes = gt.n_classes
-    if n_classes < 2:
-        raise DegenerateDataError("protocol needs at least two labeled classes")
-    labels_flat = gt.labels.ravel()
-    counts = gt.class_counts()
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0]) + 1
-        raise DegenerateDataError(f"class {missing} has no labeled pixels")
-    needed = protocol.per_class if protocol.eval_on_train else protocol.per_class + 1
-    if protocol.fixed_test is None and (counts < needed).any():
-        small = int(np.flatnonzero(counts < needed)[0]) + 1
-        raise DegenerateDataError(
-            f"class {small} has {int(counts[small - 1])} labeled pixels, "
-            f"needs at least {needed}"
-        )
-
+    splits = [protocol_split(gt, protocol, run) for run in range(protocol.runs)]
     if table is None:
         table = build_feature_table(
             image, classifier.method, classifier.embedding, classifier.mp
         )
-
-    oas, aas, kappas, cs = [], [], [], []
-    for run in range(protocol.runs):
-        rng = np.random.default_rng(np.random.SeedSequence([protocol.seed, run]))
-        train_idx = sample_training_indices(
-            gt, protocol.per_class, rng, exclude=protocol.fixed_test
-        )
-        if protocol.eval_on_train:
-            test_idx = train_idx
-        elif protocol.fixed_test is not None:
-            test_idx = protocol.fixed_test
-        else:
-            in_train = np.zeros(labels_flat.size, dtype=bool)
-            in_train[train_idx] = True
-            test_idx = np.flatnonzero((labels_flat > 0) & ~in_train)
+    labels_flat = gt.labels.ravel()
+    summary = McSummary.empty(classifier.method, table, protocol)
+    for train_idx, test_idx in splits:
         preds, c_used = run_split(
-            table, labels_flat, train_idx, test_idx, n_classes, classifier.svm
+            table, labels_flat, train_idx, test_idx, gt.n_classes, classifier.svm
         )
-        cm = confusion_matrix(preds, labels_flat[test_idx], n_classes)
-        oas.append(overall_accuracy(cm))
-        aas.append(average_accuracy(cm))
-        kappas.append(kappa(cm))
-        cs.append(c_used)
-
-    params = dict(table.meta)
-    params["per_class"] = protocol.per_class
-    params["runs"] = protocol.runs
-    return McSummary(classifier.method, params, oas, aas, kappas, cs)
+        summary.add_run(preds, labels_flat[test_idx], gt.n_classes, c_used)
+    return summary
 
 
 def format_summary_table(summaries: list[McSummary]) -> str:

@@ -380,21 +380,20 @@ def save_envi(
 # Ground truth IO
 # ---------------------------------------------------------------------------
 
-def load_ground_truth(path: str | Path, height: int, width: int) -> GroundTruthMap:
-    """Read a label grid from a CSV file or a single-band ENVI integer raster."""
+def read_label_grid(path: str | Path) -> np.ndarray:
+    """Read a 2-D int64 label grid, of any height and width, from a CSV
+    file or a single-band ENVI integer raster."""
     path = Path(path)
     if not path.is_file():
-        raise FormatError(f"ground truth file not found: {path}")
+        raise FormatError(f"label file not found: {path}")
     if path.suffix == ".hdr":
         image = load_envi(path)
         if image.bands != 1:
-            raise ShapeError(f"{path}: ground truth raster must have exactly 1 band")
+            raise ShapeError(f"{path}: label raster must have exactly 1 band")
         values = image.data[:, :, 0]
         if not np.array_equal(values, np.round(values)):
             raise FormatError(f"{path}: raster labels are not integers")
         labels = values.astype(np.int64)
-        if labels.min() < 0:
-            raise FormatError(f"{path}: negative label")
     else:
         rows = []
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -411,8 +410,14 @@ def load_ground_truth(path: str | Path, height: int, width: int) -> GroundTruthM
         if any(len(r) != ncols for r in rows):
             raise FormatError(f"{path}: ragged rows in label grid")
         labels = np.array(rows, dtype=np.int64)
-        if labels.min() < 0:
-            raise FormatError(f"{path}: negative label")
+    if labels.min() < 0:
+        raise FormatError(f"{path}: negative label")
+    return labels
+
+
+def load_ground_truth(path: str | Path, height: int, width: int) -> GroundTruthMap:
+    """Read a label grid (see ``read_label_grid``) that must be height x width."""
+    labels = read_label_grid(path)
     if labels.shape != (height, width):
         raise ShapeError(
             f"{path}: label grid is {labels.shape}, expected ({height}, {width})"

@@ -84,6 +84,26 @@ class TestRender:
         assert main(["render", "--labels", str(labels), "--output", str(out)]) == 0
         assert read_ppm(out).shape == (2, 2, 3)
 
+    def test_render_non_integer_cell_names_the_line(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0,1\n2,x\n")
+        out = tmp_path / "render.ppm"
+        assert main(["render", "--labels", str(labels), "--output", str(out)]) == 2
+        assert "labels.csv:2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_render_envi_label_raster(self, tmp_path):
+        from hsembed import HyperspectralImage, save_envi
+
+        labels = np.array([[0, 1, 3], [2, 2, 1]])
+        header = save_envi(
+            HyperspectralImage(labels[:, :, None].astype(np.float64)), tmp_path / "gt.hdr"
+        )
+        out = tmp_path / "render.ppm"
+        assert main(["render", "--labels", str(header), "--output", str(out)]) == 0
+        palette = np.asarray(default_palette(3), dtype=np.uint8)
+        np.testing.assert_array_equal(read_ppm(out), palette[labels])
+
 
 class TestClassify:
     def test_smoke_and_outputs(self, scene_config):
@@ -114,6 +134,57 @@ class TestClassify:
         code = main(["classify", "--config", str(path)])
         assert code == 1
         assert "1000" in capsys.readouterr().err
+
+    def test_metrics_equal_evaluate_run_zero(self, scene_config, tmp_path):
+        config, out, _ = scene_config
+        assert main(["classify", "--config", str(config)]) == 0
+        classify = json.loads((out / "metrics.json").read_text())
+        evaluate_out = tmp_path / "evaluate"
+        assert main(["evaluate", "--config", str(config), "--runs", "1",
+                     "--output", str(evaluate_out)]) == 0
+        evaluate = json.loads((evaluate_out / "metrics.json").read_text())
+        assert classify["runs"] == evaluate["runs"]
+        assert classify["best_c"] == evaluate["best_c"] == [32.0]
+        assert classify["params"] == evaluate["params"]
+        assert classify["params"]["runs"] == 1 and "c" not in classify["params"]
+
+    def test_fixed_test_trains_outside_and_scores_only_it(
+        self, tmp_path, scene_config, monkeypatch
+    ):
+        import hsembed.cli as cli
+        from hsembed.evaluation import average_accuracy, confusion_matrix, kappa
+        from hsembed.evaluation import overall_accuracy
+        from hsembed.hsi import generate_synthetic_scene, scene_spec_from_json
+
+        _, out, cfg = scene_config
+        rows, cols = np.indices((14, 14))
+        fixed_mask = ((rows + cols) % 3 == 0).astype(int)
+        fixed_path = tmp_path / "fixed.csv"
+        fixed_path.write_text("\n".join(",".join(map(str, r)) for r in fixed_mask) + "\n")
+        cfg["protocol"]["fixed_test"] = str(fixed_path)
+        path = tmp_path / "fixed.json"
+        path.write_text(json.dumps(cfg))
+        train_splits = []
+        run_split = cli.run_split
+
+        def recorded(table, labels_flat, train_idx, *rest):
+            train_splits.append(train_idx)
+            return run_split(table, labels_flat, train_idx, *rest)
+
+        monkeypatch.setattr(cli, "run_split", recorded)
+        assert main(["classify", "--config", str(path)]) == 0
+        fixed = np.flatnonzero(fixed_mask.ravel())
+        assert np.intersect1d(train_splits[0], fixed).size == 0
+
+        _, gt = generate_synthetic_scene(scene_spec_from_json(cfg["data"]["synthetic"]))
+        pred = np.loadtxt(out / "predictions.csv", delimiter=",", dtype=int).ravel()
+        cm = confusion_matrix(pred[fixed], gt.labels.ravel()[fixed], gt.n_classes)
+        (run,) = json.loads((out / "metrics.json").read_text())["runs"]
+        assert run == {
+            "oa": 100.0 * overall_accuracy(cm),
+            "aa": 100.0 * average_accuracy(cm),
+            "kappa": 100.0 * kappa(cm),
+        }
 
     def test_flag_overrides_change_output(self, scene_config):
         config, out, _ = scene_config
@@ -289,3 +360,64 @@ class TestUnknownKeys:
         assert main(["theory", "--config", str(cfg), "--output", str(out)]) == 1
         assert repr(key) in capsys.readouterr().err
         assert not (out / "embedding_gap_bound.json").exists()
+
+
+class TestStrictValues:
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("embedding", "normalize", "false"), ("embedding", "normalize", 0),
+         ("protocol", "eval_on_train", "no"), ("protocol", "eval_on_train", 1)],
+    )
+    def test_non_boolean_flag_exits_one(self, tmp_path, scene_config, capsys, section, key,
+                                        value):
+        _, _, cfg = scene_config
+        cfg[section][key] = value
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(value) in err
+
+    def test_boolean_flags_load(self, tmp_path, scene_config):
+        from hsembed.cli import PipelineConfig
+
+        _, _, cfg = scene_config
+        cfg["embedding"]["normalize"] = False
+        cfg["protocol"]["eval_on_train"] = True
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(cfg))
+        loaded = PipelineConfig.from_json(path)
+        assert loaded.normalize is False and loaded.eval_on_train is True
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [("loss", "hinj", "'hinj'"), ("checks", ["embeding_gap"], "'embeding_gap'"),
+         ("checks", ["combined_risk", "gap"], "'gap'"), ("checks", [], "[]"),
+         ("checks", "embedding_gap", "'embedding_gap'")],
+    )
+    def test_theory_value_exits_one(self, tmp_path, capsys, key, value, named):
+        cfg = tmp_path / "theory.json"
+        cfg.write_text(json.dumps({"seed": 1, key: value}))
+        out = tmp_path / "theory_out"
+        assert main(["theory", "--config", str(cfg), "--output", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theory_loss_and_bound_settings_reach_every_trial(self, tmp_path):
+        lhs = {}
+        for loss in ("hinge", "logistic"):
+            cfg = tmp_path / f"{loss}.json"
+            cfg.write_text(json.dumps({
+                "seed": 2, "loss": loss, "checks": ["combined_risk"], "trials": 2,
+                "meta": {"n_groups": 4, "group_size": 6, "dim": 3},
+                "features": {"count": 16},
+                "bound": {"delta": 0.2, "rademacher_draws": 50, "holdout_draws": 100,
+                          "dictionary_size": 8},
+            }))
+            out = tmp_path / loss
+            assert main(["theory", "--config", str(cfg), "--output", str(out)]) == 0
+            assert not (out / "embedding_gap_bound.json").exists()
+            reports = json.loads((out / "combined_risk_bound.json").read_text())["reports"]
+            assert [r["components"]["delta"] for r in reports] == [0.2, 0.2]
+            lhs[loss] = [r["lhs"] for r in reports]
+        assert lhs["hinge"] != lhs["logistic"]

@@ -209,11 +209,6 @@ class TestConvMeanMap:
 
     def test_requires_magnitude_weighting_and_resolved_scales(self):
         fmap = sample_frequencies(5, 16, 1.0, seed=0)
-        with pytest.raises(ContractViolation):
-            conv_mean_map_feature(
-                fmap, np.ones((1, 3)), np.zeros((1, 2)),
-                EmbeddingConfig(sigma=1.0, beta=1.0, weighting="uniform"),
-            )
         with pytest.raises(ParameterError):
             conv_mean_map_feature(
                 fmap, np.ones((1, 3)), np.zeros((1, 2)), EmbeddingConfig()

@@ -21,8 +21,10 @@ from hsembed import (
     monte_carlo_protocol,
     overall_accuracy,
 )
-from hsembed.evaluation import format_summary_table
-from hsembed.svm import SvmConfig
+from hsembed import evaluation
+from hsembed.embedding import build_feature_table
+from hsembed.evaluation import format_summary_table, protocol_split, run_split
+from hsembed.svm import SvmConfig, predict_table, train_multiclass
 
 HAND_MATRIX = np.array([[3, 1], [2, 4]])
 
@@ -198,3 +200,43 @@ class TestMonteCarloProtocol:
         text = format_summary_table([s])
         assert "kernel" in text and "OA" in text and "meanmap" in text
         assert "s=3" in text
+
+
+class TestProtocolSplit:
+    def test_disjoint_split_of_the_labeled_pixels(self, blob_scene):
+        _, gt = blob_scene
+        train, test = protocol_split(gt, McProtocol(runs=3, per_class=5, seed=4), 2)
+        assert np.bincount(gt.labels.ravel()[train]).tolist() == [0, 5, 5, 5]
+        assert np.intersect1d(train, test).size == 0
+        assert train.size + test.size == np.count_nonzero(gt.labels)
+
+    def test_fixed_test_and_eval_on_train(self, blob_scene):
+        _, gt = blob_scene
+        fixed = np.flatnonzero(gt.labels.ravel() > 0)[::3]
+        train, test = protocol_split(gt, McProtocol(per_class=5, fixed_test=fixed), 0)
+        np.testing.assert_array_equal(test, fixed)
+        assert np.intersect1d(train, fixed).size == 0
+        train, test = protocol_split(gt, McProtocol(per_class=5, eval_on_train=True), 0)
+        np.testing.assert_array_equal(test, train)
+
+
+class TestRunSplit:
+    def test_blocked_prediction_matches_one_call(self, blob_scene, monkeypatch):
+        image, gt = blob_scene
+        table = build_feature_table(image, "raw")
+        labels = gt.labels.ravel()
+        train, test = protocol_split(gt, McProtocol(per_class=5, seed=2), 0)
+        model = train_multiclass(table.values[train], labels[train], 32.0, classes=[1, 2, 3])
+        expected = predict_table(model, table.values[test])
+        calls = []
+
+        def counted(model, features):
+            calls.append(features.shape[0])
+            return predict_table(model, features)
+
+        monkeypatch.setattr(evaluation, "predict_table", counted)
+        monkeypatch.setattr(evaluation, "_PREDICT_BLOCK", 4 * table.dim)
+        preds, c = run_split(table, labels, train, test, 3, SvmConfig(c=32.0))
+        np.testing.assert_array_equal(preds, expected)
+        assert c == 32.0
+        assert max(calls) == 4 and sum(calls) == test.size
