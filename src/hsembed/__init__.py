@@ -22,6 +22,7 @@ from .bounds import (
 )
 from .embedding import (
     EmbeddingConfig,
+    FeatureSpace,
     FeatureTable,
     PixelFeature,
     build_feature_table,
@@ -30,6 +31,7 @@ from .embedding import (
     mean_map_feature,
     mean_map_kernel,
     median_heuristic,
+    prepare_features,
     tensor_product_features,
 )
 from .errors import (

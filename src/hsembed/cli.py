@@ -23,7 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds
-from .embedding import EmbeddingConfig, build_feature_table
+from .embedding import (
+    EmbeddingConfig,
+    build_feature_table,  # noqa: F401  (unused here; benchmark tracing wraps this name)
+)
 from .errors import (
     CapacityError,
     ContractViolation,
@@ -43,8 +46,9 @@ from .evaluation import (
     McSummary,
     format_summary_table,
     monte_carlo_protocol,
+    predict_runs,
     protocol_split,
-    run_split,
+    run_split,  # noqa: F401  (unused here; benchmark tracing wraps this name)
 )
 from .hsi import (
     GroundTruthMap,
@@ -348,15 +352,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
         protocol = cfg.protocol(image)
         train_idx, test_idx = protocol_split(gt, protocol, 0)
     spec = cfg.classifier_spec()
-    with _stage("features"):
-        table = build_feature_table(image, spec.method, spec.embedding, spec.mp)
-    with _stage("train"):
+    with _stage("features and training"):
         labels_flat = gt.labels.ravel()
-        preds_all, c_used = run_split(
-            table, labels_flat, train_idx, np.arange(labels_flat.size), gt.n_classes, spec.svm
+        every_pixel = np.arange(labels_flat.size)
+        features, (preds_all,), (c_used,) = predict_runs(
+            image, spec, labels_flat, [(train_idx, every_pixel)], gt.n_classes
         )
     with _stage("metrics"):
-        summary = McSummary.empty(spec.method, table, protocol)
+        summary = McSummary.empty(spec.method, features, protocol)
         summary.add_run(preds_all[test_idx], labels_flat[test_idx], gt.n_classes, c_used)
     with _stage("write"):
         pred_grid = preds_all.reshape(gt.labels.shape)

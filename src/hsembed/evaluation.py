@@ -1,10 +1,13 @@
 """Confusion-matrix metrics and the seeded Monte-Carlo evaluation protocol.
 
 The protocol repeatedly samples a tiny per-class training set from the
-labeled pixels, trains a one-vs-one linear SVM on the configured feature
-table, scores the held-out labeled pixels and aggregates overall accuracy,
-average (per-class) accuracy and the chance-corrected kappa statistic as
-mean +/- sample standard deviation.
+labeled pixels, trains a one-vs-one linear SVM on the configured
+features of those pixels, scores the held-out labeled pixels and
+aggregates overall accuracy, average (per-class) accuracy and the
+chance-corrected kappa statistic as mean +/- sample standard deviation.
+Unless the whole feature table fits in one score block, every run is
+trained first; then streamed passes score every pixel against the
+stacked weights of the runs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingConfig, FeatureTable, build_feature_table
+from .embedding import (
+    EmbeddingConfig,
+    FeatureSpace,
+    FeatureTable,
+    block_rows,
+    build_feature_table,
+    prepare_features,
+)
 from .errors import (
     ContractViolation,
     DegenerateDataError,
@@ -23,7 +33,7 @@ from .errors import (
 )
 from .hsi import GroundTruthMap, HyperspectralImage
 from .morphology import MorphoProfileConfig
-from .svm import SvmConfig, cross_validate, predict_table, train_multiclass
+from .svm import SvmConfig, SvmModel, cross_validate, predict_table, train_multiclass, vote
 
 
 def confusion_matrix(
@@ -141,9 +151,11 @@ class McSummary:
     best_c: list[float]
 
     @classmethod
-    def empty(cls, method: str, table: FeatureTable, protocol: McProtocol) -> "McSummary":
-        """No runs yet; params are the table's plus the protocol's."""
-        params = dict(table.meta, per_class=protocol.per_class, runs=protocol.runs)
+    def empty(
+        cls, method: str, features: FeatureSpace | FeatureTable, protocol: McProtocol
+    ) -> "McSummary":
+        """No runs yet; params are the features' meta plus the protocol's."""
+        params = dict(features.meta, per_class=protocol.per_class, runs=protocol.runs)
         return cls(method, params, [], [], [], [])
 
     def mean(self) -> dict:
@@ -234,8 +246,16 @@ def protocol_split(
     return train_idx, np.flatnonzero((labels_flat > 0) & ~in_train)
 
 
-# float64 elements of test rows gathered and predicted at once (32 MB)
-_PREDICT_BLOCK = 1 << 22
+def train_run(
+    rows: np.ndarray, labels: np.ndarray, n_classes: int, svm_cfg: SvmConfig
+) -> tuple[SvmModel, float]:
+    """One run's model on its training rows, and the C it used. Grid
+    search runs on the training rows when the config has no fixed C."""
+    if svm_cfg.c is None:
+        c = cross_validate(rows, labels, folds=svm_cfg.folds, seed=svm_cfg.seed).best_c
+    else:
+        c = svm_cfg.c
+    return train_multiclass(rows, labels, c, classes=list(range(1, n_classes + 1))), float(c)
 
 
 def run_split(
@@ -246,27 +266,99 @@ def run_split(
     n_classes: int,
     svm_cfg: SvmConfig,
 ) -> tuple[np.ndarray, float]:
-    """Train on the given rows and predict the test rows.
+    """Train on the given rows of a dense table and predict the test rows.
 
-    Returns (predictions, C actually used). Grid search runs on the
-    training rows when the config has no fixed C. Test rows are gathered
-    in blocks, so no copy of all of them is ever held.
+    Returns (predictions, C actually used). Test rows are gathered in
+    blocks, so no copy of all of them is ever held.
     """
-    x_tr = table.values[train_idx]
-    y_tr = labels_flat[train_idx]
-    if svm_cfg.c is None:
-        report = cross_validate(x_tr, y_tr, folds=svm_cfg.folds, seed=svm_cfg.seed)
-        c = report.best_c
-    else:
-        c = svm_cfg.c
-    model = train_multiclass(x_tr, y_tr, c, classes=list(range(1, n_classes + 1)))
+    model, c = train_run(table.values[train_idx], labels_flat[train_idx], n_classes, svm_cfg)
     test_idx = np.asarray(test_idx)
     preds = np.empty(test_idx.size, dtype=np.int64)
-    step = max(1, _PREDICT_BLOCK // table.dim)
+    step = block_rows(table.dim)
     for start in range(0, test_idx.size, step):
         block = test_idx[start : start + step]
         preds[start : start + block.size] = predict_table(model, table.values[block])
-    return preds, float(c)
+    return preds, c
+
+
+def pixel_decisions(space: FeatureSpace, models: list[SvmModel]) -> np.ndarray:
+    """Decision values of every pixel under every model, one column per
+    (model, class pair) in model order: (H*W, total pairs). One streamed
+    pass scores the pixels against the models' stacked weights."""
+    decisions = space.scores(np.concatenate([m.weights for m in models], axis=1))
+    decisions += np.concatenate([m.biases for m in models])
+    return decisions
+
+
+def train_and_predict(
+    space: FeatureSpace,
+    labels_flat: np.ndarray,
+    train_sets: list[np.ndarray],
+    n_classes: int,
+    svm_cfg: SvmConfig,
+) -> tuple[np.ndarray, list[float]]:
+    """Train one model per training set, then predict every pixel under
+    each: returns (len(train_sets), H*W) class ids and the Cs used.
+
+    The training rows of every run come from one pass, so a pixel in
+    several runs' patches is embedded once. The models are scored in
+    groups whose stacked pair columns are no wider than a table row, so
+    the score image never outgrows the dense table, however many runs
+    there are.
+    """
+    ends = np.cumsum([idx.size for idx in train_sets])[:-1]
+    rows = np.split(space.table_rows(np.concatenate(train_sets)), ends)
+    fits = [
+        train_run(run_rows, labels_flat[idx], n_classes, svm_cfg)
+        for run_rows, idx in zip(rows, train_sets)
+    ]
+    models = [model for model, _ in fits]
+    per_pass = max(1, space.row_dim // len(models[0].pairs))
+    preds = np.empty((len(models), space.image.height * space.image.width), dtype=np.int64)
+    for first in range(0, len(models), per_pass):
+        group = models[first : first + per_pass]
+        decisions = pixel_decisions(space, group)
+        start = 0
+        for r, model in enumerate(group, first):
+            preds[r] = vote(model, decisions[:, start : start + len(model.pairs)])
+            start += len(model.pairs)
+        del decisions  # not held while the next group's scores are made
+    return preds, [c for _, c in fits]
+
+
+def predict_runs(
+    image: HyperspectralImage,
+    classifier: ClassifierSpec,
+    labels_flat: np.ndarray,
+    splits: list[tuple[np.ndarray, np.ndarray]],
+    n_classes: int,
+) -> tuple[FeatureSpace | FeatureTable, list[np.ndarray], list[float]]:
+    """Train one model per (training, predicted) pair of flat pixel indices
+    and predict the second set: returns the features (for their meta), each
+    run's predictions and the Cs used.
+
+    A feature table larger than one score block is never built: every run
+    trains on its own patch rows, then streamed passes score all pixels.
+    A table within one block is still built, and each run goes through
+    ``run_split``. That branch only keeps the dense calls that
+    ``perfbench/test_perfbench.py::test_install_wraps_every_site_and_counts_solves``
+    counts on its 24 x 24 scene: streaming a one-block table is faster and
+    smaller (CHANGES.md). It goes once the benchmark traces the streamed
+    functions (ROADMAP item 1).
+    """
+    method, embedding, mp = classifier.method, classifier.embedding, classifier.mp
+    space = prepare_features(image, method, embedding, mp)
+    if image.height * image.width <= block_rows(space.row_dim):
+        table = build_feature_table(image, method, embedding, mp)
+        fits = [
+            run_split(table, labels_flat, train, predicted, n_classes, classifier.svm)
+            for train, predicted in splits
+        ]
+        return table, [preds for preds, _ in fits], [c for _, c in fits]
+    preds, cs = train_and_predict(
+        space, labels_flat, [train for train, _ in splits], n_classes, classifier.svm
+    )
+    return space, [run[predicted] for run, (_, predicted) in zip(preds, splits)], cs
 
 
 def monte_carlo_protocol(
@@ -274,28 +366,21 @@ def monte_carlo_protocol(
     gt: GroundTruthMap,
     protocol: McProtocol,
     classifier: ClassifierSpec,
-    table: FeatureTable | None = None,
 ) -> McSummary:
     """Run the seeded multi-run evaluation and aggregate the metrics.
 
-    Features are built once (they do not depend on the split); per-run
+    Features are resolved once (they do not depend on the split); per-run
     seeds derive from the protocol seed and the run index, so reruns are
     reproducible and runs are order-independent.
     """
     if gt.labels.shape != (image.height, image.width):
         raise ShapeError("ground truth dimensions do not match the image")
     splits = [protocol_split(gt, protocol, run) for run in range(protocol.runs)]
-    if table is None:
-        table = build_feature_table(
-            image, classifier.method, classifier.embedding, classifier.mp
-        )
     labels_flat = gt.labels.ravel()
-    summary = McSummary.empty(classifier.method, table, protocol)
-    for train_idx, test_idx in splits:
-        preds, c_used = run_split(
-            table, labels_flat, train_idx, test_idx, gt.n_classes, classifier.svm
-        )
-        summary.add_run(preds, labels_flat[test_idx], gt.n_classes, c_used)
+    features, preds, cs = predict_runs(image, classifier, labels_flat, splits, gt.n_classes)
+    summary = McSummary.empty(classifier.method, features, protocol)
+    for (_, test_idx), run_preds, c in zip(splits, preds, cs):
+        summary.add_run(run_preds, labels_flat[test_idx], gt.n_classes, c)
     return summary
 
 

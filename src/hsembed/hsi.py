@@ -25,9 +25,13 @@ from .errors import (
 
 # ENVI "data type" codes accepted by the reader/writer.
 _ENVI_DTYPES = {
+    1: np.dtype(np.uint8),
+    2: np.dtype(np.int16),
+    3: np.dtype(np.int32),
     4: np.dtype(np.float32),
     5: np.dtype(np.float64),
     12: np.dtype(np.uint16),
+    13: np.dtype(np.uint32),
 }
 _ENVI_CODES = {v: k for k, v in _ENVI_DTYPES.items()}
 _INTERLEAVES = ("bsq", "bil", "bip")
@@ -259,7 +263,8 @@ def _find_companion(header_path: Path) -> Path:
 
 
 def load_envi(header_path: str | Path) -> HyperspectralImage:
-    """Read an ENVI cube (bsq/bil/bip; float32, float64 or uint16 payloads).
+    """Read an ENVI cube (bsq/bil/bip; uint8, int16, int32, uint16, uint32,
+    float32 or float64 payloads).
 
     Returns the cube converted to the internal band-interleaved-by-pixel
     layout with values cast to float64.
@@ -353,10 +358,11 @@ def save_envi(
     else:
         ordered = cube
     out_dtype = base.newbyteorder("<" if byte_order == 0 else ">")
-    if base == np.dtype(np.uint16):
-        if (cube < 0).any() or (cube > np.iinfo(np.uint16).max).any() or \
+    if base.kind in "iu":
+        info = np.iinfo(base)
+        if (cube < info.min).any() or (cube > info.max).any() or \
                 not np.array_equal(cube, np.round(cube)):
-            raise ParameterError("cube values do not fit a uint16 payload")
+            raise ParameterError(f"cube values do not fit a {base} payload")
     np.ascontiguousarray(ordered).astype(out_dtype).tofile(data_path)
 
     lines = [
@@ -514,6 +520,16 @@ def _fold_mirror(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(j >= n, 2 * n - 1 - j, j)
 
 
+def _window_axis(centres, spec: PatchSpec, n: int) -> np.ndarray:
+    """Resolved coordinates along one axis of the side-long window around
+    each centre: shape ``centres.shape + (side,)``."""
+    lo = (spec.side - 1) // 2
+    coords = np.asarray(centres)[..., None] + np.arange(-lo, spec.side - lo)
+    if spec.border == "clamp":
+        return np.clip(coords, 0, n - 1)
+    return _fold_mirror(coords, n)
+
+
 def patch_window(
     row: int, col: int, spec: PatchSpec, height: int, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -524,18 +540,20 @@ def patch_window(
     coordinates are resolved by the border policy, so each returned pair
     is an actual pixel of the image (possibly repeated).
     """
-    side = spec.side
-    lo = (side - 1) // 2
-    offs = np.arange(-lo, side - lo)
-    r = row + offs
-    c = col + offs
-    if spec.border == "clamp":
-        r = np.clip(r, 0, height - 1)
-        c = np.clip(c, 0, width - 1)
-    else:
-        r = _fold_mirror(r, height)
-        c = _fold_mirror(c, width)
-    return np.repeat(r, side), np.tile(c, side)
+    r = _window_axis(row, spec, height)
+    c = _window_axis(col, spec, width)
+    return np.repeat(r, spec.side), np.tile(c, spec.side)
+
+
+def patch_indices(
+    flat: np.ndarray, spec: PatchSpec, height: int, width: int
+) -> np.ndarray:
+    """Flat indices of the patch members of each given flat pixel index, one
+    row per pixel in ``patch_window`` order: shape ``(len(flat), side^2)``."""
+    rows, cols = np.divmod(np.asarray(flat, dtype=np.int64), width)
+    r = _window_axis(rows, spec, height)
+    c = _window_axis(cols, spec, width)
+    return (r[:, :, None] * width + c[:, None, :]).reshape(rows.size, -1)
 
 
 def extract_patch(

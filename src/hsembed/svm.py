@@ -201,6 +201,15 @@ class SvmModel:
     separators: list[BinarySeparator]
     feature_dim: int
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The separators' weights stacked as a (feature_dim, pairs) matrix."""
+        return np.stack([sep.weights for sep in self.separators], axis=1)
+
+    @property
+    def biases(self) -> np.ndarray:
+        return np.array([sep.bias for sep in self.separators])
+
 
 def train_multiclass(
     features: np.ndarray,
@@ -246,27 +255,31 @@ def decision_matrix(model: SvmModel, features: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"feature dim {features.shape[1]} != model dim {model.feature_dim}"
         )
-    weights = np.stack([sep.weights for sep in model.separators], axis=1)
-    decisions = features @ weights
-    decisions += [sep.bias for sep in model.separators]
+    decisions = features @ model.weights
+    decisions += model.biases
     return decisions
 
 
-def predict_table(model: SvmModel, features: np.ndarray) -> np.ndarray:
-    """Majority-vote class ids for each feature row; ties go to the
-    smallest class id."""
-    decisions = decision_matrix(model, features)
-    n = decisions.shape[0]
+def vote(model: SvmModel, decisions: np.ndarray) -> np.ndarray:
+    """Majority-vote class ids from (rows, pairs) decision values; ties go
+    to the smallest class id."""
     class_index = {cls: k for k, cls in enumerate(model.classes)}
-    votes = np.zeros((n, len(model.classes)), dtype=np.int64)
+    # one contiguous row per pair and per class: decisions may be a column
+    # slice of a wider score array
+    wins = np.ascontiguousarray((decisions >= 0).T)
+    votes = np.zeros((len(model.classes), decisions.shape[0]), dtype=np.int64)
     for p, (a, b) in enumerate(model.pairs):
-        wins_a = decisions[:, p] >= 0
-        votes[wins_a, class_index[a]] += 1
-        votes[~wins_a, class_index[b]] += 1
+        votes[class_index[a]] += wins[p]
+        votes[class_index[b]] += ~wins[p]
     # argmax takes the first maximum, i.e. the smallest class id
-    winners = np.argmax(votes, axis=1)
+    winners = np.argmax(votes, axis=0)
     classes = np.asarray(model.classes)
     return classes[winners]
+
+
+def predict_table(model: SvmModel, features: np.ndarray) -> np.ndarray:
+    """Majority-vote class ids for each feature row."""
+    return vote(model, decision_matrix(model, features))
 
 
 def predict(model: SvmModel, feature: np.ndarray) -> int:

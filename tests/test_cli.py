@@ -165,13 +165,13 @@ class TestClassify:
         path = tmp_path / "fixed.json"
         path.write_text(json.dumps(cfg))
         train_splits = []
-        run_split = cli.run_split
+        predict_runs = cli.predict_runs
 
-        def recorded(table, labels_flat, train_idx, *rest):
-            train_splits.append(train_idx)
-            return run_split(table, labels_flat, train_idx, *rest)
+        def recorded(image, spec, labels_flat, splits, *rest):
+            train_splits.extend(train for train, _ in splits)
+            return predict_runs(image, spec, labels_flat, splits, *rest)
 
-        monkeypatch.setattr(cli, "run_split", recorded)
+        monkeypatch.setattr(cli, "predict_runs", recorded)
         assert main(["classify", "--config", str(path)]) == 0
         fixed = np.flatnonzero(fixed_mask.ravel())
         assert np.intersect1d(train_splits[0], fixed).size == 0

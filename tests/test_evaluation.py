@@ -21,7 +21,7 @@ from hsembed import (
     monte_carlo_protocol,
     overall_accuracy,
 )
-from hsembed import evaluation
+from hsembed import embedding, evaluation
 from hsembed.embedding import build_feature_table
 from hsembed.evaluation import format_summary_table, protocol_split, run_split
 from hsembed.svm import SvmConfig, predict_table, train_multiclass
@@ -235,7 +235,7 @@ class TestRunSplit:
             return predict_table(model, features)
 
         monkeypatch.setattr(evaluation, "predict_table", counted)
-        monkeypatch.setattr(evaluation, "_PREDICT_BLOCK", 4 * table.dim)
+        monkeypatch.setattr(embedding, "_SCORE_BLOCK", 4 * table.dim)
         preds, c = run_split(table, labels, train, test, 3, SvmConfig(c=32.0))
         np.testing.assert_array_equal(preds, expected)
         assert c == 32.0

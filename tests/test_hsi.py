@@ -128,7 +128,7 @@ class TestEnviIO:
         hdr = write_envi_raw(
             tmp_path, "odd", np.zeros(4, dtype="<f4"),
             ["samples = 2", "lines = 2", "bands = 1",
-             "data type = 2", "interleave = bsq", "byte order = 0"],
+             "data type = 6", "interleave = bsq", "byte order = 0"],
         )
         with pytest.raises(FormatError, match="data type"):
             load_envi(hdr)
@@ -149,6 +149,29 @@ class TestEnviIO:
         back = load_envi(hdr)
         np.testing.assert_array_equal(back.data, image.data)
         np.testing.assert_array_equal(back.band_centers, image.band_centers)
+
+    @pytest.mark.parametrize("dtype,code", [
+        (np.uint8, 1), (np.int16, 2), (np.int32, 3), (np.uint32, 13),
+    ])
+    @pytest.mark.parametrize("byte_order", [0, 1])
+    def test_integer_round_trip(self, tmp_path, dtype, code, byte_order):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(code)
+        cube = rng.integers(info.min, info.max, size=(4, 3, 2), endpoint=True)
+        cube[0, 0] = [info.min, info.max]
+        image = HyperspectralImage(cube.astype(np.float64))
+        hdr = save_envi(image, tmp_path / "ints.hdr", interleave="bil", dtype=dtype,
+                        byte_order=byte_order)
+        assert f"data type = {code}" in hdr.read_text()
+        np.testing.assert_array_equal(load_envi(hdr).data, image.data)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.uint32])
+    def test_integer_payload_rejects_values_out_of_range(self, tmp_path, dtype):
+        info = np.iinfo(dtype)
+        for bad in (info.min - 1.0, info.max + 1.0, 0.5):
+            image = HyperspectralImage(np.full((1, 1, 1), bad))
+            with pytest.raises(ParameterError, match="do not fit"):
+                save_envi(image, tmp_path / "bad.hdr", dtype=dtype)
 
 
 class TestGroundTruth:
