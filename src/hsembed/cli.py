@@ -16,6 +16,7 @@ import argparse
 import colorsys
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -202,7 +203,7 @@ class PipelineConfig:
             "config",
         )
         cfg = cls()
-        cfg.seed = int(obj.get("seed", cfg.seed))
+        cfg.seed = _json_int(obj, "seed", cfg.seed, "config")
         data = obj.get("data", {})
         reject_unknown_keys(data, ("image", "ground_truth", "synthetic"), "config 'data'")
         cfg.image = data.get("image")
@@ -215,28 +216,28 @@ class PipelineConfig:
             ("patch_side", "border", "n_features", "sigma", "beta", "normalize", "tensor_cap"),
             "config 'embedding'",
         )
-        cfg.patch_side = int(emb.get("patch_side", cfg.patch_side))
+        cfg.patch_side = _json_int(emb, "patch_side", cfg.patch_side, "config 'embedding'")
         cfg.border = emb.get("border", cfg.border)
-        cfg.n_features = int(emb.get("n_features", cfg.n_features))
-        cfg.sigma = emb.get("sigma", None)
-        cfg.beta = emb.get("beta", None)
+        cfg.n_features = _json_int(emb, "n_features", cfg.n_features, "config 'embedding'")
+        cfg.sigma = _json_positive(emb, "sigma", "config 'embedding'")
+        cfg.beta = _json_positive(emb, "beta", "config 'embedding'")
         cfg.normalize = _json_bool(emb, "normalize", cfg.normalize, "config 'embedding'")
-        cfg.tensor_cap = int(emb.get("tensor_cap", cfg.tensor_cap))
+        cfg.tensor_cap = _json_int(emb, "tensor_cap", cfg.tensor_cap, "config 'embedding'")
         mp = obj.get("mp", {})
         reject_unknown_keys(mp, ("pca_dims", "n_scales", "se_shape"), "config 'mp'")
-        cfg.mp_dims = int(mp.get("pca_dims", cfg.mp_dims))
-        cfg.mp_scales = int(mp.get("n_scales", cfg.mp_scales))
+        cfg.mp_dims = _json_int(mp, "pca_dims", cfg.mp_dims, "config 'mp'")
+        cfg.mp_scales = _json_int(mp, "n_scales", cfg.mp_scales, "config 'mp'")
         cfg.mp_shape = mp.get("se_shape", cfg.mp_shape)
         svm = obj.get("svm", {})
         reject_unknown_keys(svm, ("c", "folds"), "config 'svm'")
-        cfg.svm_c = svm.get("c", None)
-        cfg.folds = int(svm.get("folds", cfg.folds))
+        cfg.svm_c = _json_positive(svm, "c", "config 'svm'")
+        cfg.folds = _json_int(svm, "folds", cfg.folds, "config 'svm'")
         proto = obj.get("protocol", {})
         reject_unknown_keys(
             proto, ("runs", "per_class", "eval_on_train", "fixed_test"), "config 'protocol'"
         )
-        cfg.runs = int(proto.get("runs", cfg.runs))
-        cfg.per_class = int(proto.get("per_class", cfg.per_class))
+        cfg.runs = _json_int(proto, "runs", cfg.runs, "config 'protocol'")
+        cfg.per_class = _json_int(proto, "per_class", cfg.per_class, "config 'protocol'")
         cfg.eval_on_train = _json_bool(
             proto, "eval_on_train", cfg.eval_on_train, "config 'protocol'"
         )
@@ -303,6 +304,27 @@ def _json_bool(obj: dict, key: str, default: bool, where: str) -> bool:
     value = obj.get(key, default)
     if not isinstance(value, bool):
         raise ParameterError(f"{where} key {key!r} must be true or false, got {value!r}")
+    return value
+
+
+def _json_int(obj: dict, key: str, default: int, where: str) -> int:
+    """``obj[key]`` if it is a JSON integer (a bool is not), ``default`` if absent."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{where} key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _json_positive(obj: dict, key: str, where: str) -> float | None:
+    """``obj[key]`` if it is a positive finite JSON number (a bool is not),
+    None if it is null or absent."""
+    value = obj.get(key)
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf
+    ):
+        raise ParameterError(
+            f"{where} key {key!r} must be null or a positive number, got {value!r}"
+        )
     return value
 
 

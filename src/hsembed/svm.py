@@ -12,7 +12,8 @@ on the face of free variables, and projected-gradient steps that release
 bound variables once the face is optimal. It draws no random numbers.
 Multiclass is one-vs-one with majority voting, ties resolved toward the
 smallest class id. Model selection is a stratified 5-fold grid search
-over C = 2^i, i in [-15, 15].
+over C = 2^i, i in [-15, 15], each problem solved along ascending C from
+the previous solution, on the rows of a triangular Gram factor.
 """
 
 from __future__ import annotations
@@ -82,11 +83,13 @@ def train_binary(
     labels: np.ndarray,
     c: float,
     tol: float = KKT_TOLERANCE,
+    start: np.ndarray | None = None,
 ) -> BinarySeparator:
     """Train one hinge-loss separator by solving its dual box QP exactly.
 
     The dual is min 0.5 a'Qa - 1'a over 0 <= a <= C with
-    Q = (y y') * (X X' + 1). Starting from a = 0, each step is either
+    Q = (y y') * (X X' + 1). Starting from a = 0, or from the feasible
+    ``start`` (shape (n,), 0 <= start <= C), each step is either
 
     * a face step: while a free variable's gradient exceeds ``tol``, a
       least-squares Newton step on the free block (or, when the block is
@@ -101,8 +104,9 @@ def train_binary(
       whose gradient points into the box.
 
     Stops when the largest projected gradient magnitude is at most
-    ``tol``. A solve that reaches ``STEP_CAP_PER_ROW`` steps per example
-    first is returned with ``converged=False`` and a ``RuntimeWarning``.
+    ``tol``, so a start that is already optimal takes zero steps. A solve
+    that reaches ``STEP_CAP_PER_ROW`` steps per example first is returned
+    with ``converged=False`` and a ``RuntimeWarning``.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -112,18 +116,23 @@ def train_binary(
         raise ShapeError(f"labels must be ({x.shape[0]},), got {y.shape}")
     if not np.isfinite(x).all():
         raise NumericalError("features contain non-finite values")
-    if c <= 0:
-        raise ParameterError(f"C must be positive, got {c}")
-    if not set(np.unique(y)) <= {-1.0, 1.0}:
+    if not 0.0 < c < np.inf:
+        raise ParameterError(f"C must be positive and finite, got {c}")
+    if not np.all(np.abs(y) == 1.0):
         raise ParameterError("labels must be +1 or -1")
-    if (y > 0).sum() == 0 or (y < 0).sum() == 0:
+    if not (y > 0).any() or not (y < 0).any():
         raise DegenerateDataError("need at least one example of each sign")
 
     n = x.shape[0]
+    if start is None:
+        alpha = np.zeros(n)
+    else:
+        alpha = np.array(start, dtype=np.float64)
+        if alpha.shape != (n,) or not np.all((alpha >= 0.0) & (alpha <= c)):
+            raise ParameterError(f"start must be ({n},) values in [0, C={c}]")
     xy = np.concatenate([x, np.ones((n, 1))], axis=1) * y[:, None]
     q = xy @ xy.T
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # Q alpha - 1
+    grad = q @ alpha - 1.0
     objectives: list[float] = []
     converged = False
     steps = 0
@@ -299,10 +308,16 @@ def default_c_grid() -> list[float]:
 
 @dataclass
 class CvReport:
-    """Grid of (C, mean validation accuracy) and the selected C."""
+    """Grid of (C, mean validation accuracy), the selected C, and the
+    binary solves behind them: problems posed, solver steps, solves
+    stopped unconverged, and the largest final KKT violation."""
 
     grid: list[tuple[float, float]]
     best_c: float
+    problems: int
+    steps: int
+    unconverged: int
+    max_kkt: float
 
 
 @dataclass
@@ -314,8 +329,8 @@ class SvmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c is not None and self.c <= 0:
-            raise ParameterError(f"C must be positive, got {self.c}")
+        if self.c is not None and not 0.0 < self.c < np.inf:
+            raise ParameterError(f"C must be positive and finite, got {self.c}")
         if self.folds < 2:
             raise ParameterError(f"folds must be >= 2, got {self.folds}")
 
@@ -334,43 +349,73 @@ def cross_validate(
     labels: np.ndarray,
     folds: int = 5,
     seed: int = 0,
-    grid: list[float] | None = None,
 ) -> CvReport:
-    """Stratified k-fold accuracy over the C grid; ties prefer smaller C.
+    """Stratified k-fold accuracy over ``default_c_grid()``; ties prefer
+    smaller C.
 
     Classes with fewer examples than folds land in distinct folds; a
     validation example whose class is absent from the training split is
-    skipped in the count.
+    skipped in the count, and a fold with nothing left to count is not
+    trained.
+
+    The solves see only the Gram matrix X X', so they run on the rows of
+    its triangular factor (n x min(n, d)), which also give the validation
+    decisions. Each (fold, pair) problem is solved along ascending C, each
+    from the previous solution with every alpha at the old bound raised to
+    the new C. Once no alpha sits at its bound, that start is already
+    optimal, and the solve verifies it and returns after zero steps.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise ShapeError(f"features {x.shape} and labels {y.shape} are inconsistent")
+    if not np.isfinite(x).all():
+        raise NumericalError("features contain non-finite values")
     if np.unique(y).size < 2:
         raise DegenerateDataError("cross-validation needs at least two classes")
-    grid = default_c_grid() if grid is None else list(grid)
-    rng = np.random.default_rng(seed)
-    fold_of = _stratified_folds(y, folds, rng)
+    grid = default_c_grid()
+    fold_of = _stratified_folds(y, folds, np.random.default_rng(seed))
+    rows = np.linalg.qr(x.T, mode="r").T  # rows @ rows.T == x @ x.T
+
+    accs: list[list[float]] = [[] for _ in grid]
+    problems = steps = unconverged = 0
+    max_kkt = 0.0
+    for f in range(folds):
+        val = fold_of == f
+        if not val.any() or val.all():
+            continue
+        y_tr = y[~val]
+        classes = sorted(int(v) for v in np.unique(y_tr))
+        countable = np.isin(y[val], classes)
+        if len(classes) < 2 or not countable.any():
+            continue
+        x_tr = rows[~val]
+        pairs = list(combinations(classes, 2))
+        separators: list[list[BinarySeparator]] = [[] for _ in grid]
+        for a, b in pairs:
+            mask = (y_tr == a) | (y_tr == b)
+            x_pair, signs = x_tr[mask], np.where(y_tr[mask] == a, 1.0, -1.0)
+            alphas, prev_c = None, None
+            for k, c in enumerate(grid):
+                start = None if alphas is None else np.where(alphas >= prev_c, c, alphas)
+                sep = train_binary(x_pair, signs, c, start=start)
+                diag = sep.diagnostics
+                alphas, prev_c = diag.alphas, c
+                problems += 1
+                steps += diag.epochs
+                unconverged += not diag.converged
+                max_kkt = max(max_kkt, diag.kkt_violation)
+                separators[k].append(sep)
+        x_val, y_val = rows[val][countable], y[val][countable]
+        for k, seps in enumerate(separators):
+            model = SvmModel(tuple(classes), pairs, seps, rows.shape[1])
+            accs[k].append(float(np.mean(predict_table(model, x_val) == y_val)))
 
     results = []
     best_c, best_acc = None, -1.0
-    for c in grid:
-        accs = []
-        for f in range(folds):
-            val = fold_of == f
-            if not val.any() or val.all():
-                continue
-            y_tr = y[~val]
-            present = set(int(v) for v in np.unique(y_tr))
-            if len(present) < 2:
-                continue
-            model = train_multiclass(x[~val], y_tr, c)
-            countable = np.array([int(v) in present for v in y[val]])
-            if not countable.any():
-                continue
-            preds = predict_table(model, x[val][countable])
-            accs.append(float(np.mean(preds == y[val][countable])))
-        mean_acc = float(np.mean(accs)) if accs else 0.0
-        results.append((float(c), mean_acc))
+    for c, fold_accs in zip(grid, accs):
+        mean_acc = float(np.mean(fold_accs)) if fold_accs else 0.0
+        results.append((c, mean_acc))
         if mean_acc > best_acc:
-            best_acc, best_c = mean_acc, float(c)
-    return CvReport(results, best_c)
-
+            best_acc, best_c = mean_acc, c
+    return CvReport(results, best_c, problems, steps, unconverged, max_kkt)

@@ -78,3 +78,41 @@ def box_qp_brute_force(q, c):
         if value < best[0]:
             best = (value, a)
     return best
+
+
+def cross_validate_reference(features, labels, folds=5, seed=0):
+    """The C-outer, cold grid search on the original rows.
+
+    For each C of the grid, and each fold, every class pair is trained
+    from alpha = 0 on the full-width training rows and the validation rows
+    are predicted from those rows. Folds and the skipping rules are those
+    of ``hsembed.svm.cross_validate``. Returns (grid, best_c).
+    """
+    from hsembed.svm import _stratified_folds, default_c_grid, predict_table, train_multiclass
+
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels)
+    fold_of = _stratified_folds(y, folds, np.random.default_rng(seed))
+    results = []
+    best_c, best_acc = None, -1.0
+    for c in default_c_grid():
+        accs = []
+        for f in range(folds):
+            val = fold_of == f
+            if not val.any() or val.all():
+                continue
+            y_tr = y[~val]
+            present = set(int(v) for v in np.unique(y_tr))
+            if len(present) < 2:
+                continue
+            model = train_multiclass(x[~val], y_tr, c)
+            countable = np.array([int(v) in present for v in y[val]])
+            if not countable.any():
+                continue
+            preds = predict_table(model, x[val][countable])
+            accs.append(float(np.mean(preds == y[val][countable])))
+        mean_acc = float(np.mean(accs)) if accs else 0.0
+        results.append((float(c), mean_acc))
+        if mean_acc > best_acc:
+            best_acc, best_c = mean_acc, float(c)
+    return results, best_c

@@ -390,6 +390,51 @@ class TestStrictValues:
         assert loaded.normalize is False and loaded.eval_on_train is True
 
     @pytest.mark.parametrize(
+        "section, key, value",
+        [(None, "seed", 1.5), (None, "seed", True), ("embedding", "patch_side", 3.0),
+         ("embedding", "n_features", 8.5), ("embedding", "tensor_cap", "1000"),
+         ("mp", "pca_dims", None), ("mp", "n_scales", 2.0), ("svm", "folds", "5"),
+         ("protocol", "runs", 1.9), ("protocol", "per_class", False),
+         ("svm", "c", True), ("svm", "c", "8"), ("svm", "c", 0), ("svm", "c", -1.0),
+         ("svm", "c", [8.0]), ("svm", "c", float("nan")), ("svm", "c", float("inf")),
+         ("embedding", "sigma", "1"), ("embedding", "sigma", True),
+         ("embedding", "beta", -2.0)],
+    )
+    def test_non_integer_count_or_bad_positive_exits_one(self, tmp_path, scene_config,
+                                                         capsys, section, key, value):
+        _, _, cfg = scene_config
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+        path = tmp_path / "number.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(value) in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_c_flag_must_be_positive_and_finite(self, scene_config, capsys, value):
+        path, _, _ = scene_config
+        assert main(["evaluate", "--config", str(path), "--c", value]) == 1
+        assert "C must be positive and finite" in capsys.readouterr().err
+
+    def test_integer_counts_and_numeric_c_load(self, tmp_path, scene_config):
+        from hsembed.cli import PipelineConfig
+
+        _, _, cfg = scene_config
+        cfg["mp"] = {"pca_dims": 2, "n_scales": 1}
+        path = tmp_path / "number.json"
+        for c in (8, 0.5, None):
+            cfg["svm"] = {"c": c, "folds": 3}
+            path.write_text(json.dumps(cfg))
+            loaded = PipelineConfig.from_json(path)
+            assert loaded.svm_c == c and type(loaded.svm_c) is type(c)
+            assert loaded.sigma is None and loaded.beta is None
+            assert (loaded.seed, loaded.n_features, loaded.folds, loaded.mp_dims) == (11, 32, 3, 2)
+        cfg["embedding"].update(sigma=2, beta=0.5)
+        path.write_text(json.dumps(cfg))
+        loaded = PipelineConfig.from_json(path)
+        assert (loaded.sigma, loaded.beta) == (2, 0.5)
+
+    @pytest.mark.parametrize(
         "key, value, named",
         [("loss", "hinj", "'hinj'"), ("checks", ["embeding_gap"], "'embeding_gap'"),
          ("checks", ["combined_risk", "gap"], "'gap'"), ("checks", [], "[]"),

@@ -1,5 +1,7 @@
 """Exact dual SVM solver, one-vs-one multiclass, CV grid search."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from hsembed import (
     train_multiclass,
 )
 from hsembed.svm import SvmModel, decision_matrix
-from oracles import box_qp_brute_force
+from oracles import box_qp_brute_force, cross_validate_reference
 
 
 def make_blobs(n_per_class, centers, scale, seed):
@@ -126,8 +128,9 @@ class TestTrainBinary:
         x = np.ones((3, 2))
         with pytest.raises(DegenerateDataError):
             train_binary(x, np.ones(3), 1.0)
-        with pytest.raises(ParameterError):
-            train_binary(x, np.array([1, -1, 1]), 0.0)
+        for c in (0.0, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                train_binary(x, np.array([1, -1, 1]), c)
         with pytest.raises(ParameterError):
             train_binary(x, np.array([1, 2, 3]), 1.0)
         bad = x.copy()
@@ -298,20 +301,143 @@ class TestExactSolverOracle:
         # dim < n makes Q rank-deficient
         x, y, c = problem
         tol = 1e-9
-        sep = train_binary(x, y, c, tol=tol)
-        alphas = sep.diagnostics.alphas
-        assert sep.diagnostics.converged
-        assert np.all((alphas >= 0.0) & (alphas <= c))
-        xy = np.concatenate([x, np.ones((len(y), 1))], axis=1) * y[:, None]
-        q = xy @ xy.T
-        grad = q @ alphas - 1.0
-        pg = np.where(alphas <= 0.0, np.minimum(grad, 0.0),
-                      np.where(alphas >= c, np.maximum(grad, 0.0), grad))
-        assert np.abs(pg).max() <= tol
-        # by convexity, f(a) - f* <= grad'(a - a*) <= c * sum|pg|: exact to
-        # 1e-12 when the solve ends on its exact face, within the KKT
-        # tolerance's reach otherwise
-        best, _ = box_qp_brute_force(q, c)
-        value = 0.5 * alphas @ q @ alphas - alphas.sum()
-        slack = 1e-12 * max(1.0, abs(best))
-        assert best - slack <= value <= best + slack + c * np.abs(pg).sum()
+        assert_optimal(train_binary(x, y, c, tol=tol), x, y, c, tol)
+
+
+def assert_optimal(sep, x, y, c, tol):
+    """``sep`` is feasible, meets KKT at ``tol`` and matches the brute-force
+    optimum of its box QP."""
+    alphas = sep.diagnostics.alphas
+    assert sep.diagnostics.converged
+    assert np.all((alphas >= 0.0) & (alphas <= c))
+    xy = np.concatenate([x, np.ones((len(y), 1))], axis=1) * y[:, None]
+    q = xy @ xy.T
+    grad = q @ alphas - 1.0
+    pg = np.where(alphas <= 0.0, np.minimum(grad, 0.0),
+                  np.where(alphas >= c, np.maximum(grad, 0.0), grad))
+    assert np.abs(pg).max() <= tol
+    # by convexity, f(a) - f* <= grad'(a - a*) <= c * sum|pg|: exact to
+    # 1e-12 when the solve ends on its exact face, within the KKT
+    # tolerance's reach otherwise
+    best, _ = box_qp_brute_force(q, c)
+    value = 0.5 * alphas @ q @ alphas - alphas.sum()
+    slack = 1e-12 * max(1.0, abs(best))
+    assert best - slack <= value <= best + slack + c * np.abs(pg).sum()
+
+
+class TestWarmStart:
+    @settings(max_examples=100, deadline=None)
+    @given(box_qp_problems(), st.data())
+    def test_feasible_start_reaches_the_brute_force_optimum(self, problem, data):
+        x, y, c = problem
+        tol = 1e-9
+        # floats(0, 1) draws the bounds 0 and 1 too
+        start = c * data.draw(arrays(np.float64, len(y), elements=st.floats(0.0, 1.0)))
+        assert_optimal(train_binary(x, y, c, tol=tol, start=start), x, y, c, tol)
+
+    @settings(max_examples=50, deadline=None)
+    @given(box_qp_problems())
+    def test_start_at_the_optimum_takes_zero_steps(self, problem):
+        x, y, c = problem
+        cold = train_binary(x, y, c, tol=1e-9)
+        warm = train_binary(x, y, c, tol=1e-9, start=cold.diagnostics.alphas)
+        assert warm.diagnostics.epochs == 0 and warm.diagnostics.converged
+        assert warm.diagnostics.dual_objectives == []
+        np.testing.assert_array_equal(warm.diagnostics.alphas, cold.diagnostics.alphas)
+        assert warm.weights.tolist() == cold.weights.tolist() and warm.bias == cold.bias
+
+    def test_start_is_copied(self):
+        x, y = np.array([[1.0], [-1.0]]), np.array([1.0, -1.0])
+        start = np.array([0.5, 0.5])
+        train_binary(x, y, 1.0, start=start)
+        assert start.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize(
+        "start",
+        [[0.1, 0.1, 0.1], [0.1], [[0.1, 0.1]], [-1e-12, 0.1], [0.1, 1.0 + 1e-12],
+         [np.nan, 0.1], [np.inf, 0.1]],
+    )
+    def test_infeasible_start_rejected(self, start):
+        x, y = np.array([[1.0], [-1.0]]), np.array([1.0, -1.0])
+        with pytest.raises(ParameterError, match="start"):
+            train_binary(x, y, 1.0, start=np.array(start))
+
+
+@st.composite
+def cv_problems(draw):
+    """Two or three classes, the last of which may hold a single example;
+    rows narrower or wider than their count, some copied within a class.
+
+    The rows are Gaussian: a decision that is 0 in exact arithmetic, as
+    for a row repeated under two labels or on a small integer lattice, has
+    its sign set by rounding, which differs between the two row sets."""
+    sizes = [draw(st.integers(2, 6))]
+    sizes += [draw(st.integers(1, 6)) for _ in range(draw(st.integers(1, 2)))]
+    n = sum(sizes)
+    y = np.repeat([3, 5, 8][: len(sizes)], sizes)
+    dim = draw(st.sampled_from([1, 2, max(1, n // 2), n, n + 5]))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, dim))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        if y[i] == y[j]:
+            x[j] = x[i]
+    return x, y, draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 5))
+
+
+def expected_solves(y, folds, seed):
+    """31 per class pair of each fold that is trained: the validation fold
+    and the training split are non-empty, the split holds two classes and
+    the fold holds an example of one of them."""
+    fold_of = hsembed.svm._stratified_folds(y, folds, np.random.default_rng(seed))
+    total = 0
+    for f in range(folds):
+        val = fold_of == f
+        classes = np.unique(y[~val])
+        if val.any() and not val.all() and classes.size >= 2 and np.isin(y[val], classes).any():
+            total += len(list(combinations(classes, 2)))
+    return len(default_c_grid()) * total
+
+
+class TestCrossValidateReference:
+    @settings(max_examples=25, deadline=None)
+    @given(cv_problems())
+    # d > n, a duplicated row and a one-example class
+    @example((np.array([[1.0, 0.5, -1.0, 2.0, 0.0, 0.25, 1.5, -0.5, 0.75],
+                        [1.0, 0.5, -1.0, 2.0, 0.0, 0.25, 1.5, -0.5, 0.75],
+                        [-1.0, 0.0, 0.5, -2.0, 1.0, 0.0, -1.5, 0.5, 0.0],
+                        [-0.5, 0.25, 1.0, -1.5, 0.5, 0.5, -1.0, 0.0, 0.5],
+                        [0.0, 2.0, 0.0, 0.0, -1.0, 1.0, 0.0, 1.0, -1.0]]),
+              np.array([3, 3, 5, 5, 8]), 2, 0))
+    def test_matches_the_cold_c_outer_loop(self, problem):
+        x, y, folds, seed = problem
+        solves = []
+        cold = hsembed.svm.train_binary
+
+        def counted(*args, **kwargs):
+            sep = cold(*args, **kwargs)
+            solves.append(sep.diagnostics)
+            return sep
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hsembed.svm, "train_binary", counted)
+            report = cross_validate(x, y, folds=folds, seed=seed)
+        grid, best_c = cross_validate_reference(x, y, folds=folds, seed=seed)
+        assert report.grid == grid and report.best_c == best_c
+        assert len(solves) == report.problems == expected_solves(y, folds, seed)
+        assert report.steps == sum(d.epochs for d in solves)
+        assert report.unconverged == sum(not d.converged for d in solves) == 0
+        assert report.max_kkt == max((d.kkt_violation for d in solves), default=0.0)
+        assert report.max_kkt <= hsembed.svm.KKT_TOLERANCE
+
+    def test_warm_starts_cut_the_steps(self):
+        x, y = make_blobs(8, [(1, 0), (-1, 0), (0, 1)], 0.8, 20)
+        report = cross_validate(x, y, seed=7)
+        cold_steps = 0
+        fold_of = hsembed.svm._stratified_folds(y, 5, np.random.default_rng(7))
+        for f in range(5):
+            train = fold_of != f
+            for c in default_c_grid():
+                model = train_multiclass(x[train], y[train], c)
+                cold_steps += sum(sep.diagnostics.epochs for sep in model.separators)
+        assert report.problems == 31 * 5 * 3
+        assert report.steps < cold_steps / 2
