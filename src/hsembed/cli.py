@@ -315,6 +315,15 @@ def _json_int(obj: dict, key: str, default: int, where: str) -> int:
     return value
 
 
+def _json_float(obj: dict, key: str, default: float, where: str) -> float:
+    """``obj[key]`` as a float if it is a finite JSON number (a bool is not),
+    ``default`` if absent."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ParameterError(f"{where} key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _json_positive(obj: dict, key: str, where: str) -> float | None:
     """``obj[key]`` if it is a positive finite JSON number (a bool is not),
     None if it is null or absent."""
@@ -444,7 +453,9 @@ def cmd_theory(args: argparse.Namespace) -> int:
          "trials"),
         "theory config",
     )
-    seed = int(obj.get("seed", 0) if args.seed is None else args.seed)
+    seed = _json_int(obj, "seed", 0, "theory config")
+    if args.seed is not None:
+        seed = args.seed
     out = Path(args.output or obj.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or "out")
     checks = obj.get("checks", list(THEORY_CHECKS))
     if not (isinstance(checks, list) and checks and all(c in THEORY_CHECKS for c in checks)):
@@ -452,54 +463,60 @@ def cmd_theory(args: argparse.Namespace) -> int:
             f"theory config 'checks' must be a non-empty list of {THEORY_CHECKS}, got {checks!r}"
         )
 
-    meta_obj = obj.get("meta", {})
+    trials = _json_int(obj, "trials", 20, "theory config")
+    if trials < 1:
+        raise ParameterError(f"theory config key 'trials' must be >= 1, got {trials}")
+
+    meta_obj, meta_where = obj.get("meta", {}), "theory config 'meta'"
     reject_unknown_keys(
         meta_obj,
         ("n_groups", "group_size", "dim", "group_sigma", "center_scale", "mean_spread",
          "label_flip"),
-        "theory config 'meta'",
+        meta_where,
     )
-    feat_obj = obj.get("features", {})
-    reject_unknown_keys(feat_obj, ("count", "bandwidth"), "theory config 'features'")
-    bound_obj = obj.get("bound", {})
+    feat_obj, feat_where = obj.get("features", {}), "theory config 'features'"
+    reject_unknown_keys(feat_obj, ("count", "bandwidth"), feat_where)
+    bound_obj, bound_where = obj.get("bound", {}), "theory config 'bound'"
     reject_unknown_keys(
         bound_obj,
         ("delta", "r_bound", "rademacher_draws", "dictionary_size", "dictionary_norm",
          "holdout_draws", "rhs_form"),
-        "theory config 'bound'",
+        bound_where,
     )
-    pred_obj = obj.get("predictors", {})
-    reject_unknown_keys(
-        pred_obj, ("count", "norm_low", "norm_high", "combined_norm"), "theory config 'predictors'"
-    )
+    pred_obj, pred_where = obj.get("predictors", {}), "theory config 'predictors'"
+    reject_unknown_keys(pred_obj, ("count", "norm_low", "norm_high", "combined_norm"), pred_where)
     loss = bounds.LossSpec(obj.get("loss", "hinge"))
 
     spec = bounds.MetaSampleSpec(
-        n_groups=int(meta_obj.get("n_groups", 5)),
-        group_size=int(meta_obj.get("group_size", 16)),
-        dim=int(meta_obj.get("dim", 5)),
-        group_sigma=float(meta_obj.get("group_sigma", 0.4)),
-        center_scale=float(meta_obj.get("center_scale", 1.0)),
-        mean_spread=float(meta_obj.get("mean_spread", 0.5)),
-        label_flip=float(meta_obj.get("label_flip", 0.0)),
+        n_groups=_json_int(meta_obj, "n_groups", 5, meta_where),
+        group_size=_json_int(meta_obj, "group_size", 16, meta_where),
+        dim=_json_int(meta_obj, "dim", 5, meta_where),
+        group_sigma=_json_float(meta_obj, "group_sigma", 0.4, meta_where),
+        center_scale=_json_float(meta_obj, "center_scale", 1.0, meta_where),
+        mean_spread=_json_float(meta_obj, "mean_spread", 0.5, meta_where),
+        label_flip=_json_float(meta_obj, "label_flip", 0.0, meta_where),
         seed=seed,
     )
     fmap = sample_frequencies(
         spec.dim,
-        int(feat_obj.get("count", 256)),
-        float(feat_obj.get("bandwidth", 1.0)),
+        _json_int(feat_obj, "count", 256, feat_where),
+        _json_float(feat_obj, "bandwidth", 1.0, feat_where),
         seed=seed,
     )
     config = bounds.BoundConfig(
-        delta=float(bound_obj.get("delta", 0.05)),
-        r_bound=float(bound_obj.get("r_bound", 1.0)),
-        rademacher_draws=int(bound_obj.get("rademacher_draws", 2000)),
-        dictionary_size=int(bound_obj.get("dictionary_size", 256)),
-        dictionary_norm=float(bound_obj.get("dictionary_norm", 1.0)),
-        holdout_draws=int(bound_obj.get("holdout_draws", 4000)),
+        delta=_json_float(bound_obj, "delta", 0.05, bound_where),
+        r_bound=_json_float(bound_obj, "r_bound", 1.0, bound_where),
+        rademacher_draws=_json_int(bound_obj, "rademacher_draws", 2000, bound_where),
+        dictionary_size=_json_int(bound_obj, "dictionary_size", 256, bound_where),
+        dictionary_norm=_json_float(bound_obj, "dictionary_norm", 1.0, bound_where),
+        holdout_draws=_json_int(bound_obj, "holdout_draws", 4000, bound_where),
         rhs_form=bound_obj.get("rhs_form", "statement"),
         seed=seed,
     )
+    n_predictors = _json_int(pred_obj, "count", 100, pred_where)
+    norm_low = _json_float(pred_obj, "norm_low", 50.0, pred_where)
+    norm_high = _json_float(pred_obj, "norm_high", 100.0, pred_where)
+    predictor_norm = _json_float(pred_obj, "combined_norm", 1.0, pred_where)
 
     out.mkdir(parents=True, exist_ok=True)
     with _stage("theory"):
@@ -508,9 +525,9 @@ def cmd_theory(args: argparse.Namespace) -> int:
             meta = bounds.draw_meta_sample(spec)
             predictors = bounds.sample_linear_predictors(
                 fmap.feature_dim,
-                int(pred_obj.get("count", 100)),
-                float(pred_obj.get("norm_low", 50.0)),
-                float(pred_obj.get("norm_high", 100.0)),
+                n_predictors,
+                norm_low,
+                norm_high,
                 seed=seed,
             )
             full_reports = [
@@ -536,8 +553,6 @@ def cmd_theory(args: argparse.Namespace) -> int:
             )
             written.append(path)
         if "combined_risk" in checks:
-            trials = int(obj.get("trials", 20))
-            predictor_norm = float(pred_obj.get("combined_norm", 1.0))
             reports = []
             for t in range(trials):
                 trial_rng = np.random.default_rng([seed, 977, t])

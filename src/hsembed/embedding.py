@@ -139,7 +139,9 @@ def _random_features(
         return feature_matrix(fmap, _unit_rows(spectra)[0] if normalize else spectra)
     unit, norms = _unit_rows(spectra)
     augmented = np.concatenate([positions / beta, unit / sigma], axis=1)
-    return norms[:, None] * feature_matrix(fmap, augmented)
+    feats = feature_matrix(fmap, augmented)
+    feats *= norms[:, None]
+    return feats
 
 
 def mean_map_feature(fmap: RandomFeatureMap, patch: np.ndarray) -> PixelFeature:

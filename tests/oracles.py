@@ -116,3 +116,14 @@ def cross_validate_reference(features, labels, folds=5, seed=0):
         if mean_acc > best_acc:
             best_acc, best_c = mean_acc, float(c)
     return results, best_c
+
+
+def feature_matrix_reference(fmap, xs):
+    """Random features by whole-array cos, sin, concatenation and scaling.
+
+    One thread, no in-place writes: the straightforward form of
+    ``hsembed.rff.feature_matrix``, which must match it bit for bit.
+    """
+    proj = np.atleast_2d(np.asarray(xs, dtype=np.float64)) @ fmap.frequencies.T
+    scale = np.sqrt(1.0 / fmap.n_frequencies)
+    return scale * np.concatenate([np.cos(proj), np.sin(proj)], axis=1)

@@ -1,6 +1,7 @@
 """Command-line pipeline: classify, evaluate, synth, theory, render."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -211,6 +212,33 @@ class TestEvaluate:
         first = (out / "metrics.json").read_bytes()
         assert main(["evaluate", "--config", str(config)]) == 0
         assert (out / "metrics.json").read_bytes() == first
+
+
+class TestCoreCount:
+    @pytest.mark.parametrize("method", ["meanmap", "convmeanmap"])
+    @pytest.mark.parametrize(
+        "command, files",
+        [("classify", ("predictions.csv", "map.ppm", "metrics.json")),
+         ("evaluate", ("metrics.json", "table.txt"))],
+    )
+    def test_outputs_byte_identical_for_any_core_count(
+        self, scene_config, monkeypatch, tmp_path, method, command, files
+    ):
+        from hsembed import rff
+
+        _, out, cfg = scene_config
+        cfg["method"] = method
+        config = tmp_path / f"{method}.json"
+        config.write_text(json.dumps(cfg))
+        monkeypatch.setattr(rff, "_TRIG_CHUNK", 1)
+        threads = threading.active_count()
+        outputs = []
+        for cores in (1, 3):
+            monkeypatch.setattr(rff, "_core_count", lambda cores=cores: cores)
+            assert main([command, "--config", str(config)]) == 0
+            outputs.append({name: (out / name).read_bytes() for name in files})
+        assert outputs[0] == outputs[1]
+        assert threading.active_count() == threads
 
 
 class TestSynth:
@@ -438,7 +466,28 @@ class TestStrictValues:
         "key, value, named",
         [("loss", "hinj", "'hinj'"), ("checks", ["embeding_gap"], "'embeding_gap'"),
          ("checks", ["combined_risk", "gap"], "'gap'"), ("checks", [], "[]"),
-         ("checks", "embedding_gap", "'embedding_gap'")],
+         ("checks", "embedding_gap", "'embedding_gap'"),
+         ("seed", 1.5, "'seed'"), ("seed", "1", "'1'"), ("seed", True, "True"),
+         ("trials", 1.9, "1.9"), ("trials", "2", "'2'"), ("trials", 0, "'trials'"),
+         ("meta", {"n_groups": 2.0}, "'n_groups'"), ("meta", {"group_size": "6"}, "'6'"),
+         ("meta", {"dim": True}, "'dim'"), ("meta", {"group_sigma": "0.4"}, "'0.4'"),
+         ("meta", {"center_scale": False}, "'center_scale'"),
+         ("meta", {"mean_spread": None}, "'mean_spread'"),
+         ("meta", {"label_flip": [0.1]}, "'label_flip'"),
+         ("meta", {"label_flip": 1.5}, "label_flip"),
+         ("features", {"count": "8"}, "'8'"), ("features", {"count": 8.0}, "'count'"),
+         ("features", {"bandwidth": True}, "'bandwidth'"),
+         ("features", {"bandwidth": "inf"}, "'inf'"),
+         ("bound", {"delta": "0.1"}, "'delta'"), ("bound", {"delta": 1.5}, "delta"),
+         ("bound", {"r_bound": True}, "'r_bound'"),
+         ("bound", {"rademacher_draws": 50.5}, "'rademacher_draws'"),
+         ("bound", {"dictionary_size": "8"}, "'dictionary_size'"),
+         ("bound", {"dictionary_norm": None}, "'dictionary_norm'"),
+         ("bound", {"holdout_draws": True}, "'holdout_draws'"),
+         ("predictors", {"count": 3.5}, "'count'"),
+         ("predictors", {"norm_low": "1"}, "'norm_low'"),
+         ("predictors", {"norm_high": False}, "'norm_high'"),
+         ("predictors", {"combined_norm": "1"}, "'combined_norm'")],
     )
     def test_theory_value_exits_one(self, tmp_path, capsys, key, value, named):
         cfg = tmp_path / "theory.json"
@@ -446,6 +495,17 @@ class TestStrictValues:
         out = tmp_path / "theory_out"
         assert main(["theory", "--config", str(cfg), "--output", str(out)]) == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("group_sigma", float("nan")),
+                                            ("center_scale", float("inf"))])
+    def test_theory_non_finite_exits_one(self, tmp_path, capsys, key, value):
+        # Python's JSON reader accepts NaN and Infinity
+        cfg = tmp_path / "theory.json"
+        cfg.write_text(json.dumps({"meta": {key: value}}))
+        out = tmp_path / "theory_out"
+        assert main(["theory", "--config", str(cfg), "--output", str(out)]) == 1
+        assert f"{key!r} must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_theory_loss_and_bound_settings_reach_every_trial(self, tmp_path):

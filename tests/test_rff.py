@@ -1,5 +1,7 @@
 """Random Fourier feature maps: sampling, features, kernel fidelity."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from hsembed import (
     exact_gaussian_kernel,
     feature,
     feature_matrix,
+    rff,
     sample_frequencies,
 )
+from oracles import feature_matrix_reference
 
 
 class TestSampling:
@@ -169,3 +173,98 @@ class TestProperties:
         gram = z @ z.T
         eigs = np.linalg.eigvalsh(gram)
         assert eigs.min() >= -1e-8
+
+
+@pytest.fixture(params=[1, 2, 3, 5])
+def cores(request, monkeypatch):
+    """Pretend to run on this many cores, with no minimum chunk size."""
+    monkeypatch.setattr(rff, "_core_count", lambda: request.param)
+    monkeypatch.setattr(rff, "_TRIG_CHUNK", 1)
+    return request.param
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("rows", [1, 2, 4, 7, 16, 101])
+    def test_bit_identical_to_reference(self, cores, rows):
+        # 1 row, fewer rows than workers, and counts the workers do not divide
+        fmap = sample_frequencies(6, 37, 0.8, seed=rows)
+        xs = np.random.default_rng(rows).normal(scale=4.0, size=(rows, 6))
+        xs[rows // 2] = 0.0
+        got = feature_matrix(fmap, xs)
+        want = feature_matrix_reference(fmap, xs)
+        assert got.shape == want.shape == (rows, 74)
+        assert got.tobytes() == want.tobytes()
+
+    def test_large_block_bit_identical(self, cores):
+        fmap = sample_frequencies(103, 256, 1.0, seed=4)
+        xs = np.random.default_rng(5).normal(size=(997, 103))
+        assert feature_matrix(fmap, xs).tobytes() == feature_matrix_reference(fmap, xs).tobytes()
+
+    def test_default_chunking_bit_identical(self):
+        # the real core count and minimum chunk size
+        fmap = sample_frequencies(50, 128, 1.0, seed=6)
+        xs = np.random.default_rng(7).normal(size=(3000, 50))
+        assert feature_matrix(fmap, xs).tobytes() == feature_matrix_reference(fmap, xs).tobytes()
+
+    def test_no_rows(self, cores):
+        fmap = sample_frequencies(3, 8, 1.0, seed=0)
+        assert feature_matrix(fmap, np.empty((0, 3))).shape == (0, 16)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_input_fails_as_reference(self, cores, bad):
+        # RuntimeWarning is an error under the test settings
+        fmap = sample_frequencies(4, 8, 1.0, seed=1)
+        xs = np.random.default_rng(2).normal(size=(9, 4))
+        xs[-1, 2] = bad
+        with pytest.raises(RuntimeWarning) as want:
+            feature_matrix_reference(fmap, xs)
+        with pytest.raises(RuntimeWarning) as got:
+            feature_matrix(fmap, xs)
+        assert str(got.value) == str(want.value)
+
+    def test_nan_input_gives_reference_nan_rows(self, cores):
+        fmap = sample_frequencies(4, 8, 1.0, seed=1)
+        xs = np.random.default_rng(2).normal(size=(9, 4))
+        xs[-1, 2] = np.nan
+        got = feature_matrix(fmap, xs)
+        assert np.isnan(got[-1]).all() and np.isfinite(got[:-1]).all()
+        assert got.tobytes() == feature_matrix_reference(fmap, xs).tobytes()
+
+    def test_caller_errstate_reaches_every_chunk(self, cores):
+        fmap = sample_frequencies(4, 8, 1.0, seed=1)
+        xs = np.random.default_rng(2).normal(size=(9, 4))
+        xs[:, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = feature_matrix(fmap, xs)
+            want = feature_matrix_reference(fmap, xs)
+        assert np.isnan(got).all()
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_thread_outlives_the_call(self, cores):
+        fmap = sample_frequencies(5, 64, 1.0, seed=3)
+        xs = np.random.default_rng(4).normal(size=(50, 5))
+        before = threading.active_count()
+        feature_matrix(fmap, xs)
+        assert threading.active_count() == before
+
+    def test_chunk_exception_reaches_caller(self, cores, monkeypatch):
+        calls = []
+
+        def failing(proj, out, scale, lo, hi):
+            calls.append((lo, hi))
+            if lo == 0:
+                raise MemoryError("chunk 0")
+
+        monkeypatch.setattr(rff, "_cos_sin_rows", failing)
+        fmap = sample_frequencies(5, 16, 1.0, seed=3)
+        with pytest.raises(MemoryError, match="chunk 0"):
+            feature_matrix(fmap, np.ones((10, 5)))
+        # every chunk ran, and together they cover the rows once
+        assert sorted(calls)[0][0] == 0 and sorted(calls)[-1][1] == 10
+        assert sum(hi - lo for lo, hi in calls) == 10
+        assert len(calls) == cores
+
+    def test_three_dimensional_input_rejected(self):
+        fmap = sample_frequencies(3, 8, 1.0, seed=0)
+        with pytest.raises(ShapeError):
+            feature_matrix(fmap, np.zeros((2, 2, 3)))
