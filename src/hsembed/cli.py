@@ -191,12 +191,7 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PipelineConfig":
-        try:
-            obj = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise UsageError(f"config file not found: {path}")
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path} is not valid JSON: {exc}")
+        obj = _read_json(path, "config file")
         reject_unknown_keys(
             obj,
             ("seed", "data", "method", "embedding", "mp", "svm", "protocol", "output_dir"),
@@ -206,9 +201,9 @@ class PipelineConfig:
         cfg.seed = _json_int(obj, "seed", cfg.seed, "config")
         data = obj.get("data", {})
         reject_unknown_keys(data, ("image", "ground_truth", "synthetic"), "config 'data'")
-        cfg.image = data.get("image")
-        cfg.ground_truth = data.get("ground_truth")
-        cfg.synthetic = data.get("synthetic")
+        cfg.image = _json_typed(data, "image", str, "config 'data'")
+        cfg.ground_truth = _json_typed(data, "ground_truth", str, "config 'data'")
+        cfg.synthetic = _json_typed(data, "synthetic", dict, "config 'data'")
         cfg.method = obj.get("method", cfg.method)
         emb = obj.get("embedding", {})
         reject_unknown_keys(
@@ -241,8 +236,8 @@ class PipelineConfig:
         cfg.eval_on_train = _json_bool(
             proto, "eval_on_train", cfg.eval_on_train, "config 'protocol'"
         )
-        cfg.fixed_test = proto.get("fixed_test")
-        cfg.output_dir = obj.get("output_dir")
+        cfg.fixed_test = _json_typed(proto, "fixed_test", str, "config 'protocol'")
+        cfg.output_dir = _json_typed(obj, "output_dir", str, "config")
         return cfg
 
     def apply_overrides(self, args: argparse.Namespace) -> None:
@@ -299,6 +294,16 @@ class PipelineConfig:
         return path
 
 
+def _read_json(path: str | Path, what: str):
+    """The JSON document at ``path``; a missing or malformed ``what`` is a UsageError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise UsageError(f"{what} not found: {path}")
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} {path} is not valid JSON: {exc}")
+
+
 def _json_bool(obj: dict, key: str, default: bool, where: str) -> bool:
     """``obj[key]`` if it is a JSON true or false, ``default`` if absent."""
     value = obj.get(key, default)
@@ -322,6 +327,14 @@ def _json_float(obj: dict, key: str, default: float, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ParameterError(f"{where} key {key!r} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _json_typed(obj: dict, key: str, kind: type, where: str):
+    """``obj[key]`` if it is a JSON string (``kind`` str) or object (dict), None if absent."""
+    if key in obj and not isinstance(obj[key], kind):
+        noun = "a string" if kind is str else "an object"
+        raise ParameterError(f"{where} key {key!r} must be {noun}, got {obj[key]!r}")
+    return obj.get(key)
 
 
 def _json_positive(obj: dict, key: str, where: str) -> float | None:
@@ -421,12 +434,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        obj = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        raise UsageError(f"scene spec not found: {args.config}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"scene spec {args.config} is not valid JSON: {exc}")
+    obj = _read_json(args.config, "scene spec")
     if args.seed is not None:
         obj["seed"] = args.seed
     out = Path(args.output or os.environ.get(OUTPUT_DIR_ENV) or "out")
@@ -441,12 +449,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    try:
-        obj = json.loads(Path(args.config).read_text()) if args.config else {}
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {args.config} is not valid JSON: {exc}")
+    obj = _read_json(args.config, "config file") if args.config else {}
     reject_unknown_keys(
         obj,
         ("seed", "output_dir", "checks", "meta", "features", "bound", "predictors", "loss",
@@ -456,7 +459,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
     seed = _json_int(obj, "seed", 0, "theory config")
     if args.seed is not None:
         seed = args.seed
-    out = Path(args.output or obj.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV) or "out")
+    out_dir = _json_typed(obj, "output_dir", str, "theory config")
+    out = Path(args.output or out_dir or os.environ.get(OUTPUT_DIR_ENV) or "out")
     checks = obj.get("checks", list(THEORY_CHECKS))
     if not (isinstance(checks, list) and checks and all(c in THEORY_CHECKS for c in checks)):
         raise ParameterError(

@@ -13,7 +13,7 @@ spatial RBF (bandwidth beta) times a spectral RBF (bandwidth sigma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -241,40 +241,62 @@ class FeatureTable:
         object.__setattr__(self, "values", v)
 
     @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def row(self, i: int) -> PixelFeature:
-        return PixelFeature(self.values[i], self.kind)
 
-
-def _sliding_window_mean(stack: np.ndarray, side: int, border: str) -> np.ndarray:
-    """Mean over side x side windows of an (H, W, K) stack, honouring the
-    border policy via replicated or reflected padding. Works in place on
-    ``stack`` and returns it; column-blocked to bound the scratch."""
+def _window_means(rows_of, height: int, width: int, k: int, side: int, border: str, band: int):
+    """Means over side x side windows of an (height, width, k) image, in bands
+    of ``band`` image rows from top to bottom: yields (first row, (rows, width,
+    k) means) per band. ``rows_of(a, b)`` gives image rows a:b, each once and in
+    order; borders pad as ``np.pad``'s edge (clamp) or symmetric (mirror) mode.
+    Sums are summed-area prefix sums over column groups of one score block; a
+    band carries on the axis-0 sums of the last ``side`` padded rows, so each
+    is the same sequential sum as over the whole image. A whole-image band is
+    filtered in place, in the array that ``rows_of`` gave."""
     if side == 1:
-        return stack
-    h, w, k = stack.shape
+        for a in range(0, height, band):
+            yield a, rows_of(a, min(a + band, height))
+        return
     lo = (side - 1) // 2
-    hi = side - 1 - lo
     mode = "edge" if border == "clamp" else "symmetric"
-    # ~32 MB of padded scratch per block
-    block = max(1, 4_000_000 // ((h + side) * (w + side)))
-    for start in range(0, k, block):
-        chunk = stack[:, :, start : start + block]
-        padded = np.pad(chunk, ((lo, hi), (lo, hi), (0, 0)), mode=mode)
-        s = np.zeros((h + side, w + side, chunk.shape[2]))
-        np.cumsum(padded, axis=0, out=s[1:, 1:])
-        np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
-        stack[:, :, start : start + block] = (
-            s[side:, side:] - s[:-side, side:] - s[side:, :-side] + s[:-side, :-side]
-        )
-    stack /= side * side
-    return stack
+    row_of = np.pad(np.arange(height), (lo, side - 1 - lo), mode=mode)
+    col_of = np.pad(np.arange(width), (lo, side - 1 - lo), mode=mode)
+    first_read = np.minimum.accumulate(row_of[::-1])[::-1]  # by padded rows p and on
+    group = max(1, min(k, _SCORE_BLOCK // ((band + side) * (width + side))))
+    scratch = np.zeros((band + side, width + side, group))
+    carry = np.empty((side, width + side, k))  # the last side rows of the axis-0 prefix
+    held, held_from, fed = np.empty((0, width, k)), 0, 0  # scored rows kept; padded rows fed
+    for a in range(0, height, band):
+        b = min(a + band, height)
+        new = row_of[fed : b + side - 1] - held_from
+        if new.max() >= held.shape[0]:
+            fresh = rows_of(held_from + held.shape[0], held_from + new.max() + 1)
+            held = np.concatenate([held, fresh]) if held.size else fresh
+            del fresh
+        carried, fed = (side if fed else 1), b + side - 1
+        # later bands read held rows from keep on; the means overwrite those before
+        keep = first_read[fed] - held_from if b < height else held.shape[0]
+        means = held[: b - a] if keep >= b - a else np.empty((b - a, width, k))
+        for c in range(0, k, group):
+            cols = slice(c, c + group)
+            s = scratch[: b - a + side, :, : min(group, k - c)]
+            s[:carried] = carry[:, :, cols] if carried > 1 else 0.0
+            for i, r in enumerate(new, carried):
+                s[i, 1:] = held[r, col_of, cols]
+            down = s[max(1, carried - 1) :, 1:]  # from the last carried row on
+            np.cumsum(down, axis=0, out=down)
+            carry[:, :, cols] = s[-side:]
+            np.cumsum(s[:, 1:], axis=1, out=s[:, 1:])
+            out = means[:, :, cols]
+            np.subtract(s[side:, side:], s[:-side, side:], out=out)
+            out -= s[side:, :-side]
+            out += s[:-side, :-side]
+        means /= side * side
+        if b < height:
+            held, held_from = held[keep:].copy(), held_from + keep
+        yield a, means
+        del means  # not held while the next band is made
 
 
 def _minmax_scale_columns(table: np.ndarray) -> np.ndarray:
@@ -294,14 +316,12 @@ def _fuse(profile_rows: np.ndarray, mean_map_rows: np.ndarray) -> np.ndarray:
 class FeatureSpace:
     """One method's features on one image, resolved but not materialized.
 
-    ``pixel_rows`` gives any pixels' features before the window mean. A
-    feature-table row of a windowed method (meanmap, convmeanmap) is the
-    mean of the pixel rows over the pixel's patch; of any other method it
-    is the pixel row itself. Since the window mean is linear, scores of
-    the table rows against weights are window means of the pixel rows'
-    scores, so no whole-image table is needed. Fusion keeps the
-    whole-image mean map and the min-max-scaled profile, and forms their
-    outer products one row block at a time.
+    A feature-table row of a windowed method (meanmap, convmeanmap) is the
+    mean of the pixel rows (z) over the pixel's patch; fusion fuses it with
+    the pixel's min-max-scaled profile row; other methods use the pixel
+    row. The window mean is linear, so ``scores`` window-means the pixel
+    rows' scores (fusion: the z) in bands, never building a whole-image
+    table, score image or mean map.
     """
 
     image: HyperspectralImage
@@ -313,11 +333,10 @@ class FeatureSpace:
     sigma: float = 1.0
     beta: float = 1.0
     profile: np.ndarray | None = None
-    mean_map: np.ndarray | None = None
 
     @property
     def row_dim(self) -> int:
-        """Width of a pixel row, which is also that of a table row."""
+        """Width of a table row."""
         if self.method == "raw":
             return self.image.bands
         if self.method == "mp":
@@ -326,70 +345,69 @@ class FeatureSpace:
             return self.profile.shape[1] * self.fmap.feature_dim
         return self.fmap.feature_dim
 
-    def random_features(self, idx: np.ndarray) -> np.ndarray:
-        """z of the given pixels' unit (or raw) spectra; for convmeanmap,
-        |x| z of their augmented position/spectrum vectors."""
+    def pixel_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Features of flat pixel indices before the window mean: spectra, profile
+        rows, z of unit (or raw) spectra, or (convmeanmap) |x| z of [position, spectrum]."""
+        if self.method == "mp":
+            return self.profile[idx]
         spectra = self.image.pixels()[idx]
+        if self.method == "raw":
+            return spectra
         if self.method != "convmeanmap":
             return _random_features(self.fmap, spectra, self.normalize)
         positions = np.stack(np.divmod(idx, self.image.width), axis=1).astype(np.float64)
         return _random_features(self.fmap, spectra, True, positions, self.beta, self.sigma)
 
-    def pixel_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Features of the given flat pixel indices before the window mean."""
-        if self.method == "raw":
-            return self.image.pixels()[idx]
-        if self.method == "mp":
-            return self.profile[idx]
-        if self.method == "mp_x_meanmap":
-            return _fuse(self.profile[idx], self.mean_map[idx])
-        return self.random_features(idx)
-
     def table_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Feature-table rows of the given flat pixel indices.
-
-        A windowed row is the mean of the pixel rows over its own patch;
-        the pixel rows are computed once over the union of the patches,
-        in blocks.
-        """
+        """Feature-table rows of the given flat pixel indices. Patch means
+        embed the union of the patches once, in blocks."""
         idx = np.asarray(idx, dtype=np.int64)
-        if self.method not in WINDOWED:
+        if self.method not in WINDOWED and self.method != "mp_x_meanmap":
             return self.pixel_rows(idx)
         windows = patch_indices(idx, self.patch, self.image.height, self.image.width)
         members, where = np.unique(windows.ravel(), return_inverse=True)
         owners = np.repeat(np.arange(idx.size), windows.shape[1])
-        counts = csc_matrix(
-            (np.ones(windows.size), (owners, where)), shape=(idx.size, members.size)
-        )
-        rows = np.zeros((idx.size, self.row_dim))
-        step = block_rows(self.row_dim)
+        counts = csc_matrix((np.ones(windows.size), (owners, where)), shape=(idx.size, members.size))
+        rows = np.zeros((idx.size, self.fmap.feature_dim))
+        step = block_rows(self.fmap.feature_dim)
         for start in range(0, members.size, step):
             block = members[start : start + step]
             rows += counts[:, start : start + block.size] @ self.pixel_rows(block)
         rows /= windows.shape[1]
-        return rows
+        return _fuse(self.profile[idx], rows) if self.method == "mp_x_meanmap" else rows
 
-    def scores(self, weights: np.ndarray) -> np.ndarray:
-        """Every pixel's table row times the (row_dim, K) weights, as an
-        (H*W, K) array: pixel-row scores in row blocks, then their window
-        mean for the windowed methods."""
-        out = self._map_pixels(lambda idx: self.pixel_rows(idx) @ weights, weights.shape[1])
-        return self._window_mean(out) if self.method in WINDOWED else out
+    def scores(self, weights: np.ndarray):
+        """Every pixel's table row times the (row_dim, K) weights, in one pass of row
+        bands of about one score block (of K scores, or of fusion's 2N-wide z if wider):
+        yields (first flat pixel, (rows, K) scores) per band. Each row is embedded once."""
+        h, w, k = self.image.height, self.image.width, weights.shape[1]
+        fused = self.method == "mp_x_meanmap"
+        width = self.fmap.feature_dim if fused else k
+        side = self.patch.side if fused or self.method in WINDOWED else 1
 
-    def _map_pixels(self, rows_of, width: int) -> np.ndarray:
-        """``rows_of(idx)`` for every pixel in row blocks, into (H*W, width)."""
-        n = self.image.height * self.image.width
-        out = np.empty((n, width))
-        step = block_rows(max(self.row_dim, width))
-        for start in range(0, n, step):
-            out[start : start + step] = rows_of(np.arange(start, min(start + step, n)))
+        def image_rows(a, b):
+            idx = np.arange(a * w, b * w)
+            rows = self.pixel_rows(idx) if fused else self._times(self.pixel_rows, idx, weights)
+            return rows.reshape(b - a, w, width)
+
+        band = max(1, _SCORE_BLOCK // (w * max(width, k)))
+        for a, means in _window_means(image_rows, h, w, width, side, self.patch.border, band):
+            scores = means = means.reshape(-1, width)
+            if fused:
+                profile = self.profile[a * w :]
+                scores = self._times(
+                    lambda i: _fuse(profile[i], means[i]), np.arange(len(means)), weights
+                )
+            yield a * w, scores
+            del means, scores  # not held while the next band is made
+
+    def _times(self, rows_of, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``rows_of(block) @ weights`` over row blocks of ``idx``."""
+        out = np.empty((idx.size, weights.shape[1]))
+        step = block_rows(max(self.row_dim, weights.shape[1]))
+        for start in range(0, idx.size, step):
+            np.matmul(rows_of(idx[start : start + step]), weights, out=out[start : start + step])
         return out
-
-    def _window_mean(self, values: np.ndarray) -> np.ndarray:
-        """Window mean over the patch of each pixel, in place on (H*W, K) values."""
-        h, w = self.image.height, self.image.width
-        stack = values.reshape(h, w, -1)
-        return _sliding_window_mean(stack, self.patch.side, self.patch.border).reshape(h * w, -1)
 
 
 def prepare_features(
@@ -399,9 +417,9 @@ def prepare_features(
     mp_config: MorphoProfileConfig | None = None,
 ) -> FeatureSpace:
     """Resolve a method's features on ``image``: bandwidths (median
-    heuristic, image diagonal), random frequencies, the morphological
-    profile and, for fusion, the whole-image mean map. ``meta`` records
-    the settings. Deterministic for a fixed config seed.
+    heuristic, image diagonal), random frequencies and the morphological
+    profile (min-max-scaled for fusion). ``meta`` records the settings.
+    Deterministic for a fixed config seed.
     """
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
@@ -436,19 +454,17 @@ def prepare_features(
         fmap = sample_frequencies(d + 2, config.n_features, 1.0, config.seed)
     else:
         fmap = sample_frequencies(d, config.n_features, sigma, config.seed)
-    space = FeatureSpace(
+    if method == "mp_x_meanmap":
+        out_dim = profile.shape[1] * fmap.feature_dim
+        if out_dim > config.tensor_cap:
+            raise CapacityError(
+                f"tensor feature dimension {profile.shape[1]}*{fmap.feature_dim}={out_dim} "
+                f"exceeds cap {config.tensor_cap}; reduce n_features or the profile size"
+            )
+        profile = _minmax_scale_columns(profile)
+    return FeatureSpace(
         image, method, meta, config.patch, config.normalize, fmap, sigma, beta, profile
     )
-    if method != "mp_x_meanmap":
-        return space
-    out_dim = profile.shape[1] * fmap.feature_dim
-    if out_dim > config.tensor_cap:
-        raise CapacityError(
-            f"tensor feature dimension {profile.shape[1]}*{fmap.feature_dim}={out_dim} "
-            f"exceeds cap {config.tensor_cap}; reduce n_features or the profile size"
-        )
-    z = space._map_pixels(space.random_features, fmap.feature_dim)
-    return replace(space, profile=_minmax_scale_columns(profile), mean_map=space._window_mean(z))
 
 
 def build_feature_table(
@@ -457,20 +473,21 @@ def build_feature_table(
     config: EmbeddingConfig | None = None,
     mp_config: MorphoProfileConfig | None = None,
 ) -> FeatureTable:
-    """The dense reference: one feature row per pixel for the requested method.
-
-    Methods: raw spectra, per-pixel random features, neighbourhood mean
-    maps, magnitude-weighted convolutional mean maps, morphological
-    profiles, and the tensor-product fusion of profiles with mean maps.
-    The window mean runs over the whole (H, W, dim) feature image. The
+    """The dense reference: one feature row per pixel for the requested
+    method (raw spectra, random features, mean maps, convolutional mean
+    maps, morphological profiles or their fusion with mean maps). The
+    window mean is the banded box filter run as one band, in place. The
     commands build this table only when it fits in one score block (see
-    ``evaluation.predict_runs``); otherwise they train on
-    ``FeatureSpace.table_rows`` and score through ``FeatureSpace.scores``.
-    Deterministic for a fixed config seed.
+    ``evaluation.predict_runs``). Deterministic for a fixed config seed.
     """
     space = prepare_features(image, method, config, mp_config)
-    values = space.pixel_rows(np.arange(image.height * image.width))
-    if method in WINDOWED:
-        values = space._window_mean(values)
+    h, w = image.height, image.width
+    values = space.pixel_rows(np.arange(h * w))
+    if method in WINDOWED or method == "mp_x_meanmap":
+        stack, side, border = values.reshape(h, w, -1), space.patch.side, space.patch.border
+        ((_, means),) = _window_means(lambda a, b: stack[a:b], h, w, stack.shape[2], side, border, h)
+        values = means.reshape(h * w, -1)
+    if method == "mp_x_meanmap":
+        values = _fuse(space.profile, values)
     kind = "tensor" if method == "mp_x_meanmap" else method
     return FeatureTable(values, kind, space.meta)

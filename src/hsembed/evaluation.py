@@ -6,8 +6,7 @@ features of those pixels, scores the held-out labeled pixels and
 aggregates overall accuracy, average (per-class) accuracy and the
 chance-corrected kappa statistic as mean +/- sample standard deviation.
 Unless the whole feature table fits in one score block, every run is
-trained first; then streamed passes score every pixel against the
-stacked weights of the runs.
+trained first; then one pass of row bands scores every pixel for all runs.
 """
 
 from __future__ import annotations
@@ -266,11 +265,8 @@ def run_split(
     n_classes: int,
     svm_cfg: SvmConfig,
 ) -> tuple[np.ndarray, float]:
-    """Train on the given rows of a dense table and predict the test rows.
-
-    Returns (predictions, C actually used). Test rows are gathered in
-    blocks, so no copy of all of them is ever held.
-    """
+    """Train on the given rows of a dense table and predict the test rows in
+    blocks, so no copy of all of them is held: returns (predictions, C used)."""
     model, c = train_run(table.values[train_idx], labels_flat[train_idx], n_classes, svm_cfg)
     test_idx = np.asarray(test_idx)
     preds = np.empty(test_idx.size, dtype=np.int64)
@@ -281,15 +277,6 @@ def run_split(
     return preds, c
 
 
-def pixel_decisions(space: FeatureSpace, models: list[SvmModel]) -> np.ndarray:
-    """Decision values of every pixel under every model, one column per
-    (model, class pair) in model order: (H*W, total pairs). One streamed
-    pass scores the pixels against the models' stacked weights."""
-    decisions = space.scores(np.concatenate([m.weights for m in models], axis=1))
-    decisions += np.concatenate([m.biases for m in models])
-    return decisions
-
-
 def train_and_predict(
     space: FeatureSpace,
     labels_flat: np.ndarray,
@@ -298,13 +285,10 @@ def train_and_predict(
     svm_cfg: SvmConfig,
 ) -> tuple[np.ndarray, list[float]]:
     """Train one model per training set, then predict every pixel under
-    each: returns (len(train_sets), H*W) class ids and the Cs used.
-
-    The training rows of every run come from one pass, so a pixel in
-    several runs' patches is embedded once. The models are scored in
-    groups whose stacked pair columns are no wider than a table row, so
-    the score image never outgrows the dense table, however many runs
-    there are.
+    each: returns (len(train_sets), H*W) class ids and the Cs used. The
+    training rows of all runs come from one pass over their patches, and
+    one pass of row bands scores every pixel against all the models; only
+    the class ids outlive a band.
     """
     ends = np.cumsum([idx.size for idx in train_sets])[:-1]
     rows = np.split(space.table_rows(np.concatenate(train_sets)), ends)
@@ -313,16 +297,15 @@ def train_and_predict(
         for run_rows, idx in zip(rows, train_sets)
     ]
     models = [model for model, _ in fits]
-    per_pass = max(1, space.row_dim // len(models[0].pairs))
+    biases = np.concatenate([m.biases for m in models])
+    pair_ends = np.cumsum([len(m.pairs) for m in models])
     preds = np.empty((len(models), space.image.height * space.image.width), dtype=np.int64)
-    for first in range(0, len(models), per_pass):
-        group = models[first : first + per_pass]
-        decisions = pixel_decisions(space, group)
-        start = 0
-        for r, model in enumerate(group, first):
-            preds[r] = vote(model, decisions[:, start : start + len(model.pairs)])
-            start += len(model.pairs)
-        del decisions  # not held while the next group's scores are made
+    for first, decisions in space.scores(np.concatenate([m.weights for m in models], axis=1)):
+        decisions += biases
+        band = slice(first, first + decisions.shape[0])
+        for r, (model, end) in enumerate(zip(models, pair_ends)):
+            preds[r, band] = vote(model, decisions[:, end - len(model.pairs) : end])
+        del decisions  # not held while the next band is made
     return preds, [c for _, c in fits]
 
 
@@ -335,16 +318,11 @@ def predict_runs(
 ) -> tuple[FeatureSpace | FeatureTable, list[np.ndarray], list[float]]:
     """Train one model per (training, predicted) pair of flat pixel indices
     and predict the second set: returns the features (for their meta), each
-    run's predictions and the Cs used.
-
-    A feature table larger than one score block is never built: every run
-    trains on its own patch rows, then streamed passes score all pixels.
-    A table within one block is still built, and each run goes through
-    ``run_split``. That branch only keeps the dense calls that
-    ``perfbench/test_perfbench.py::test_install_wraps_every_site_and_counts_solves``
-    counts on its 24 x 24 scene: streaming a one-block table is faster and
-    smaller (CHANGES.md). It goes once the benchmark traces the streamed
-    functions (ROADMAP item 1).
+    run's predictions and the Cs used. Larger tables stream
+    (``train_and_predict``); a table within one score block is built and
+    its runs go through ``run_split``, only to keep the dense calls that
+    ``perfbench/test_perfbench.py`` counts on its 24 x 24 scene, until the
+    benchmark traces the streamed functions (ROADMAP item 1).
     """
     method, embedding, mp = classifier.method, classifier.embedding, classifier.mp
     space = prepare_features(image, method, embedding, mp)

@@ -127,3 +127,32 @@ def feature_matrix_reference(fmap, xs):
     proj = np.atleast_2d(np.asarray(xs, dtype=np.float64)) @ fmap.frequencies.T
     scale = np.sqrt(1.0 / fmap.n_frequencies)
     return scale * np.concatenate([np.cos(proj), np.sin(proj)], axis=1)
+
+
+def sliding_window_mean_reference(stack, side, border):
+    """Mean over side x side windows of an (H, W, K) stack, by whole-image
+    summed-area tables over the replicated (clamp) or reflected (mirror)
+    padding, one column block at a time, in place on ``stack``.
+
+    The whole-image form of ``hsembed.embedding._window_means``, which
+    must match it bit for bit.
+    """
+    if side == 1:
+        return stack
+    h, w, k = stack.shape
+    lo = (side - 1) // 2
+    hi = side - 1 - lo
+    mode = "edge" if border == "clamp" else "symmetric"
+    # ~32 MB of padded scratch per block
+    block = max(1, 4_000_000 // ((h + side) * (w + side)))
+    for start in range(0, k, block):
+        chunk = stack[:, :, start : start + block]
+        padded = np.pad(chunk, ((lo, hi), (lo, hi), (0, 0)), mode=mode)
+        s = np.zeros((h + side, w + side, chunk.shape[2]))
+        np.cumsum(padded, axis=0, out=s[1:, 1:])
+        np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
+        stack[:, :, start : start + block] = (
+            s[side:, side:] - s[:-side, side:] - s[side:, :-side] + s[:-side, :-side]
+        )
+    stack /= side * side
+    return stack

@@ -438,6 +438,30 @@ class TestStrictValues:
         err = capsys.readouterr().err
         assert repr(key) in err and repr(value) in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("data", "image", 5), ("data", "ground_truth", 7), ("data", "image", None),
+         ("data", "synthetic", [1]), ("data", "synthetic", "scene"), ("data", "synthetic", None),
+         ("protocol", "fixed_test", 7), ("protocol", "fixed_test", ["mask.csv"]),
+         (None, "output_dir", 5), (None, "output_dir", False), (None, "output_dir", None)],
+    )
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_non_string_path_or_non_object_scene_exits_one(self, tmp_path, scene_config, capsys,
+                                                           command, section, key, value):
+        _, _, cfg = scene_config
+        (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(value) in err and "Traceback" not in err
+
+    def test_theory_output_dir_must_be_a_string(self, tmp_path, capsys):
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps({"output_dir": 5}))
+        assert main(["theory", "--config", str(path)]) == 1
+        assert "'output_dir'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_c_flag_must_be_positive_and_finite(self, scene_config, capsys, value):
         path, _, _ = scene_config

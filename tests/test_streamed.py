@@ -2,9 +2,12 @@
 
 Unless the whole-image table fits in one score block, the commands never
 build it: they train on patch means of per-pixel features and score every
-pixel by window-meaning the per-pixel scores. These tests pin that path to
-``build_feature_table``, bound the memory of both commands, check that many
-runs are scored in groups and that the two paths give the same outputs.
+pixel in one pass of row bands, window-meaning the per-pixel scores with a
+box filter that carries its prefix sums from band to band. These tests pin
+the filter to the whole-image reference bit for bit, the banded scores to
+``build_feature_table``, bound the memory of both commands, check that the
+scoring pass does not grow with the run count and that the two paths give
+the same outputs.
 """
 
 import json
@@ -30,9 +33,10 @@ from hsembed import (
 )
 from hsembed import cli, embedding, evaluation
 from hsembed.embedding import METHODS, WINDOWED, _minmax_scale_columns
-from hsembed.evaluation import pixel_decisions, train_and_predict
+from hsembed.evaluation import train_and_predict
 from hsembed.morphology import morphological_profile
 from hsembed.svm import SvmConfig, decision_matrix
+from oracles import sliding_window_mean_reference
 
 BANDS = 4
 MP = MorphoProfileConfig(pca_dims=2, n_scales=1)
@@ -65,6 +69,55 @@ def random_model(dim, rng, n_classes=3):
     return SvmModel(tuple(range(1, n_classes + 1)), pairs, separators, dim)
 
 
+def banded_decisions(space, models):
+    """Every pixel's decisions under the models, from the bands of one
+    scoring pass stacked in pixel order."""
+    weights = np.concatenate([m.weights for m in models], axis=1)
+    bands = list(space.scores(weights))
+    sizes = [scores.shape[0] for _, scores in bands]
+    assert [first for first, _ in bands] == [0, *np.cumsum(sizes)[:-1]]
+    assert sum(sizes) == space.image.height * space.image.width
+    return np.vstack([scores for _, scores in bands]) + np.concatenate([m.biases for m in models])
+
+
+@st.composite
+def filter_cases(draw):
+    """An (H, W, K) stack (sometimes scaled by 1e3), a side (possibly larger
+    than the image), a border, a band height (1, side - 1, side, H or any)
+    and a score block that splits the columns into groups."""
+    h = draw(st.integers(1, 16))
+    w = draw(st.integers(1, 16))
+    k = draw(st.integers(1, 5))
+    side = draw(st.integers(1, 12))
+    border = draw(st.sampled_from(["clamp", "mirror"]))
+    band = draw(st.sampled_from([1, max(1, side - 1), side, h]) | st.integers(1, h))
+    block = draw(st.integers(1, 4000))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return rng.normal(size=(h, w, k)) * scale, side, border, min(band, h), block
+
+
+@settings(max_examples=300, deadline=None)
+@given(filter_cases())
+def test_banded_window_means_equal_the_whole_image_filter_bit_for_bit(case):
+    stack, side, border, band, block = case
+    h, w, k = stack.shape
+    asked = []
+
+    def rows_of(a, b):
+        asked.append((a, b))
+        return stack[a:b].copy()
+
+    with mock.patch.object(embedding, "_SCORE_BLOCK", block):
+        bands = list(embedding._window_means(rows_of, h, w, k, side, border, band))
+    assert [first for first, _ in bands] == list(range(0, h, band))
+    got = np.concatenate([means for _, means in bands])
+    expected = sliding_window_mean_reference(stack.copy(), side, border)
+    assert got.tobytes() == expected.tobytes()
+    # every image row is asked for once, in order
+    assert [r for a, b in asked for r in range(a, b)] == list(range(h))
+
+
 @settings(max_examples=150, deadline=None)
 @given(streamed_cases(), st.sampled_from(METHODS))
 def test_streamed_decisions_equal_dense_table_decisions(case, method):
@@ -74,7 +127,7 @@ def test_streamed_decisions_equal_dense_table_decisions(case, method):
     expected = np.hstack([decision_matrix(m, table.values) for m in models])
     with mock.patch.object(embedding, "_SCORE_BLOCK", block):
         space = prepare_features(image, method, config, MP)
-        got = pixel_decisions(space, models)
+        got = banded_decisions(space, models)
     assert space.meta == table.meta
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
@@ -104,7 +157,7 @@ def test_fused_decisions_equal_explicit_tensor_rows(case):
     model = random_model(explicit.shape[1], rng)
     with mock.patch.object(embedding, "_SCORE_BLOCK", block):
         space = prepare_features(image, "mp_x_meanmap", config, MP)
-        got = pixel_decisions(space, [model])
+        got = banded_decisions(space, [model])
     np.testing.assert_allclose(got, decision_matrix(model, explicit), rtol=0, atol=1e-9)
     train = rng.choice(profile.shape[0], size=3)
     np.testing.assert_allclose(space.table_rows(train), explicit[train], rtol=0, atol=1e-12)
@@ -148,12 +201,22 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("command", ["classify", "evaluate"])
-def test_peak_stays_below_the_dense_table(wide_scene, command, tmp_path):
+@pytest.mark.parametrize(
+    "command, method",
+    [pytest.param("classify", "meanmap", id="classify"),
+     pytest.param("evaluate", "meanmap", id="evaluate"),
+     pytest.param("classify", "mp_x_meanmap", id="classify-mp_x_meanmap"),
+     pytest.param("evaluate", "mp_x_meanmap", id="evaluate-mp_x_meanmap")],
+)
+def test_peak_stays_below_the_dense_table(wide_scene, command, method, tmp_path):
     image = HyperspectralImage(np.zeros((48, 48, 6)))
+    # also the size of the whole-image mean map that fusion once kept
     table_bytes = 48 * 48 * 2 * N_FEATURES * 8
     assert table_bytes >= 4 * image.data.nbytes
-    argv = [command, "--config", str(wide_scene / "pipeline.json"), "--output", str(tmp_path)]
+    config = json.loads((wide_scene / "pipeline.json").read_text())
+    config.update(method=method, mp={"pca_dims": 2, "n_scales": 1})
+    (tmp_path / "pipeline.json").write_text(json.dumps(config))
+    argv = [command, "--config", str(tmp_path / "pipeline.json"), "--output", str(tmp_path)]
     # blocks of 64 pixel rows, so the block scratch is small against the image
     with mock.patch.object(embedding, "_SCORE_BLOCK", 64 * 2 * N_FEATURES):
         peak = traced_peak(lambda: cli.main(argv))
@@ -167,33 +230,70 @@ def test_peak_stays_below_the_dense_table(wide_scene, command, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Many runs: scored in groups no wider than a table row
+# Many runs: one scoring pass, whatever the run count
 # ---------------------------------------------------------------------------
 
 
-def test_runs_are_scored_in_groups_no_wider_than_a_row(monkeypatch):
-    rng = np.random.default_rng(5)
-    image = HyperspectralImage(rng.random((6, 7, BANDS)) + 0.05)
-    labels = rng.integers(1, 4, size=6 * 7)
+def many_runs(rng, h, w, n_runs):
+    """Labels in 1..3 and ``n_runs`` training sets of 2 pixels per class."""
+    labels = rng.integers(1, 4, size=h * w)
     train_sets = [
         np.concatenate([rng.choice(np.flatnonzero(labels == c), 2, replace=False) for c in (1, 2, 3)])
-        for _ in range(10)
+        for _ in range(n_runs)
     ]
+    return labels, train_sets
+
+
+def test_many_runs_predict_what_each_run_predicts_alone():
+    rng = np.random.default_rng(5)
+    image = HyperspectralImage(rng.random((6, 7, BANDS)) + 0.05)
+    labels, train_sets = many_runs(rng, 6, 7, 10)
     space = prepare_features(image, "meanmap", EmbeddingConfig(n_features=6, sigma=0.8))
     svm_cfg = SvmConfig(c=8.0)
     alone = [train_and_predict(space, labels, [idx], 3, svm_cfg)[0][0] for idx in train_sets]
-
-    widths = []
-
-    def recorded(space, models):
-        decisions = pixel_decisions(space, models)
-        widths.append(decisions.shape[1])
-        return decisions
-
-    monkeypatch.setattr(evaluation, "pixel_decisions", recorded)
     preds, _ = train_and_predict(space, labels, train_sets, 3, svm_cfg)
-    assert space.row_dim == 12 and widths == [12, 12, 6]  # 4 + 4 + 2 runs of 3 pairs
     np.testing.assert_array_equal(preds, np.stack(alone))
+
+
+@pytest.mark.parametrize("method", ["rff", "meanmap", "convmeanmap", "mp_x_meanmap"])
+def test_scoring_embeds_each_pixel_once_whatever_the_run_count(method, monkeypatch):
+    rng = np.random.default_rng(6)
+    h, w = 13, 11
+    image = HyperspectralImage(rng.random((h, w, BANDS)) + 0.05)
+    config = EmbeddingConfig(patch=PatchSpec(5), n_features=6, sigma=0.8, beta=2.5)
+    space = prepare_features(image, method, config, MP)
+    embedded, feature_matrix = [], embedding.feature_matrix
+
+    def counted(fmap, xs):
+        embedded.append(len(xs))
+        return feature_matrix(fmap, xs)
+
+    monkeypatch.setattr(embedding, "feature_matrix", counted)
+    # bands of 1 to 9 image rows
+    monkeypatch.setattr(embedding, "_SCORE_BLOCK", 300)
+    for n_runs in (1, 10):
+        labels, train_sets = many_runs(rng, h, w, n_runs)
+        embedded.clear()
+        space.table_rows(np.concatenate(train_sets))
+        training = sum(embedded)
+        embedded.clear()
+        train_and_predict(space, labels, train_sets, 3, SvmConfig(c=8.0))
+        assert sum(embedded) - training == h * w
+
+
+def test_peak_of_many_runs_stays_below_their_score_image():
+    rng = np.random.default_rng(7)
+    h, w, n_runs = 96, 96, 10
+    image = HyperspectralImage(rng.random((h, w, BANDS)) + 0.05)
+    labels, train_sets = many_runs(rng, h, w, n_runs)
+    config = EmbeddingConfig(patch=PatchSpec(SIDE), n_features=N_FEATURES, sigma=1.0)
+    space = prepare_features(image, "meanmap", config)
+    score_bytes = h * w * n_runs * 3 * 8  # 3 class pairs per run
+    with mock.patch.object(embedding, "_SCORE_BLOCK", 64 * 2 * N_FEATURES):
+        peak = traced_peak(
+            lambda: train_and_predict(space, labels, train_sets, 3, SvmConfig(c=8.0))
+        )
+    assert peak < score_bytes
 
 
 # ---------------------------------------------------------------------------
