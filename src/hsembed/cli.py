@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import colorsys
+import contextlib
 import dataclasses
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -29,6 +29,8 @@ from .embedding import (
     build_feature_table,  # noqa: F401  (unused here; benchmark tracing wraps this name)
 )
 from .errors import (
+    POSITIVE,
+    SEED,
     CapacityError,
     ContractViolation,
     DegenerateDataError,
@@ -39,7 +41,7 @@ from .errors import (
     ShapeError,
     StageError,
     UndefinedInputError,
-    reject_unknown_keys,
+    read_section,
 )
 from .evaluation import (
     ClassifierSpec,
@@ -162,218 +164,124 @@ def read_ppm(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class PipelineConfig:
-    """JSON-backed pipeline settings; CLI flags override individual fields."""
-
-    seed: int = 0
-    image: str | None = None
-    ground_truth: str | None = None
-    synthetic: dict | None = None
-    method: str = "meanmap"
-    patch_side: int = 3
-    border: str = "clamp"
-    n_features: int = 1024
-    sigma: float | None = None
-    beta: float | None = None
-    normalize: bool = True
-    tensor_cap: int = 65536
-    mp_dims: int = 4
-    mp_scales: int = 4
-    mp_shape: str = "disk"
-    svm_c: float | None = None
-    folds: int = 5
-    runs: int = 20
-    per_class: int = 5
-    eval_on_train: bool = False
-    fixed_test: str | None = None
-    output_dir: str | None = None
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "PipelineConfig":
-        obj = _read_json(path, "config file")
-        reject_unknown_keys(
-            obj,
-            ("seed", "data", "method", "embedding", "mp", "svm", "protocol", "output_dir"),
-            "config",
-        )
-        cfg = cls()
-        cfg.seed = _json_int(obj, "seed", cfg.seed, "config")
-        data = obj.get("data", {})
-        reject_unknown_keys(data, ("image", "ground_truth", "synthetic"), "config 'data'")
-        cfg.image = _json_typed(data, "image", str, "config 'data'")
-        cfg.ground_truth = _json_typed(data, "ground_truth", str, "config 'data'")
-        cfg.synthetic = _json_typed(data, "synthetic", dict, "config 'data'")
-        cfg.method = obj.get("method", cfg.method)
-        emb = obj.get("embedding", {})
-        reject_unknown_keys(
-            emb,
-            ("patch_side", "border", "n_features", "sigma", "beta", "normalize", "tensor_cap"),
-            "config 'embedding'",
-        )
-        cfg.patch_side = _json_int(emb, "patch_side", cfg.patch_side, "config 'embedding'")
-        cfg.border = emb.get("border", cfg.border)
-        cfg.n_features = _json_int(emb, "n_features", cfg.n_features, "config 'embedding'")
-        cfg.sigma = _json_positive(emb, "sigma", "config 'embedding'")
-        cfg.beta = _json_positive(emb, "beta", "config 'embedding'")
-        cfg.normalize = _json_bool(emb, "normalize", cfg.normalize, "config 'embedding'")
-        cfg.tensor_cap = _json_int(emb, "tensor_cap", cfg.tensor_cap, "config 'embedding'")
-        mp = obj.get("mp", {})
-        reject_unknown_keys(mp, ("pca_dims", "n_scales", "se_shape"), "config 'mp'")
-        cfg.mp_dims = _json_int(mp, "pca_dims", cfg.mp_dims, "config 'mp'")
-        cfg.mp_scales = _json_int(mp, "n_scales", cfg.mp_scales, "config 'mp'")
-        cfg.mp_shape = mp.get("se_shape", cfg.mp_shape)
-        svm = obj.get("svm", {})
-        reject_unknown_keys(svm, ("c", "folds"), "config 'svm'")
-        cfg.svm_c = _json_positive(svm, "c", "config 'svm'")
-        cfg.folds = _json_int(svm, "folds", cfg.folds, "config 'svm'")
-        proto = obj.get("protocol", {})
-        reject_unknown_keys(
-            proto, ("runs", "per_class", "eval_on_train", "fixed_test"), "config 'protocol'"
-        )
-        cfg.runs = _json_int(proto, "runs", cfg.runs, "config 'protocol'")
-        cfg.per_class = _json_int(proto, "per_class", cfg.per_class, "config 'protocol'")
-        cfg.eval_on_train = _json_bool(
-            proto, "eval_on_train", cfg.eval_on_train, "config 'protocol'"
-        )
-        cfg.fixed_test = _json_typed(proto, "fixed_test", str, "config 'protocol'")
-        cfg.output_dir = _json_typed(obj, "output_dir", str, "config")
-        return cfg
-
-    def apply_overrides(self, args: argparse.Namespace) -> None:
-        for attr, key in [
-            ("seed", "seed"),
-            ("method", "method"),
-            ("patch_side", "scale"),
-            ("n_features", "features"),
-            ("output_dir", "output"),
-            ("runs", "runs"),
-            ("per_class", "per_class"),
-        ]:
-            value = getattr(args, key, None)
-            if value is not None:
-                setattr(self, attr, value)
-        if getattr(args, "c", None) is not None:
-            self.svm_c = args.c
-        if getattr(args, "c_grid", False):
-            self.svm_c = None
-
-    def protocol(self, image: HyperspectralImage) -> McProtocol:
-        """The Monte-Carlo protocol; ``fixed_test`` becomes the flat indices
-        of the labeled pixels of its label file."""
-        fixed_test = None
-        if self.fixed_test:
-            mask_gt = load_ground_truth(self.fixed_test, image.height, image.width)
-            fixed_test = np.flatnonzero(mask_gt.labels.ravel() > 0)
-        return McProtocol(
-            runs=self.runs,
-            per_class=self.per_class,
-            seed=self.seed,
-            eval_on_train=self.eval_on_train,
-            fixed_test=fixed_test,
-        )
-
-    def classifier_spec(self) -> ClassifierSpec:
-        embedding = EmbeddingConfig(
-            patch=PatchSpec(self.patch_side, self.border),
-            sigma=self.sigma,
-            beta=self.beta,
-            n_features=self.n_features,
-            seed=self.seed,
-            normalize=self.normalize,
-            tensor_cap=self.tensor_cap,
-        )
-        mp = MorphoProfileConfig(self.mp_dims, self.mp_scales, self.mp_shape)
-        svm_cfg = SvmConfig(c=self.svm_c, folds=self.folds, seed=self.seed)
-        return ClassifierSpec(self.method, embedding, mp, svm_cfg)
-
-    def resolve_output_dir(self) -> Path:
-        out = self.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "out"
-        path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
-        return path
+# The keys of a pipeline config and their kinds (see errors.read_section);
+# a dict of kinds is a section. Each value goes to the dataclass that holds
+# its default and its range check.
+PIPELINE_KEYS = dict(
+    seed=SEED,
+    data=dict(image=str, ground_truth=str, synthetic=dict),
+    method=str,
+    embedding=dict(
+        patch_side=int, border=str, n_features=int, sigma=POSITIVE, beta=POSITIVE,
+        normalize=bool, tensor_cap=int,
+    ),
+    mp=dict(pca_dims=int, n_scales=int, se_shape=str),
+    svm=dict(c=POSITIVE, folds=int),
+    protocol=dict(runs=int, per_class=int, eval_on_train=bool, fixed_test=str),
+    output_dir=str,
+)
 
 
-def _read_json(path: str | Path, what: str):
-    """The JSON document at ``path``; a missing or malformed ``what`` is a UsageError."""
+def _read_json(path: str | Path, what: str) -> dict:
+    """The JSON object at ``path``; a missing or malformed ``what`` is a UsageError."""
     try:
-        return json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise UsageError(f"{what} not found: {path}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{what} {path} is not valid JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what} {path} must hold a JSON object")
+    return obj
 
 
-def _json_bool(obj: dict, key: str, default: bool, where: str) -> bool:
-    """``obj[key]`` if it is a JSON true or false, ``default`` if absent."""
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ParameterError(f"{where} key {key!r} must be true or false, got {value!r}")
-    return value
+def _config(args: argparse.Namespace, what: str) -> dict:
+    """The JSON object in ``args.config`` (no config: empty), with its 'seed'
+    set by ``--seed`` if given, so that the flag is checked as the key is."""
+    obj = _read_json(args.config, what) if args.config else {}
+    if args.seed is not None:
+        obj["seed"] = args.seed
+    return obj
 
 
-def _json_int(obj: dict, key: str, default: int, where: str) -> int:
-    """``obj[key]`` if it is a JSON integer (a bool is not), ``default`` if absent."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParameterError(f"{where} key {key!r} must be an integer, got {value!r}")
-    return value
+def _override(values: dict, args: argparse.Namespace, **flags: str) -> None:
+    """Set each key of ``values`` to the value of the flag that ``flags`` names
+    for it, where that flag was given."""
+    for key, flag in flags.items():
+        if getattr(args, flag, None) is not None:
+            values[key] = getattr(args, flag)
 
 
-def _json_float(obj: dict, key: str, default: float, where: str) -> float:
-    """``obj[key]`` as a float if it is a finite JSON number (a bool is not),
-    ``default`` if absent."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ParameterError(f"{where} key {key!r} must be a finite number, got {value!r}")
-    return float(value)
+def _pop(values: dict, *keys: str, **renamed: str) -> dict:
+    """The ``keys`` and ``renamed`` keys that ``values`` has, removed from it;
+    a ``renamed`` key comes out under its new name."""
+    names = dict(zip(keys, keys), **renamed)
+    return {name: values.pop(key) for key, name in names.items() if key in values}
 
 
-def _json_typed(obj: dict, key: str, kind: type, where: str):
-    """``obj[key]`` if it is a JSON string (``kind`` str) or object (dict), None if absent."""
-    if key in obj and not isinstance(obj[key], kind):
-        noun = "a string" if kind is str else "an object"
-        raise ParameterError(f"{where} key {key!r} must be {noun}, got {obj[key]!r}")
-    return obj.get(key)
+def pipeline_settings(
+    args: argparse.Namespace, **fixed: int
+) -> tuple[dict, ClassifierSpec, McProtocol, Path]:
+    """The checked pipeline config with the flags applied: the data section
+    (with the protocol's ``fixed_test`` label file), the classifier, the
+    protocol without its fixed test pixels, and the output directory, made.
+    ``fixed`` sets protocol fields whatever the config says."""
+    cfg = read_section(_config(args, "config file"), "config", **PIPELINE_KEYS)
+    emb, mp, svm, proto = (cfg.get(k, {}) for k in ("embedding", "mp", "svm", "protocol"))
+    _override(cfg, args, method="method", output_dir="output")
+    _override(emb, args, patch_side="scale", n_features="features")
+    _override(svm, args, c="c")
+    _override(proto, args, runs="runs", per_class="per_class")
+    if args.c_grid:
+        svm["c"] = None
+    proto.update(fixed)
+    data = dict(cfg.get("data", {}), **_pop(proto, "fixed_test"))
+    protocol = McProtocol(**proto, **_pop(cfg, "seed"))
+    embedding = EmbeddingConfig(
+        PatchSpec(**_pop(emb, "border", patch_side="side")), **emb, seed=protocol.seed
+    )
+    spec = ClassifierSpec(
+        **_pop(cfg, "method"),
+        embedding=embedding,
+        mp=MorphoProfileConfig(**mp),
+        svm=SvmConfig(**svm, seed=protocol.seed),
+    )
+    return data, spec, protocol, _output_dir(cfg.get("output_dir"))
 
 
-def _json_positive(obj: dict, key: str, where: str) -> float | None:
-    """``obj[key]`` if it is a positive finite JSON number (a bool is not),
-    None if it is null or absent."""
-    value = obj.get(key)
-    if value is not None and (
-        isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf
-    ):
-        raise ParameterError(
-            f"{where} key {key!r} must be null or a positive number, got {value!r}"
-        )
-    return value
+def _output_dir(named: str | None) -> Path:
+    """``named``, else the ``HSEMBED_OUT`` directory, else ./out; made if absent."""
+    path = Path(named or os.environ.get(OUTPUT_DIR_ENV) or "out")
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
-def _load_data(cfg: PipelineConfig) -> tuple[HyperspectralImage, GroundTruthMap]:
-    if cfg.synthetic is not None:
-        spec = scene_spec_from_json(dict(cfg.synthetic, seed=cfg.synthetic.get("seed", cfg.seed)))
-        return generate_synthetic_scene(spec)
-    if not cfg.image or not cfg.ground_truth:
+def _load_data(
+    data: dict, protocol: McProtocol
+) -> tuple[HyperspectralImage, GroundTruthMap, McProtocol]:
+    """The image and ground truth the data section names, and the protocol
+    with its fixed test pixels: the labeled pixels of the ``fixed_test`` file."""
+    if "synthetic" in data:
+        spec = scene_spec_from_json({"seed": protocol.seed, **data["synthetic"]})
+        image, gt = generate_synthetic_scene(spec)
+    elif data.get("image") and data.get("ground_truth"):
+        image = load_envi(data["image"])
+        gt = load_ground_truth(data["ground_truth"], image.height, image.width)
+    else:
         raise UsageError("config needs either data.synthetic or data.image + data.ground_truth")
-    image = load_envi(cfg.image)
-    gt = load_ground_truth(cfg.ground_truth, image.height, image.width)
-    return image, gt
+    if data.get("fixed_test"):
+        mask = load_ground_truth(data["fixed_test"], image.height, image.width).labels
+        protocol = dataclasses.replace(protocol, fixed_test=np.flatnonzero(mask.ravel() > 0))
+    return image, gt, protocol
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    """Context manager tagging errors with the failing pipeline stage."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, Exception):
-                raise StageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    """Tag errors raised inside with the failing pipeline stage."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def _write_json(obj: dict, path: Path) -> None:
@@ -387,15 +295,10 @@ def _write_json(obj: dict, path: Path) -> None:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     """Run 0 of the protocol, predicting every pixel instead of the test set."""
-    cfg = PipelineConfig.from_json(args.config)
-    cfg.runs = 1
-    cfg.apply_overrides(args)
-    out = cfg.resolve_output_dir()
+    data, spec, protocol, out = pipeline_settings(args, runs=1)
     with _stage("data"):
-        image, gt = _load_data(cfg)
-        protocol = cfg.protocol(image)
+        image, gt, protocol = _load_data(data, protocol)
         train_idx, test_idx = protocol_split(gt, protocol, 0)
-    spec = cfg.classifier_spec()
     with _stage("features and training"):
         labels_flat = gt.labels.ravel()
         every_pixel = np.arange(labels_flat.size)
@@ -416,13 +319,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = PipelineConfig.from_json(args.config)
-    cfg.apply_overrides(args)
-    out = cfg.resolve_output_dir()
+    data, spec, protocol, out = pipeline_settings(args)
     with _stage("data"):
-        image, gt = _load_data(cfg)
-        protocol = cfg.protocol(image)
-    spec = cfg.classifier_spec()
+        image, gt, protocol = _load_data(data, protocol)
     with _stage("protocol"):
         summary = monte_carlo_protocol(image, gt, protocol, spec)
     with _stage("write"):
@@ -434,11 +333,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    obj = _read_json(args.config, "scene spec")
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    out = Path(args.output or os.environ.get(OUTPUT_DIR_ENV) or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    obj = _config(args, "scene spec")
+    out = _output_dir(args.output)
     with _stage("synth"):
         spec = scene_spec_from_json(obj)
         image, gt = generate_synthetic_scene(spec)
@@ -448,90 +344,57 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_theory(args: argparse.Namespace) -> int:
-    obj = _read_json(args.config, "config file") if args.config else {}
-    reject_unknown_keys(
-        obj,
-        ("seed", "output_dir", "checks", "meta", "features", "bound", "predictors", "loss",
-         "trials"),
-        "theory config",
-    )
-    seed = _json_int(obj, "seed", 0, "theory config")
-    if args.seed is not None:
-        seed = args.seed
-    out_dir = _json_typed(obj, "output_dir", str, "theory config")
-    out = Path(args.output or out_dir or os.environ.get(OUTPUT_DIR_ENV) or "out")
-    checks = obj.get("checks", list(THEORY_CHECKS))
-    if not (isinstance(checks, list) and checks and all(c in THEORY_CHECKS for c in checks)):
-        raise ParameterError(
-            f"theory config 'checks' must be a non-empty list of {THEORY_CHECKS}, got {checks!r}"
-        )
+# The keys of a theory config and their kinds (see errors.read_section)
+THEORY_KEYS = dict(
+    seed=SEED,
+    output_dir=str,
+    checks=(
+        f"a non-empty list of {THEORY_CHECKS}",
+        lambda v: isinstance(v, list) and v and all(c in THEORY_CHECKS for c in v),
+    ),
+    meta=dict(
+        n_groups=int, group_size=int, dim=int, group_sigma=float, center_scale=float,
+        mean_spread=float, label_flip=float,
+    ),
+    features=dict(count=int, bandwidth=float),
+    bound=dict(
+        delta=float, r_bound=float, rademacher_draws=int, dictionary_size=int,
+        dictionary_norm=float, holdout_draws=int, rhs_form=str,
+    ),
+    predictors=dict(count=int, norm_low=float, norm_high=float, combined_norm=float),
+    loss=str,
+    trials=int,
+)
 
-    trials = _json_int(obj, "trials", 20, "theory config")
+
+def cmd_theory(args: argparse.Namespace) -> int:
+    cfg = read_section(_config(args, "config file"), "theory config", **THEORY_KEYS)
+    # the values no library dataclass holds a default for; meta.group_size
+    # is smaller here than in MetaSampleSpec
+    cfg = {"checks": list(THEORY_CHECKS), "loss": "hinge", "trials": 20, **cfg}
+    feats = {"count": 256, "bandwidth": 1.0, **cfg.get("features", {})}
+    preds = {"count": 100, "norm_low": 50.0, "norm_high": 100.0, "combined_norm": 1.0,
+             **cfg.get("predictors", {})}
+    trials = cfg["trials"]
     if trials < 1:
         raise ParameterError(f"theory config key 'trials' must be >= 1, got {trials}")
-
-    meta_obj, meta_where = obj.get("meta", {}), "theory config 'meta'"
-    reject_unknown_keys(
-        meta_obj,
-        ("n_groups", "group_size", "dim", "group_sigma", "center_scale", "mean_spread",
-         "label_flip"),
-        meta_where,
-    )
-    feat_obj, feat_where = obj.get("features", {}), "theory config 'features'"
-    reject_unknown_keys(feat_obj, ("count", "bandwidth"), feat_where)
-    bound_obj, bound_where = obj.get("bound", {}), "theory config 'bound'"
-    reject_unknown_keys(
-        bound_obj,
-        ("delta", "r_bound", "rademacher_draws", "dictionary_size", "dictionary_norm",
-         "holdout_draws", "rhs_form"),
-        bound_where,
-    )
-    pred_obj, pred_where = obj.get("predictors", {}), "theory config 'predictors'"
-    reject_unknown_keys(pred_obj, ("count", "norm_low", "norm_high", "combined_norm"), pred_where)
-    loss = bounds.LossSpec(obj.get("loss", "hinge"))
-
+    loss = bounds.LossSpec(cfg["loss"])
     spec = bounds.MetaSampleSpec(
-        n_groups=_json_int(meta_obj, "n_groups", 5, meta_where),
-        group_size=_json_int(meta_obj, "group_size", 16, meta_where),
-        dim=_json_int(meta_obj, "dim", 5, meta_where),
-        group_sigma=_json_float(meta_obj, "group_sigma", 0.4, meta_where),
-        center_scale=_json_float(meta_obj, "center_scale", 1.0, meta_where),
-        mean_spread=_json_float(meta_obj, "mean_spread", 0.5, meta_where),
-        label_flip=_json_float(meta_obj, "label_flip", 0.0, meta_where),
-        seed=seed,
+        **{"group_size": 16, **cfg.get("meta", {})}, **_pop(cfg, "seed")
     )
-    fmap = sample_frequencies(
-        spec.dim,
-        _json_int(feat_obj, "count", 256, feat_where),
-        _json_float(feat_obj, "bandwidth", 1.0, feat_where),
-        seed=seed,
-    )
-    config = bounds.BoundConfig(
-        delta=_json_float(bound_obj, "delta", 0.05, bound_where),
-        r_bound=_json_float(bound_obj, "r_bound", 1.0, bound_where),
-        rademacher_draws=_json_int(bound_obj, "rademacher_draws", 2000, bound_where),
-        dictionary_size=_json_int(bound_obj, "dictionary_size", 256, bound_where),
-        dictionary_norm=_json_float(bound_obj, "dictionary_norm", 1.0, bound_where),
-        holdout_draws=_json_int(bound_obj, "holdout_draws", 4000, bound_where),
-        rhs_form=bound_obj.get("rhs_form", "statement"),
-        seed=seed,
-    )
-    n_predictors = _json_int(pred_obj, "count", 100, pred_where)
-    norm_low = _json_float(pred_obj, "norm_low", 50.0, pred_where)
-    norm_high = _json_float(pred_obj, "norm_high", 100.0, pred_where)
-    predictor_norm = _json_float(pred_obj, "combined_norm", 1.0, pred_where)
-
-    out.mkdir(parents=True, exist_ok=True)
+    seed = spec.seed
+    fmap = sample_frequencies(spec.dim, feats["count"], feats["bandwidth"], seed=seed)
+    config = bounds.BoundConfig(**cfg.get("bound", {}), seed=seed)
+    out = _output_dir(args.output or cfg.get("output_dir"))
     with _stage("theory"):
         written = []
-        if "embedding_gap" in checks:
+        if "embedding_gap" in cfg["checks"]:
             meta = bounds.draw_meta_sample(spec)
             predictors = bounds.sample_linear_predictors(
                 fmap.feature_dim,
-                n_predictors,
-                norm_low,
-                norm_high,
+                preds["count"],
+                preds["norm_low"],
+                preds["norm_high"],
                 seed=seed,
             )
             full_reports = [
@@ -556,7 +419,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
                 "tightest case:\n" + bounds.format_bound_report(worst)
             )
             written.append(path)
-        if "combined_risk" in checks:
+        if "combined_risk" in cfg["checks"]:
             reports = []
             for t in range(trials):
                 trial_rng = np.random.default_rng([seed, 977, t])
@@ -564,8 +427,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
                 w = bounds.sample_linear_predictors(
                     fmap.feature_dim,
                     1,
-                    predictor_norm,
-                    predictor_norm,
+                    preds["combined_norm"],
+                    preds["combined_norm"],
                     seed=int(trial_rng.integers(2**32)),
                 )[0]
                 cfg_t = dataclasses.replace(config, seed=int(trial_rng.integers(2**32)))
@@ -672,21 +535,11 @@ def _exit_code_for(exc: BaseException) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except StageError as exc:
+    except (HsembedError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
-    except HsembedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _exit_code_for(exc)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

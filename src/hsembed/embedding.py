@@ -472,15 +472,18 @@ def build_feature_table(
     method: str,
     config: EmbeddingConfig | None = None,
     mp_config: MorphoProfileConfig | None = None,
+    space: FeatureSpace | None = None,
 ) -> FeatureTable:
     """The dense reference: one feature row per pixel for the requested
     method (raw spectra, random features, mean maps, convolutional mean
     maps, morphological profiles or their fusion with mean maps). The
     window mean is the banded box filter run as one band, in place. The
     commands build this table only when it fits in one score block (see
-    ``evaluation.predict_runs``). Deterministic for a fixed config seed.
+    ``evaluation.predict_runs``), from the ``space`` they already resolved
+    for these arguments. Deterministic for a fixed config seed.
     """
-    space = prepare_features(image, method, config, mp_config)
+    if space is None:
+        space = prepare_features(image, method, config, mp_config)
     h, w = image.height, image.width
     values = space.pixel_rows(np.arange(h * w))
     if method in WINDOWED or method == "mp_x_meanmap":

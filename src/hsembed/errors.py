@@ -1,10 +1,10 @@
-"""Exception taxonomy shared by every module, and the config key check.
+"""Exception taxonomy shared by every module, and the config section reader.
 
 The CLI maps these onto exit codes: parameter/usage problems exit 1,
 malformed or degenerate data exits 2, numerical failures exit 3.
 """
 
-from collections.abc import Iterable
+import math
 
 
 class HsembedError(Exception):
@@ -48,16 +48,55 @@ class NumericalError(HsembedError):
     """A numerical computation failed or produced non-finite values."""
 
 
-def reject_unknown_keys(obj: object, allowed: Iterable[str], where: str) -> None:
-    """Raise ParameterError unless ``obj`` is a JSON object whose keys are
-    all in ``allowed``; the message names the first unknown key."""
+def is_finite_number(value: object) -> bool:
+    """True for a finite JSON number; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The kinds a config value may have: each names the noun of its message and its test.
+POSITIVE = ("null or a positive number", lambda v: v is None or (is_finite_number(v) and v > 0))
+SEED = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_KINDS = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a finite number", is_finite_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def read_section(obj: object, where: str, **kinds) -> dict:
+    """The keys present in the JSON object ``obj``, each checked against its
+    kind; an absent key is left out, so the dataclass it feeds keeps its default.
+
+    A kind is ``bool``, ``int`` (a bool is not one), ``float`` (a finite
+    number, read as a float), ``str``, ``list``, ``dict`` (any object),
+    ``POSITIVE``, ``SEED``, a (noun, test) pair, or a dict of kinds: a nested
+    section, read the same way as ``{where} {key!r}``. An unknown key or a
+    value of the wrong kind raises ParameterError naming the key and value.
+    """
     if not isinstance(obj, dict):
         raise ParameterError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(allowed))
+    unknown = sorted(set(obj) - set(kinds))
     if unknown:
         raise ParameterError(
-            f"unknown key {unknown[0]!r} in {where}; expected one of {sorted(allowed)}"
+            f"unknown key {unknown[0]!r} in {where}; expected one of {sorted(kinds)}"
         )
+    values = {}
+    for key, value in obj.items():
+        kind = kinds[key]
+        noun, fits = _KINDS[dict] if isinstance(kind, dict) else _KINDS.get(kind, kind)
+        if not fits(value):
+            raise ParameterError(f"{where} key {key!r} must be {noun}, got {value!r}")
+        if isinstance(kind, dict):
+            value = read_section(value, f"{where} {key!r}", **kind)
+        values[key] = float(value) if kind is float else value
+    return values
 
 
 class StageError(HsembedError):

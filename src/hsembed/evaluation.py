@@ -327,7 +327,7 @@ def predict_runs(
     method, embedding, mp = classifier.method, classifier.embedding, classifier.mp
     space = prepare_features(image, method, embedding, mp)
     if image.height * image.width <= block_rows(space.row_dim):
-        table = build_feature_table(image, method, embedding, mp)
+        table = build_feature_table(image, method, embedding, mp, space)
         fits = [
             run_split(table, labels_flat, train, predicted, n_classes, classifier.svm)
             for train, predicted in splits

@@ -14,13 +14,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    SEED,
     ContractViolation,
     DegenerateDataError,
     FormatError,
     ParameterError,
     ShapeError,
     TruncationError,
-    reject_unknown_keys,
+    is_finite_number,
+    read_section,
 )
 
 # ENVI "data type" codes accepted by the reader/writer.
@@ -180,37 +182,37 @@ class SceneSpec:
         object.__setattr__(self, "class_spectra", spectra)
 
 
+def _is_spectra(value: object) -> bool:
+    """Null (draw them from the seed) or a list of lists of finite numbers."""
+    return value is None or (
+        isinstance(value, list)
+        and all(isinstance(row, list) and all(map(is_finite_number, row)) for row in value)
+    )
+
+
+# the keys of a scene spec and their kinds (see errors.read_section)
+SCENE_KEYS = dict(
+    height=int, width=int, bands=int, classes=int,
+    class_spectra=("null or a list of number lists", _is_spectra),
+    region_scale=float, noise_sigma=float, seed=SEED,
+)
+
+
 def scene_spec_from_json(obj: dict) -> SceneSpec:
     """Build a SceneSpec from its JSON mirror.
 
-    ``class_spectra`` may be omitted, in which case endmembers are drawn
-    deterministically from the spec seed.
+    ``class_spectra`` may be omitted or null, in which case endmembers are
+    drawn deterministically from the spec seed.
     """
-    reject_unknown_keys(
-        obj,
-        ("height", "width", "bands", "classes", "class_spectra", "region_scale",
-         "noise_sigma", "seed"),
-        "scene spec",
-    )
-    required = ("height", "width", "bands", "classes")
-    for key in required:
-        if key not in obj:
+    values = read_section(obj, "scene spec", **SCENE_KEYS)
+    for key in ("height", "width", "bands", "classes"):
+        if key not in values:
             raise FormatError(f"scene spec is missing {key!r}")
-    seed = int(obj.get("seed", 0))
-    spectra = obj.get("class_spectra")
-    if spectra is None:
+    if values.get("class_spectra") is None:
+        seed = values.get("seed", SceneSpec.seed)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE7E]))
-        spectra = rng.random((int(obj["classes"]), int(obj["bands"])))
-    return SceneSpec(
-        height=int(obj["height"]),
-        width=int(obj["width"]),
-        bands=int(obj["bands"]),
-        classes=int(obj["classes"]),
-        class_spectra=np.asarray(spectra, dtype=np.float64),
-        region_scale=float(obj.get("region_scale", 8.0)),
-        noise_sigma=float(obj.get("noise_sigma", 0.0)),
-        seed=seed,
-    )
+        values["class_spectra"] = rng.random((values["classes"], values["bands"]))
+    return SceneSpec(**values)
 
 
 # ---------------------------------------------------------------------------

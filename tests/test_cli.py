@@ -1,12 +1,29 @@
 """Command-line pipeline: classify, evaluate, synth, theory, render."""
 
 import json
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hsembed.cli import default_palette, main, read_ppm, render_map
+from hsembed.cli import (
+    PIPELINE_KEYS,
+    build_parser,
+    default_palette,
+    main,
+    pipeline_settings,
+    read_ppm,
+    render_map,
+)
+from hsembed.errors import read_section
+from hsembed.hsi import SCENE_KEYS, scene_spec_from_json
+
+
+def settings(path, *flags):
+    """What ``evaluate --config path flags`` reads: data, classifier, protocol, output."""
+    return pipeline_settings(build_parser().parse_args(["evaluate", "--config", str(path), *flags]))
 
 
 @pytest.fixture()
@@ -390,6 +407,34 @@ class TestUnknownKeys:
         assert not (out / "embedding_gap_bound.json").exists()
 
 
+def readme_pipeline_example() -> dict:
+    """README's "Pipeline config" example, its // comments stripped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text[text.index("### Pipeline config") :]
+    start = section.index("```jsonc\n") + len("```jsonc\n")
+    block = section[start : section.index("\n```", start)]
+    return json.loads(re.sub(r"//[^\n]*", "", block))
+
+
+def key_paths(obj: dict, kinds: dict, prefix=()) -> set:
+    """The key paths of ``obj``, descending into the sections ``kinds`` nests."""
+    paths = set()
+    for key, value in obj.items():
+        paths.add(prefix + (key,))
+        if isinstance(kinds.get(key), dict):
+            paths |= key_paths(value, kinds[key], prefix + (key,))
+    return paths
+
+
+def test_readme_pipeline_example_shows_exactly_the_keys_the_reader_accepts():
+    example = readme_pipeline_example()
+    read_section(example, "config", **PIPELINE_KEYS)  # accepts every key shown
+    scene = example["data"]["synthetic"]
+    scene_spec_from_json(scene)
+    assert key_paths(example, PIPELINE_KEYS) == key_paths(PIPELINE_KEYS, PIPELINE_KEYS)
+    assert set(scene) == set(SCENE_KEYS)
+
+
 class TestStrictValues:
     @pytest.mark.parametrize(
         "section, key, value",
@@ -407,15 +452,13 @@ class TestStrictValues:
         assert repr(key) in err and repr(value) in err
 
     def test_boolean_flags_load(self, tmp_path, scene_config):
-        from hsembed.cli import PipelineConfig
-
         _, _, cfg = scene_config
         cfg["embedding"]["normalize"] = False
         cfg["protocol"]["eval_on_train"] = True
         path = tmp_path / "flag.json"
         path.write_text(json.dumps(cfg))
-        loaded = PipelineConfig.from_json(path)
-        assert loaded.normalize is False and loaded.eval_on_train is True
+        _, spec, protocol, _ = settings(path)
+        assert spec.embedding.normalize is False and protocol.eval_on_train is True
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -469,22 +512,134 @@ class TestStrictValues:
         assert "C must be positive and finite" in capsys.readouterr().err
 
     def test_integer_counts_and_numeric_c_load(self, tmp_path, scene_config):
-        from hsembed.cli import PipelineConfig
-
         _, _, cfg = scene_config
         cfg["mp"] = {"pca_dims": 2, "n_scales": 1}
         path = tmp_path / "number.json"
         for c in (8, 0.5, None):
             cfg["svm"] = {"c": c, "folds": 3}
             path.write_text(json.dumps(cfg))
-            loaded = PipelineConfig.from_json(path)
-            assert loaded.svm_c == c and type(loaded.svm_c) is type(c)
-            assert loaded.sigma is None and loaded.beta is None
-            assert (loaded.seed, loaded.n_features, loaded.folds, loaded.mp_dims) == (11, 32, 3, 2)
+            _, spec, protocol, _ = settings(path)
+            assert spec.svm.c == c and type(spec.svm.c) is type(c)
+            assert spec.embedding.sigma is None and spec.embedding.beta is None
+            assert (protocol.seed, spec.embedding.n_features, spec.svm.folds, spec.mp.pca_dims) == (
+                11, 32, 3, 2
+            )
+            assert spec.embedding.seed == spec.svm.seed == 11
         cfg["embedding"].update(sigma=2, beta=0.5)
         path.write_text(json.dumps(cfg))
-        loaded = PipelineConfig.from_json(path)
-        assert (loaded.sigma, loaded.beta) == (2, 0.5)
+        _, spec, _, _ = settings(path)
+        assert (spec.embedding.sigma, spec.embedding.beta) == (2, 0.5)
+        assert type(spec.embedding.sigma) is int
+
+    def test_defaults_of_an_empty_config(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("{}")
+        data, spec, protocol, _ = settings(path, "--output", str(tmp_path / "out"))
+        assert data == {}
+        assert (protocol.runs, protocol.per_class, protocol.seed) == (20, 5, 0)
+        assert protocol.eval_on_train is False and protocol.fixed_test is None
+        emb = spec.embedding
+        assert (spec.method, emb.patch.side, emb.patch.border, emb.n_features) == (
+            "meanmap", 3, "clamp", 1024
+        )
+        assert (emb.sigma, emb.beta, emb.normalize, emb.tensor_cap, emb.seed) == (
+            None, None, True, 65536, 0
+        )
+        assert (spec.mp.pca_dims, spec.mp.n_scales, spec.mp.se_shape) == (4, 4, "disk")
+        assert (spec.svm.c, spec.svm.folds, spec.svm.seed) == (None, 5, 0)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("height", 8.7), ("height", True), ("height", "8"), ("classes", 2.5), ("seed", 1.9),
+         ("noise_sigma", "0.3"), ("noise_sigma", float("nan")),
+         ("region_scale", float("inf")), ("seed", "x"), ("seed", -1),
+         ("class_spectra", [[1, "a"], [2, 3]]), ("class_spectra", [[1, True], [2, 3]]),
+         ("class_spectra", [1, 2]), ("class_spectra", "drawn")],
+    )
+    def test_scene_spec_value_exits_one(self, tmp_path, scene_config, capsys, key, value):
+        spec = {"height": 8, "width": 9, "bands": 2, "classes": 2, key: value}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "scene_out"
+        assert main(["synth", "--config", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(value) in err and "Traceback" not in err
+        assert not (out / "scene.hdr").exists()
+
+        _, _, cfg = scene_config
+        cfg["data"]["synthetic"][key] = value
+        path.write_text(json.dumps(cfg))
+        assert main(["classify", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(value) in err and "Traceback" not in err
+
+    def test_null_class_spectra_are_drawn_from_the_seed(self, tmp_path):
+        spec = {"height": 8, "width": 9, "bands": 2, "classes": 2, "seed": 4}
+        outputs = []
+        for name, doc in (("omitted", spec), ("null", dict(spec, class_spectra=None))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            out = tmp_path / name
+            assert main(["synth", "--config", str(path), "--output", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("scene.hdr", "scene.img", "gt.csv")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [(command, flags) for flags in (["--scale", "0"], ["--features", "0"],
+                                        ["--per-class", "0"], ["--seed", "-1"])
+         for command in ("classify", "evaluate")] + [("evaluate", ["--runs", "0"])],
+    )
+    def test_flag_is_checked_as_its_key_before_the_data_loads(self, tmp_path, capsys, command,
+                                                             flags):
+        cfg = {"data": {"image": str(tmp_path / "absent.hdr"),
+                        "ground_truth": str(tmp_path / "absent.csv")}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), *flags]) == 1  # 2 if the data loaded
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "stage 'data'" not in err
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_negative_config_seed_exits_one_before_the_data_loads(self, tmp_path, capsys,
+                                                                   command):
+        cfg = {"seed": -1, "data": {"image": str(tmp_path / "absent.hdr"),
+                                    "ground_truth": str(tmp_path / "absent.csv")}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "-1" in err and "stage 'data'" not in err
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate"])
+    def test_negative_seed_flag_names_the_seed(self, scene_config, capsys, command):
+        path, _, _ = scene_config
+        assert main([command, "--config", str(path), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "-1" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("by_flag", [False, True])
+    def test_negative_synth_seed_exits_one(self, tmp_path, capsys, by_flag):
+        spec = {"height": 8, "width": 9, "bands": 2, "classes": 2}
+        if not by_flag:
+            spec["seed"] = -2
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(spec))
+        argv = ["synth", "--config", str(path), "--output", str(tmp_path / "scene_out")]
+        assert main(argv + (["--seed", "-2"] if by_flag else [])) == 1
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "-2" in err
+
+    @pytest.mark.parametrize("by_flag", [False, True])
+    def test_negative_theory_seed_exits_one(self, tmp_path, capsys, by_flag):
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps({} if by_flag else {"seed": -3}))
+        out = tmp_path / "theory_out"
+        argv = ["theory", "--config", str(path), "--output", str(out)]
+        assert main(argv + (["--seed", "-3"] if by_flag else [])) == 1
+        err = capsys.readouterr().err
+        assert "'seed'" in err and "-3" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value, named",

@@ -1,5 +1,7 @@
 """Confusion-matrix metrics and the Monte-Carlo protocol."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from hsembed import (
 from hsembed import embedding, evaluation
 from hsembed.embedding import build_feature_table
 from hsembed.evaluation import format_summary_table, protocol_split, run_split
+from hsembed.morphology import MorphoProfileConfig
 from hsembed.svm import SvmConfig, predict_table, train_multiclass
 
 HAND_MATRIX = np.array([[3, 1], [2, 4]])
@@ -192,6 +195,39 @@ class TestMonteCarloProtocol:
         protocol = McProtocol(runs=1, per_class=5, seed=9)
         s = monte_carlo_protocol(image, gt, protocol, classifier(c=None))
         assert s.best_c[0] in [2.0**i for i in range(-15, 16)]
+
+    @pytest.mark.parametrize(
+        "method, profiles, medians",
+        [("mp", 1, 0), ("meanmap", 0, 1), ("mp_x_meanmap", 1, 1)],
+    )
+    def test_dense_branch_resolves_the_features_once(
+        self, blob_scene, monkeypatch, method, profiles, medians
+    ):
+        image, gt = blob_scene
+        calls = Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(embedding, "morphological_profile")
+        count(embedding, "median_heuristic")
+        count(evaluation, "build_feature_table")
+        spec = ClassifierSpec(
+            method,
+            EmbeddingConfig(patch=PatchSpec(3), n_features=16, seed=3),
+            MorphoProfileConfig(2, 1),
+            SvmConfig(c=32.0, seed=3),
+        )
+        monte_carlo_protocol(image, gt, McProtocol(runs=2, per_class=5, seed=1), spec)
+        assert calls == Counter(
+            build_feature_table=1, morphological_profile=profiles, median_heuristic=medians
+        )
 
     def test_table_formatting(self, blob_scene):
         image, gt = blob_scene

@@ -295,6 +295,29 @@ class TestSyntheticScene:
         spec2 = scene_spec_from_json(obj)
         np.testing.assert_array_equal(spec.class_spectra, spec2.class_spectra)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("height", 8.7), ("height", True), ("height", "8"), ("classes", 2.5), ("seed", 1.9),
+         ("seed", "x"), ("seed", -1), ("noise_sigma", "0.3"), ("noise_sigma", float("nan")),
+         ("region_scale", float("inf")), ("class_spectra", [[1, "a"], [2, 3]]),
+         ("class_spectra", [[1, float("nan")], [2, 3]]), ("class_spectra", {"rows": 2})],
+    )
+    def test_spec_from_json_rejects_values_of_the_wrong_kind(self, key, value):
+        obj = {"height": 8, "width": 5, "bands": 2, "classes": 2, key: value}
+        with pytest.raises(ParameterError) as info:
+            scene_spec_from_json(obj)
+        assert repr(key) in str(info.value) and repr(value) in str(info.value)
+
+    def test_spec_from_json_reads_numbers_as_given_kinds(self):
+        obj = {"height": 6, "width": 5, "bands": 2, "classes": 2, "region_scale": 4,
+               "noise_sigma": 0, "seed": 4, "class_spectra": None}
+        spec = scene_spec_from_json(obj)
+        assert type(spec.region_scale) is float and type(spec.noise_sigma) is float
+        omitted = {k: v for k, v in obj.items() if k != "class_spectra"}
+        np.testing.assert_array_equal(
+            spec.class_spectra, scene_spec_from_json(omitted).class_spectra
+        )
+
     def test_identical_spectra_rejected(self):
         with pytest.raises(ParameterError, match="identical"):
             self.spec(class_spectra=np.ones((3, 4)))
