@@ -321,7 +321,8 @@ class FeatureSpace:
     the pixel's min-max-scaled profile row; other methods use the pixel
     row. The window mean is linear, so ``scores`` window-means the pixel
     rows' scores (fusion: the z) in bands, never building a whole-image
-    table, score image or mean map.
+    table, score image or mean map; fusion scores through its factored
+    kernel, so only training rows are ever fused.
     """
 
     image: HyperspectralImage
@@ -333,6 +334,12 @@ class FeatureSpace:
     sigma: float = 1.0
     beta: float = 1.0
     profile: np.ndarray | None = None
+
+    @property
+    def dual(self) -> bool:
+        """Whether ``scores`` takes dual coefficients and their support
+        (fusion) instead of weights."""
+        return self.method == "mp_x_meanmap"
 
     @property
     def row_dim(self) -> int:
@@ -358,12 +365,11 @@ class FeatureSpace:
         positions = np.stack(np.divmod(idx, self.image.width), axis=1).astype(np.float64)
         return _random_features(self.fmap, spectra, True, positions, self.beta, self.sigma)
 
-    def table_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Feature-table rows of the given flat pixel indices. Patch means
-        embed the union of the patches once, in blocks."""
+    def patch_means(self, idx: np.ndarray) -> np.ndarray:
+        """Means of the pixel rows over the patches of the given flat pixel
+        indices (windowed methods and fusion). They embed the union of the
+        patches once, in blocks."""
         idx = np.asarray(idx, dtype=np.int64)
-        if self.method not in WINDOWED and self.method != "mp_x_meanmap":
-            return self.pixel_rows(idx)
         windows = patch_indices(idx, self.patch, self.image.height, self.image.width)
         members, where = np.unique(windows.ravel(), return_inverse=True)
         owners = np.repeat(np.arange(idx.size), windows.shape[1])
@@ -374,14 +380,33 @@ class FeatureSpace:
             block = members[start : start + step]
             rows += counts[:, start : start + block.size] @ self.pixel_rows(block)
         rows /= windows.shape[1]
-        return _fuse(self.profile[idx], rows) if self.method == "mp_x_meanmap" else rows
+        return rows
 
-    def scores(self, weights: np.ndarray):
+    def table_rows(self, idx: np.ndarray, means: np.ndarray | None = None) -> np.ndarray:
+        """Feature-table rows of the given flat pixel indices: windowed methods
+        take their ``patch_means`` (or the ``means`` given for them), and fusion
+        fuses those with the profile rows."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if self.method not in WINDOWED and self.method != "mp_x_meanmap":
+            return self.pixel_rows(idx)
+        means = self.patch_means(idx) if means is None else means
+        return _fuse(self.profile[idx], means) if self.method == "mp_x_meanmap" else means
+
+    def scores(self, weights: np.ndarray, support: tuple | None = None):
         """Every pixel's table row times the (row_dim, K) weights, in one pass of row
-        bands of about one score block (of K scores, or of fusion's 2N-wide z if wider):
-        yields (first flat pixel, (rows, K) scores) per band. Each row is embedded once."""
+        bands of about one score block: yields (first flat pixel, (rows, K) scores) per
+        band. Each row is embedded once.
+
+        Fusion scores in the dual and never builds a fused row. ``support`` is
+        the (flat indices, patch means) of T training pixels, and ``weights``
+        are their (T, K) dual coefficients A (``svm.dual_coefficients``). A
+        fused row's inner product factors, <p (x) m, p' (x) m'> = <p, p'> <m, m'>,
+        so a band's scores are ((P P_T') * (M M_T')) A, with P its profile rows
+        and M the window means of its z."""
         h, w, k = self.image.height, self.image.width, weights.shape[1]
-        fused = self.method == "mp_x_meanmap"
+        fused = self.dual
+        if fused and support is None:
+            raise ContractViolation("fusion scores need the training pixels as support")
         width = self.fmap.feature_dim if fused else k
         side = self.patch.side if fused or self.method in WINDOWED else 1
 
@@ -390,14 +415,16 @@ class FeatureSpace:
             rows = self.pixel_rows(idx) if fused else self._times(self.pixel_rows, idx, weights)
             return rows.reshape(b - a, w, width)
 
-        band = max(1, _SCORE_BLOCK // (w * max(width, k)))
+        # a fusion band also holds its (rows, T) Gram block
+        band = max(1, _SCORE_BLOCK // (w * max(width, k, weights.shape[0] if fused else 0)))
         for a, means in _window_means(image_rows, h, w, width, side, self.patch.border, band):
             scores = means = means.reshape(-1, width)
             if fused:
-                profile = self.profile[a * w :]
-                scores = self._times(
-                    lambda i: _fuse(profile[i], means[i]), np.arange(len(means)), weights
-                )
+                train_idx, train_means = support
+                gram = self.profile[a * w : a * w + len(means)] @ self.profile[train_idx].T
+                gram *= means @ train_means.T
+                scores = gram @ weights
+                del gram
             yield a * w, scores
             del means, scores  # not held while the next band is made
 

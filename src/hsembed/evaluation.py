@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .embedding import (
     EmbeddingConfig,
@@ -32,7 +33,15 @@ from .errors import (
 )
 from .hsi import GroundTruthMap, HyperspectralImage
 from .morphology import MorphoProfileConfig
-from .svm import SvmConfig, SvmModel, cross_validate, predict_table, train_multiclass, vote
+from .svm import (
+    SvmConfig,
+    SvmModel,
+    cross_validate,
+    dual_coefficients,
+    predict_table,
+    train_multiclass,
+    vote,
+)
 
 
 def confusion_matrix(
@@ -288,19 +297,29 @@ def train_and_predict(
     each: returns (len(train_sets), H*W) class ids and the Cs used. The
     training rows of all runs come from one pass over their patches, and
     one pass of row bands scores every pixel against all the models; only
-    the class ids outlive a band.
+    the class ids outlive a band. Fusion scores in the dual, against the
+    training pixels of all runs and their patch means.
     """
+    train_idx = np.concatenate(train_sets)
+    means = space.patch_means(train_idx) if space.dual else None
     ends = np.cumsum([idx.size for idx in train_sets])[:-1]
-    rows = np.split(space.table_rows(np.concatenate(train_sets)), ends)
+    rows = np.split(space.table_rows(train_idx, means), ends)
     fits = [
         train_run(run_rows, labels_flat[idx], n_classes, svm_cfg)
         for run_rows, idx in zip(rows, train_sets)
     ]
+    del rows  # fusion's training rows are not held while scoring
     models = [model for model, _ in fits]
+    if space.dual:
+        coefs = block_diag(
+            *(dual_coefficients(m, labels_flat[idx]) for m, idx in zip(models, train_sets))
+        )
+    else:
+        coefs = np.concatenate([m.weights for m in models], axis=1)
     biases = np.concatenate([m.biases for m in models])
     pair_ends = np.cumsum([len(m.pairs) for m in models])
     preds = np.empty((len(models), space.image.height * space.image.width), dtype=np.int64)
-    for first, decisions in space.scores(np.concatenate([m.weights for m in models], axis=1)):
+    for first, decisions in space.scores(coefs, (train_idx, means) if space.dual else None):
         decisions += biases
         band = slice(first, first + decisions.shape[0])
         for r, (model, end) in enumerate(zip(models, pair_ends)):

@@ -149,30 +149,35 @@ class SceneSpec:
 
     The scene is a Voronoi partition of seeded region centres; every region
     is painted with one class endmember plus i.i.d. Gaussian band noise.
+    Endmembers left as None are drawn from the seed, once the sizes hold.
     """
 
     height: int
     width: int
     bands: int
     classes: int
-    class_spectra: np.ndarray
+    class_spectra: np.ndarray | None = None
     region_scale: float = 8.0
     noise_sigma: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.height, self.width, self.bands) < 1:
-            raise ParameterError("scene dimensions must be positive")
-        if self.classes < 1:
-            raise ParameterError("need at least one class")
+        for key in ("height", "width", "bands", "classes"):
+            value = getattr(self, key)
+            if value < 1:
+                raise ParameterError(f"scene spec key {key!r} must be >= 1, got {value}")
         if self.region_scale <= 0:
             raise ParameterError("region_scale must be positive")
         if self.noise_sigma < 0:
             raise ParameterError("noise_sigma must be >= 0")
+        if self.class_spectra is None:
+            rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x5CE7E]))
+            object.__setattr__(self, "class_spectra", rng.random((self.classes, self.bands)))
         spectra = np.asarray(self.class_spectra, dtype=np.float64)
         if spectra.shape != (self.classes, self.bands):
-            raise ShapeError(
-                f"class_spectra must be ({self.classes}, {self.bands}), got {spectra.shape}"
+            raise ParameterError(
+                f"scene spec key 'class_spectra' must be ({self.classes}, {self.bands}) "
+                f"values, got shape {spectra.shape}"
             )
         for i in range(self.classes):
             for j in range(i + 1, self.classes):
@@ -183,17 +188,19 @@ class SceneSpec:
 
 
 def _is_spectra(value: object) -> bool:
-    """Null (draw them from the seed) or a list of lists of finite numbers."""
+    """Null (draw them from the seed) or a list of equal-length lists of
+    finite numbers."""
     return value is None or (
         isinstance(value, list)
         and all(isinstance(row, list) and all(map(is_finite_number, row)) for row in value)
+        and len({len(row) for row in value}) <= 1
     )
 
 
 # the keys of a scene spec and their kinds (see errors.read_section)
 SCENE_KEYS = dict(
     height=int, width=int, bands=int, classes=int,
-    class_spectra=("null or a list of number lists", _is_spectra),
+    class_spectra=("null or a list of equal-length number lists", _is_spectra),
     region_scale=float, noise_sigma=float, seed=SEED,
 )
 
@@ -208,10 +215,6 @@ def scene_spec_from_json(obj: dict) -> SceneSpec:
     for key in ("height", "width", "bands", "classes"):
         if key not in values:
             raise FormatError(f"scene spec is missing {key!r}")
-    if values.get("class_spectra") is None:
-        seed = values.get("seed", SceneSpec.seed)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5CE7E]))
-        values["class_spectra"] = rng.random((values["classes"], values["bands"]))
     return SceneSpec(**values)
 
 

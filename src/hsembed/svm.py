@@ -220,6 +220,13 @@ class SvmModel:
         return np.array([sep.bias for sep in self.separators])
 
 
+def _pair_rows(labels: np.ndarray, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of class pair (a, b) and their signs: the smaller class id,
+    ``a``, plays the +1 role."""
+    mask = (labels == a) | (labels == b)
+    return mask, np.where(labels[mask] == a, 1.0, -1.0)
+
+
 def train_multiclass(
     features: np.ndarray,
     labels: np.ndarray,
@@ -229,9 +236,9 @@ def train_multiclass(
 ) -> SvmModel:
     """Train one separator per unordered class pair.
 
-    In each pair the smaller class id plays the +1 role. ``classes`` may
-    name the expected class set; a named class without examples is an
-    error.
+    In each pair the smaller class id plays the +1 role (``_pair_rows``).
+    ``classes`` may name the expected class set; a named class without
+    examples is an error.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -251,10 +258,21 @@ def train_multiclass(
     pairs = list(combinations(classes, 2))
     separators = []
     for a, b in pairs:
-        mask = (y == a) | (y == b)
-        signs = np.where(y[mask] == a, 1.0, -1.0)
+        mask, signs = _pair_rows(y, a, b)
         separators.append(train_binary(x[mask], signs, c, tol=tol))
     return SvmModel(tuple(classes), pairs, separators, x.shape[1])
+
+
+def dual_coefficients(model: SvmModel, labels: np.ndarray) -> np.ndarray:
+    """The (n, pairs) matrix A of alpha_i y_i of a model that
+    ``train_multiclass`` trained on n rows X with these labels, zero off each
+    pair's rows: X' A is the model's weights and A's column sums its biases."""
+    labels = np.asarray(labels)
+    coefs = np.zeros((labels.size, len(model.pairs)))
+    for p, ((a, b), sep) in enumerate(zip(model.pairs, model.separators)):
+        mask, signs = _pair_rows(labels, a, b)
+        coefs[mask, p] = sep.diagnostics.alphas * signs
+    return coefs
 
 
 def decision_matrix(model: SvmModel, features: np.ndarray) -> np.ndarray:
@@ -393,8 +411,8 @@ def cross_validate(
         pairs = list(combinations(classes, 2))
         separators: list[list[BinarySeparator]] = [[] for _ in grid]
         for a, b in pairs:
-            mask = (y_tr == a) | (y_tr == b)
-            x_pair, signs = x_tr[mask], np.where(y_tr[mask] == a, 1.0, -1.0)
+            mask, signs = _pair_rows(y_tr, a, b)
+            x_pair = x_tr[mask]
             alphas, prev_c = None, None
             for k, c in enumerate(grid):
                 start = None if alphas is None else np.where(alphas >= prev_c, c, alphas)

@@ -573,6 +573,21 @@ class TestStrictValues:
         err = capsys.readouterr().err
         assert repr(key) in err and repr(value) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key, value, bands",
+        [("classes", -1, 2), ("classes", 0, 2), ("bands", -2, 2), ("width", 0, 2),
+         ("class_spectra", [[1, 2], [3, 4]], 3), ("class_spectra", [[1, 2], [3]], 2)],
+    )
+    def test_scene_spec_size_exits_one_naming_the_key(self, tmp_path, capsys, key, value, bands):
+        spec = {"height": 8, "width": 9, "bands": bands, "classes": 2, key: value}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "scene_out"
+        assert main(["synth", "--config", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert repr(key) in err and "Traceback" not in err
+        assert not (out / "scene.hdr").exists()
+
     def test_null_class_spectra_are_drawn_from_the_seed(self, tmp_path):
         spec = {"height": 8, "width": 9, "bands": 2, "classes": 2, "seed": 4}
         outputs = []

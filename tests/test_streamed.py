@@ -11,7 +11,11 @@ the same outputs.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,8 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsembed
 from hsembed import (
     BinarySeparator,
+    ContractViolation,
     EmbeddingConfig,
     HyperspectralImage,
     MorphoProfileConfig,
@@ -69,15 +75,27 @@ def random_model(dim, rng, n_classes=3):
     return SvmModel(tuple(range(1, n_classes + 1)), pairs, separators, dim)
 
 
-def banded_decisions(space, models):
-    """Every pixel's decisions under the models, from the bands of one
-    scoring pass stacked in pixel order."""
-    weights = np.concatenate([m.weights for m in models], axis=1)
-    bands = list(space.scores(weights))
+def random_dual(space, rng, k=3):
+    """Fusion's support, random training pixels (some may repeat) with their
+    patch means, and random (T, k) dual coefficients for it."""
+    train = rng.choice(space.image.height * space.image.width, size=int(rng.integers(1, 6)))
+    return (train, space.patch_means(train)), rng.normal(size=(train.size, k))
+
+
+def banded_scores(space, weights, support=None):
+    """Every pixel's scores, from the bands of one scoring pass stacked in
+    pixel order."""
+    bands = list(space.scores(weights, support))
     sizes = [scores.shape[0] for _, scores in bands]
     assert [first for first, _ in bands] == [0, *np.cumsum(sizes)[:-1]]
     assert sum(sizes) == space.image.height * space.image.width
-    return np.vstack([scores for _, scores in bands]) + np.concatenate([m.biases for m in models])
+    return np.vstack([scores for _, scores in bands])
+
+
+def banded_decisions(space, models):
+    """Every pixel's decisions under the models (primal weights)."""
+    weights = np.concatenate([m.weights for m in models], axis=1)
+    return banded_scores(space, weights) + np.concatenate([m.biases for m in models])
 
 
 @st.composite
@@ -123,11 +141,16 @@ def test_banded_window_means_equal_the_whole_image_filter_bit_for_bit(case):
 def test_streamed_decisions_equal_dense_table_decisions(case, method):
     image, config, block, rng = case
     table = build_feature_table(image, method, config, MP)
-    models = [random_model(table.dim, rng), random_model(table.dim, rng)]
-    expected = np.hstack([decision_matrix(m, table.values) for m in models])
     with mock.patch.object(embedding, "_SCORE_BLOCK", block):
         space = prepare_features(image, method, config, MP)
-        got = banded_decisions(space, models)
+        if space.dual:
+            support, coefs = random_dual(space, rng)
+            got = banded_scores(space, coefs, support)
+            expected = table.values @ (table.values[support[0]].T @ coefs)
+        else:
+            models = [random_model(table.dim, rng), random_model(table.dim, rng)]
+            got = banded_decisions(space, models)
+            expected = np.hstack([decision_matrix(m, table.values) for m in models])
     assert space.meta == table.meta
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
@@ -154,13 +177,15 @@ def test_fused_decisions_equal_explicit_tensor_rows(case):
         tensor_product_features(PixelFeature(p, "mp"), PixelFeature(m, "meanmap")).values
         for p, m in zip(profile, mean_map)
     ])
-    model = random_model(explicit.shape[1], rng)
     with mock.patch.object(embedding, "_SCORE_BLOCK", block):
         space = prepare_features(image, "mp_x_meanmap", config, MP)
-        got = banded_decisions(space, [model])
-    np.testing.assert_allclose(got, decision_matrix(model, explicit), rtol=0, atol=1e-9)
-    train = rng.choice(profile.shape[0], size=3)
+        support, coefs = random_dual(space, rng)
+        got = banded_scores(space, coefs, support)
+    train = support[0]
+    np.testing.assert_allclose(got, explicit @ (explicit[train].T @ coefs), rtol=0, atol=1e-9)
     np.testing.assert_allclose(space.table_rows(train), explicit[train], rtol=0, atol=1e-12)
+    with pytest.raises(ContractViolation):
+        next(space.scores(coefs))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +306,24 @@ def test_scoring_embeds_each_pixel_once_whatever_the_run_count(method, monkeypat
         assert sum(embedded) - training == h * w
 
 
+def test_streamed_fusion_fuses_only_the_training_pixels(wide_scene, tmp_path, monkeypatch):
+    config = json.loads((wide_scene / "pipeline.json").read_text())
+    config.update(method="mp_x_meanmap", mp={"pca_dims": 2, "n_scales": 1})
+    (tmp_path / "pipeline.json").write_text(json.dumps(config))
+    fused, fuse = [], embedding._fuse
+
+    def counted(profile_rows, mean_map_rows):
+        fused.append(len(profile_rows))
+        return fuse(profile_rows, mean_map_rows)
+
+    monkeypatch.setattr(embedding, "_fuse", counted)
+    monkeypatch.setattr(embedding, "_SCORE_BLOCK", 64 * 2 * N_FEATURES)
+    argv = ["evaluate", "--config", str(tmp_path / "pipeline.json"), "--output", str(tmp_path)]
+    assert cli.main(argv) == 0
+    # one call, on the training pixels of both runs (3 classes)
+    assert fused == [config["protocol"]["runs"] * 3 * config["protocol"]["per_class"]]
+
+
 def test_peak_of_many_runs_stays_below_their_score_image():
     rng = np.random.default_rng(7)
     h, w, n_runs = 96, 96, 10
@@ -325,3 +368,36 @@ def test_streamed_commands_match_the_dense_path(wide_scene, command, outputs, tm
     for name in outputs:
         dense, streamed = (tmp_path / path / name for path in ("dense", "streamed"))
         assert dense.read_bytes() == streamed.read_bytes()
+
+
+# each argument pair is a pipeline config and the output directory of its evaluate
+EVALUATE_STREAMED = """
+import sys
+from unittest import mock
+from hsembed import cli, embedding
+
+with mock.patch.object(embedding, "_SCORE_BLOCK", int(sys.argv[1])):
+    for config, out in zip(sys.argv[2::2], sys.argv[3::2]):
+        assert cli.main(["evaluate", "--config", config, "--output", out]) == 0
+"""
+
+
+def test_metrics_do_not_depend_on_the_blas_thread_count(wide_scene, tmp_path):
+    configs = []
+    for method in ("meanmap", "mp_x_meanmap"):
+        config = json.loads((wide_scene / "pipeline.json").read_text())
+        config.update(method=method, mp={"pca_dims": 2, "n_scales": 1})
+        configs.append(tmp_path / f"{method}.json")
+        configs[-1].write_text(json.dumps(config))
+    src = str(Path(hsembed.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")])))
+    # bands of 16 image rows, so both methods stream and their products are large
+    # enough for a second BLAS thread
+    argv = [sys.executable, "-c", EVALUATE_STREAMED, str(16 * 48 * 2 * N_FEATURES)]
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        pairs = [str(arg) for path in configs for arg in (path, tmp_path / threads / path.stem)]
+        subprocess.run(argv + pairs, env=env, check=True, timeout=120)
+    for path in configs:
+        one, two = (tmp_path / t / path.stem / "metrics.json" for t in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes()

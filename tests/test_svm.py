@@ -21,7 +21,7 @@ from hsembed import (
     train_binary,
     train_multiclass,
 )
-from hsembed.svm import SvmModel, decision_matrix
+from hsembed.svm import SvmModel, decision_matrix, dual_coefficients
 from oracles import box_qp_brute_force, cross_validate_reference
 
 
@@ -171,6 +171,21 @@ class TestMulticlass:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateDataError):
             train_multiclass(np.ones((4, 2)), np.ones(4), 1.0)
+
+    def test_dual_coefficients_give_the_weights_and_biases(self):
+        # shuffled rows, so each pair's rows interleave with the others'
+        x, y = make_blobs(6, [(2, 0, 1), (-2, 0, 0), (0, 2, -1), (0, -2, 0)], 0.8, 11)
+        order = np.random.default_rng(12).permutation(y.size)
+        x, y = x[order], y[order]
+        model = train_multiclass(x, y, 4.0)
+        coefs = dual_coefficients(model, y)
+        assert coefs.shape == (y.size, 6)
+        np.testing.assert_allclose(x.T @ coefs, model.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coefs.sum(axis=0), model.biases, rtol=0, atol=1e-12)
+        for p, (a, b) in enumerate(model.pairs):
+            # zero off the pair's rows; the smaller class id has the + sign
+            assert not coefs[(y != a) & (y != b), p].any()
+            assert (coefs[y == a, p] >= 0).all() and (coefs[y == b, p] <= 0).all()
 
 
 class TestPredict:
