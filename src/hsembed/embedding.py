@@ -250,10 +250,12 @@ def _window_means(rows_of, height: int, width: int, k: int, side: int, border: s
     of ``band`` image rows from top to bottom: yields (first row, (rows, width,
     k) means) per band. ``rows_of(a, b)`` gives image rows a:b, each once and in
     order; borders pad as ``np.pad``'s edge (clamp) or symmetric (mirror) mode.
-    Sums are summed-area prefix sums over column groups of one score block; a
-    band carries on the axis-0 sums of the last ``side`` padded rows, so each
-    is the same sequential sum as over the whole image. A whole-image band is
-    filtered in place, in the array that ``rows_of`` gave."""
+    Sums are summed-area prefix sums over column groups of one score block. A
+    band carries on the last ``side`` padded rows of the prefix sums, already
+    summed along both axes, and the axis-0 sums of the last of them, so each
+    padded row is summed along axis 1 once and every sum is the same
+    sequential sum as over the whole image. A whole-image band is filtered in
+    place, in the array that ``rows_of`` gave."""
     if side == 1:
         for a in range(0, height, band):
             yield a, rows_of(a, min(a + band, height))
@@ -265,7 +267,8 @@ def _window_means(rows_of, height: int, width: int, k: int, side: int, border: s
     first_read = np.minimum.accumulate(row_of[::-1])[::-1]  # by padded rows p and on
     group = max(1, min(k, _SCORE_BLOCK // ((band + side) * (width + side))))
     scratch = np.zeros((band + side, width + side, group))
-    carry = np.empty((side, width + side, k))  # the last side rows of the axis-0 prefix
+    carry = np.empty((side, width + side, k))  # the last side rows of the prefix sums
+    carry_down = np.empty((width + side, k))  # the last of them, summed along axis 0 only
     held, held_from, fed = np.empty((0, width, k)), 0, 0  # scored rows kept; padded rows fed
     for a in range(0, height, band):
         b = min(a + band, height)
@@ -281,13 +284,20 @@ def _window_means(rows_of, height: int, width: int, k: int, side: int, border: s
         for c in range(0, k, group):
             cols = slice(c, c + group)
             s = scratch[: b - a + side, :, : min(group, k - c)]
-            s[:carried] = carry[:, :, cols] if carried > 1 else 0.0
+            if carried > 1:
+                s[: carried - 1] = carry[:-1, :, cols]
+                s[carried - 1] = carry_down[:, cols]
+            else:
+                s[0] = 0.0
             for i, r in enumerate(new, carried):
                 s[i, 1:] = held[r, col_of, cols]
             down = s[max(1, carried - 1) :, 1:]  # from the last carried row on
             np.cumsum(down, axis=0, out=down)
+            carry_down[:, cols] = s[-1]
+            np.cumsum(s[carried:, 1:], axis=1, out=s[carried:, 1:])
+            if carried > 1:
+                s[carried - 1] = carry[-1, :, cols]
             carry[:, :, cols] = s[-side:]
-            np.cumsum(s[:, 1:], axis=1, out=s[:, 1:])
             out = means[:, :, cols]
             np.subtract(s[side:, side:], s[:-side, side:], out=out)
             out -= s[side:, :-side]
@@ -296,7 +306,7 @@ def _window_means(rows_of, height: int, width: int, k: int, side: int, border: s
         if b < height:
             held, held_from = held[keep:].copy(), held_from + keep
         yield a, means
-        del means  # not held while the next band is made
+        del means, out  # neither the band nor a view of it is held while the next is made
 
 
 def _minmax_scale_columns(table: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@
 Cubes are stored band-interleaved-by-pixel, i.e. as a C-contiguous
 ``(height, width, bands)`` array, so the spectrum of one pixel is a
 contiguous slice. Images and ground-truth maps are immutable after
-construction and safe for concurrent reads.
+construction and safe for concurrent reads. The ENVI reader and writer, the
+scene generator and the image's own finiteness check move a cube through
+memory in row tiles of about ``_TILE`` values, so none of them holds a
+second cube.
 """
 
 from __future__ import annotations
@@ -39,12 +42,26 @@ _ENVI_CODES = {v: k for k, v in _ENVI_DTYPES.items()}
 _INTERLEAVES = ("bsq", "bil", "bip")
 _BORDERS = ("clamp", "mirror")
 
+# values of a cube tile handled at once (32 MB of float64, one score block)
+_TILE = 1 << 22
+
+
+def _row_tiles(height: int, row_values: int):
+    """(first, end) rows of consecutive tiles of about ``_TILE`` values, for
+    rows of ``row_values`` values; a tile has at least one row."""
+    step = max(1, _TILE // row_values)
+    for a in range(0, height, step):
+        yield a, min(a + step, height)
+
 
 @dataclass(frozen=True)
 class HyperspectralImage:
     """A ``height x width x bands`` cube of finite reflectance values.
 
-    ``band_centers`` optionally carries one wavelength (nm) per band.
+    ``band_centers`` optionally carries one wavelength (nm) per band. A
+    C-contiguous float64 cube is kept as given, not copied (and is made
+    read-only); any other is copied once into that form. Finiteness is
+    checked in row tiles, so the check holds no cube-sized mask.
     """
 
     data: np.ndarray
@@ -56,8 +73,9 @@ class HyperspectralImage:
             raise ShapeError(f"cube must be 3-D (height, width, bands), got {cube.shape}")
         if min(cube.shape) < 1:
             raise ShapeError(f"cube dimensions must be positive, got {cube.shape}")
-        if not np.isfinite(cube).all():
-            raise ParameterError("cube values must be finite")
+        for a, b in _row_tiles(cube.shape[0], cube.shape[1] * cube.shape[2]):
+            if not np.isfinite(cube[a:b]).all():
+                raise ParameterError("cube values must be finite")
         cube.flags.writeable = False
         object.__setattr__(self, "data", cube)
         if self.band_centers is not None:
@@ -267,12 +285,30 @@ def _find_companion(header_path: Path) -> Path:
     raise FormatError(f"no companion binary found for header {header_path}")
 
 
+def _file_tiles(cube: np.ndarray, interleave: str):
+    """Views of ``cube`` whose C-order values, one view after another, are its
+    ENVI payload in ``interleave`` order: a bsq payload one band plane at a
+    time, a bil or bip payload in row tiles; each view holds at most about
+    ``_TILE`` values (a plane is split into row tiles past that)."""
+    lines, samples, bands = cube.shape
+    if interleave == "bsq":
+        for j in range(bands):
+            for a, b in _row_tiles(lines, samples):
+                yield cube[a:b, :, j]
+        return
+    for a, b in _row_tiles(lines, samples * bands):
+        yield cube[a:b].transpose(0, 2, 1) if interleave == "bil" else cube[a:b]
+
+
 def load_envi(header_path: str | Path) -> HyperspectralImage:
     """Read an ENVI cube (bsq/bil/bip; uint8, int16, int32, uint16, uint32,
-    float32 or float64 payloads).
+    float32 or float64 payloads, either byte order).
 
     Returns the cube converted to the internal band-interleaved-by-pixel
-    layout with values cast to float64.
+    layout with values cast to float64. The payload is read straight into
+    the one float64 cube, a tile at a time (see ``_file_tiles``), and each
+    tile of a float payload is checked to be finite as it is read; besides
+    the cube, the read holds about one tile.
     """
     header_path = Path(header_path)
     if not header_path.is_file():
@@ -285,6 +321,10 @@ def load_envi(header_path: str | Path) -> HyperspectralImage:
     if min(samples, lines, bands) < 1:
         raise FormatError(f"{header_path}: non-positive dimensions")
     offset = _header_int(entries, "header offset", str(header_path), default=0)
+    if offset < 0:
+        raise FormatError(
+            f"{header_path}: header key 'header offset' must be >= 0, got {offset}"
+        )
     byte_order = _header_int(entries, "byte order", str(header_path), default=0)
     if byte_order not in (0, 1):
         raise FormatError(f"{header_path}: byte order must be 0 or 1")
@@ -307,17 +347,19 @@ def load_envi(header_path: str | Path) -> HyperspectralImage:
         raise TruncationError(
             f"{data_path}: expected {expected} bytes ({n_values} values), found {actual}"
         )
-    raw = np.fromfile(data_path, dtype=dtype, count=n_values, offset=offset)
-
-    if interleave == "bsq":
-        cube = raw.reshape(bands, lines, samples).transpose(1, 2, 0)
-    elif interleave == "bil":
-        cube = raw.reshape(lines, bands, samples).transpose(0, 2, 1)
-    else:  # bip
-        cube = raw.reshape(lines, samples, bands)
-    cube = cube.astype(np.float64)
-    if not np.isfinite(cube).all():
-        raise FormatError(f"{data_path}: payload contains non-finite values")
+    cube = np.empty((lines, samples, bands))
+    tiles = list(_file_tiles(cube, interleave))
+    raw = np.empty(max(t.size for t in tiles) * dtype.itemsize, dtype=np.uint8)
+    with open(data_path, "rb") as f:
+        f.seek(offset)
+        for tile in tiles:
+            chunk = raw[: tile.size * dtype.itemsize]
+            if f.readinto(chunk) != chunk.size:
+                raise TruncationError(f"{data_path}: payload ended early")
+            values = chunk.view(dtype).reshape(tile.shape)
+            if dtype.kind == "f" and not np.isfinite(values).all():
+                raise FormatError(f"{data_path}: payload contains non-finite values")
+            tile[...] = values
 
     band_centers = None
     if "wavelength" in entries:
@@ -341,7 +383,10 @@ def save_envi(
 ) -> Path:
     """Write ``image`` as an ENVI header + binary pair; returns the header path.
 
-    The data file sits next to the header with an ``.img`` extension.
+    The data file sits next to the header with an ``.img`` extension. It is
+    written a tile at a time (see ``_file_tiles``), so the write holds about
+    one converted tile besides the cube. An integer payload is checked to
+    hold every value exactly, tile by tile, before the data file is opened.
     """
     if interleave not in _INTERLEAVES:
         raise ParameterError(f"interleave must be one of {_INTERLEAVES}")
@@ -356,19 +401,17 @@ def save_envi(
     data_path = header_path.with_suffix(".img")
 
     cube = image.data
-    if interleave == "bsq":
-        ordered = cube.transpose(2, 0, 1)
-    elif interleave == "bil":
-        ordered = cube.transpose(0, 2, 1)
-    else:
-        ordered = cube
-    out_dtype = base.newbyteorder("<" if byte_order == 0 else ">")
     if base.kind in "iu":
         info = np.iinfo(base)
-        if (cube < info.min).any() or (cube > info.max).any() or \
-                not np.array_equal(cube, np.round(cube)):
-            raise ParameterError(f"cube values do not fit a {base} payload")
-    np.ascontiguousarray(ordered).astype(out_dtype).tofile(data_path)
+        for a, b in _row_tiles(image.height, image.width * image.bands):
+            tile = cube[a:b]
+            if tile.min() < info.min or tile.max() > info.max or \
+                    not np.array_equal(tile, np.round(tile)):
+                raise ParameterError(f"cube values do not fit a {base} payload")
+    out_dtype = base.newbyteorder("<" if byte_order == 0 else ">")
+    with open(data_path, "wb") as f:
+        for tile in _file_tiles(cube, interleave):
+            np.ascontiguousarray(tile, dtype=out_dtype).tofile(f)
 
     lines = [
         "ENVI",
@@ -475,7 +518,10 @@ def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, Groun
 
     Region centres are sampled without replacement, each Voronoi cell gets
     one class (every class owns at least one cell), and pixel spectra are
-    the class endmember plus N(0, noise_sigma^2) noise per band.
+    the class endmember plus N(0, noise_sigma^2) noise per band. The cube
+    is filled a row tile at a time: the endmembers, then that tile's noise
+    draw added in place. The draws follow one another in the generator's
+    stream, so the cube does not depend on the tile size.
     """
     n_pixels = spec.height * spec.width
     if spec.classes > n_pixels:
@@ -497,9 +543,11 @@ def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, Groun
     nearest = _nearest_centre(spec.height, spec.width, center_rows, center_cols)
     labels = region_class[nearest] + 1
 
-    cube = spec.class_spectra[labels - 1].astype(np.float64)
-    if spec.noise_sigma > 0:
-        cube = cube + rng.normal(0.0, spec.noise_sigma, size=cube.shape)
+    cube = np.empty((spec.height, spec.width, spec.bands))
+    for a, b in _row_tiles(spec.height, spec.width * spec.bands):
+        cube[a:b] = spec.class_spectra[labels[a:b] - 1]
+        if spec.noise_sigma > 0:
+            cube[a:b] += rng.normal(0.0, spec.noise_sigma, size=(b - a, spec.width, spec.bands))
     return HyperspectralImage(cube), GroundTruthMap(labels)
 
 

@@ -156,3 +156,27 @@ def sliding_window_mean_reference(stack, side, border):
         )
     stack /= side * side
     return stack
+
+
+def synthetic_scene_reference(spec):
+    """The scene of ``hsembed.hsi.generate_synthetic_scene`` in one shot: the
+    whole-image distances to every centre, then the whole endmember cube plus
+    one whole-cube noise draw. The generator fills its cube a row tile at a
+    time and must match this bit for bit. Returns (cube, labels)."""
+    n_pixels = spec.height * spec.width
+    rng = np.random.default_rng(spec.seed)
+    n_regions = int(np.clip(round(n_pixels / spec.region_scale**2), spec.classes, n_pixels))
+    centers = rng.choice(n_pixels, size=n_regions, replace=False)
+    region_class = np.concatenate(
+        [
+            rng.permutation(spec.classes),
+            rng.integers(0, spec.classes, size=n_regions - spec.classes),
+        ]
+    )
+    rows, cols = np.divmod(np.arange(n_pixels), spec.width)
+    d2 = (rows[:, None] - centers // spec.width) ** 2 + (cols[:, None] - centers % spec.width) ** 2
+    labels = region_class[np.argmin(d2, axis=1)].reshape(spec.height, spec.width) + 1
+    cube = spec.class_spectra[labels - 1].astype(np.float64)
+    if spec.noise_sigma > 0:
+        cube = cube + rng.normal(0.0, spec.noise_sigma, size=cube.shape)
+    return cube, labels

@@ -23,6 +23,16 @@ from hsembed import (
 )
 import hsembed.hsi
 from hsembed.hsi import _nearest_centre, scene_spec_from_json
+from oracles import synthetic_scene_reference
+from tracing import traced_peak
+
+# ENVI data type codes, and a cube shape that with TILE values per tile splits
+# bil and bip payloads into row tiles of 2 rows and bsq band planes into row
+# tiles of 5, each ending in a ragged last tile of 1 row
+ENVI_DTYPES = [(np.uint8, 1), (np.int16, 2), (np.int32, 3), (np.float32, 4),
+               (np.float64, 5), (np.uint16, 12), (np.uint32, 13)]
+TILED_SHAPE = (11, 3, 2)
+TILE = 16
 
 
 def write_envi_raw(tmp_path, name, array_file_order, header_lines):
@@ -97,6 +107,16 @@ class TestEnviIO:
         image = load_envi(hdr)
         np.testing.assert_array_equal(image.data[:, :, 0], [[7.0, 8.0]])
 
+    def test_negative_header_offset(self, tmp_path):
+        # 3x2x4 float64 one value short, so offset + payload is the file size
+        hdr = write_envi_raw(
+            tmp_path, "neg", np.zeros(23, dtype="<f8"),
+            ["samples = 2", "lines = 3", "bands = 4", "data type = 5",
+             "interleave = bsq", "byte order = 0", "header offset = -8"],
+        )
+        with pytest.raises(FormatError, match=r"neg\.hdr: header key 'header offset'"):
+            load_envi(hdr)
+
     def test_missing_key(self, tmp_path):
         hdr = write_envi_raw(
             tmp_path, "nokey", np.zeros(4, dtype="<f4"),
@@ -165,6 +185,46 @@ class TestEnviIO:
         assert f"data type = {code}" in hdr.read_text()
         np.testing.assert_array_equal(load_envi(hdr).data, image.data)
 
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("byte_order", [0, 1])
+    @pytest.mark.parametrize("dtype,code", ENVI_DTYPES)
+    def test_tiled_round_trip(self, tmp_path, monkeypatch, dtype, code, byte_order, interleave):
+        monkeypatch.setattr(hsembed.hsi, "_TILE", TILE)
+        rng = np.random.default_rng(code)
+        if np.dtype(dtype).kind == "f":
+            cube = rng.normal(size=TILED_SHAPE).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            cube = rng.integers(info.min, info.max, size=TILED_SHAPE, endpoint=True)
+            cube[-1, -1] = [info.min, info.max]
+        image = HyperspectralImage(cube.astype(np.float64))
+        hdr = save_envi(image, tmp_path / "t.hdr", interleave=interleave, dtype=dtype,
+                        byte_order=byte_order)
+        assert f"data type = {code}" in hdr.read_text()
+        # the bytes are the oracle: the cube in file order, in the file's dtype
+        order = {"bsq": (2, 0, 1), "bil": (0, 2, 1), "bip": (0, 1, 2)}[interleave]
+        file_dtype = np.dtype(dtype).newbyteorder("<>"[byte_order])
+        assert hdr.with_suffix(".img").read_bytes() == \
+            cube.transpose(order).astype(file_dtype).tobytes()
+        back = load_envi(hdr)
+        assert back.data.flags.c_contiguous
+        assert back.data.tobytes() == image.data.tobytes()
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_in_the_last_tile(
+        self, tmp_path, monkeypatch, interleave, dtype, bad
+    ):
+        monkeypatch.setattr(hsembed.hsi, "_TILE", TILE)
+        image = HyperspectralImage(np.ones(TILED_SHAPE))
+        hdr = save_envi(image, tmp_path / "t.hdr", interleave=interleave, dtype=dtype)
+        with open(hdr.with_suffix(".img"), "r+b") as f:
+            f.seek(-np.dtype(dtype).itemsize, 2)
+            f.write(np.array([bad], dtype=dtype).tobytes())
+        with pytest.raises(FormatError, match="non-finite"):
+            load_envi(hdr)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.uint32])
     def test_integer_payload_rejects_values_out_of_range(self, tmp_path, dtype):
         info = np.iinfo(dtype)
@@ -172,6 +232,36 @@ class TestEnviIO:
             image = HyperspectralImage(np.full((1, 1, 1), bad))
             with pytest.raises(ParameterError, match="do not fit"):
                 save_envi(image, tmp_path / "bad.hdr", dtype=dtype)
+            assert not (tmp_path / "bad.img").exists()
+
+    def test_integer_payload_is_checked_before_the_data_file_exists(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hsembed.hsi, "_TILE", TILE)
+        cube = np.ones(TILED_SHAPE)
+        cube[-1, -1, -1] = 256.0  # in the last tile only
+        with pytest.raises(ParameterError, match="do not fit"):
+            save_envi(HyperspectralImage(cube), tmp_path / "bad.hdr", dtype=np.uint8)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cube_io_holds_the_cube_and_a_few_tiles(self, tmp_path, monkeypatch):
+        # tiles (and distance blocks) of 4,096 values (32 KB) against a 960 KB cube
+        monkeypatch.setattr(hsembed.hsi, "_TILE", 4096)
+        monkeypatch.setattr(hsembed.hsi, "_DISTANCE_BLOCK", 4096)
+        tiles = 4 * 4096 * 8
+        spec = SceneSpec(height=60, width=50, bands=40, classes=3, noise_sigma=0.1, seed=1)
+        cube_bytes = 60 * 50 * 40 * 8
+        scene = []
+        assert traced_peak(lambda: scene.extend(generate_synthetic_scene(spec))) \
+            < cube_bytes + tiles
+        image = scene[0]
+        # a C-contiguous float64 cube is kept as it is
+        assert HyperspectralImage(image.data).data is image.data
+        assert traced_peak(lambda: HyperspectralImage(image.data)) < tiles
+        rounded = HyperspectralImage(np.round(image.data * 50 + 100))
+        for interleave in ("bsq", "bil", "bip"):
+            for dtype in (np.float64, np.uint8):
+                hdr = tmp_path / f"{interleave}-{np.dtype(dtype)}.hdr"
+                assert traced_peak(lambda: save_envi(rounded, hdr, interleave, dtype)) < tiles
+                assert traced_peak(lambda: load_envi(hdr)) < cube_bytes + tiles
 
 
 class TestGroundTruth:
@@ -247,6 +337,16 @@ class TestSyntheticScene:
         b_img, b_gt = generate_synthetic_scene(self.spec(noise_sigma=0.3))
         np.testing.assert_array_equal(a_img.data, b_img.data)
         np.testing.assert_array_equal(a_gt.labels, b_gt.labels)
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
+    def test_tiled_scene_equals_the_one_shot_scene(self, monkeypatch, noise_sigma):
+        # tiles of 3 rows and a ragged last tile of 2
+        monkeypatch.setattr(hsembed.hsi, "_TILE", 3 * 10 * 4)
+        spec = self.spec(height=14, noise_sigma=noise_sigma)
+        image, gt = generate_synthetic_scene(spec)
+        cube, labels = synthetic_scene_reference(spec)
+        assert image.data.tobytes() == cube.tobytes()
+        np.testing.assert_array_equal(gt.labels, labels)
 
     def test_every_class_present(self):
         for seed in range(5):

@@ -14,7 +14,7 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -43,6 +43,7 @@ from hsembed.evaluation import train_and_predict
 from hsembed.morphology import morphological_profile
 from hsembed.svm import SvmConfig, decision_matrix
 from oracles import sliding_window_mean_reference
+from tracing import traced_peak
 
 BANDS = 4
 MP = MorphoProfileConfig(pca_dims=2, n_scales=1)
@@ -136,6 +137,49 @@ def test_banded_window_means_equal_the_whole_image_filter_bit_for_bit(case):
     assert [r for a, b in asked for r in range(a, b)] == list(range(h))
 
 
+@pytest.mark.parametrize("border", ["clamp", "mirror"])
+@pytest.mark.parametrize("side", [2, 3, 6])
+def test_banded_window_means_sum_each_padded_row_along_axis_1_once(side, border, monkeypatch):
+    h, w, k = 13, 7, 3
+    stack = np.random.default_rng(side).normal(size=(h, w, k))
+    expected = sliding_window_mean_reference(stack.copy(), side, border).tobytes()
+    summed = []  # rows of each axis-1 prefix sum
+    cumsum = np.cumsum
+
+    def counted(a, axis=None, **kwargs):
+        if axis == 1:
+            summed.append(a.shape[0])
+        return cumsum(a, axis=axis, **kwargs)
+
+    def rows_of(a, b):
+        return stack[a:b].copy()
+
+    monkeypatch.setattr(np, "cumsum", counted)
+    for band in range(1, side + 3):
+        summed.clear()
+        bands = embedding._window_means(rows_of, h, w, k, side, border, band)
+        assert np.concatenate([means for _, means in bands]).tobytes() == expected
+        # one column group: the h + side - 1 padded rows, each summed once
+        assert sum(summed) == h + side - 1
+
+
+@pytest.mark.parametrize("band", [1, 2, 4, 13])
+def test_banded_window_means_hold_no_earlier_band_while_the_next_is_made(band):
+    h, w, k, side = 13, 7, 3, 3
+    stack = np.random.default_rng(band).normal(size=(h, w, k))
+    given = []  # weak references to the rows handed to the filter
+
+    def rows_of(a, b):
+        assert all(ref() is None for ref in given)
+        rows = stack[a:b].copy()
+        given.append(weakref.ref(rows))
+        return rows
+
+    for _, means in embedding._window_means(rows_of, h, w, k, side, "clamp", band):
+        del means
+    assert len(given) > 1 or band == h
+
+
 @settings(max_examples=150, deadline=None)
 @given(streamed_cases(), st.sampled_from(METHODS))
 def test_streamed_decisions_equal_dense_table_decisions(case, method):
@@ -215,15 +259,6 @@ def wide_scene(tmp_path_factory):
     }
     (base / "pipeline.json").write_text(json.dumps(config))
     return base
-
-
-def traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
