@@ -27,12 +27,9 @@ from .embedding import (
     PixelFeature,
     build_feature_table,
     conv_mean_map_feature,
-    augment_pixel,
     mean_map_feature,
-    mean_map_kernel,
     median_heuristic,
     prepare_features,
-    tensor_product_features,
 )
 from .errors import (
     CapacityError,
@@ -61,7 +58,6 @@ from .hsi import (
     HyperspectralImage,
     PatchSpec,
     SceneSpec,
-    extract_patch,
     generate_synthetic_scene,
     load_envi,
     load_ground_truth,
@@ -86,9 +82,7 @@ from .morphology import (
 )
 from .rff import (
     RandomFeatureMap,
-    approx_kernel,
     exact_gaussian_kernel,
-    feature,
     feature_matrix,
     sample_frequencies,
 )
@@ -99,7 +93,6 @@ from .svm import (
     SvmModel,
     cross_validate,
     default_c_grid,
-    predict,
     predict_table,
     train_binary,
     train_multiclass,

@@ -34,22 +34,14 @@ from .rff import RandomFeatureMap, feature_matrix
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss with its Lipschitz constant; hinge and logistic are both 1-Lipschitz."""
+    """Hinge or logistic loss; both are 1-Lipschitz, so the constant is fixed."""
 
     kind: str
-    lipschitz_constant: float = 1.0
+    lipschitz_constant = 1.0  # a class constant, not a field
 
     def __post_init__(self):
         if self.kind not in ("hinge", "logistic"):
             raise ParameterError(f"loss kind must be 'hinge' or 'logistic', got {self.kind!r}")
-
-    @classmethod
-    def hinge(cls) -> "LossSpec":
-        return cls("hinge", 1.0)
-
-    @classmethod
-    def logistic(cls) -> "LossSpec":
-        return cls("logistic", 1.0)
 
     def values(self, margins: np.ndarray) -> np.ndarray:
         margins = np.asarray(margins, dtype=np.float64)

@@ -367,6 +367,19 @@ THEORY_KEYS = dict(
 )
 
 
+def _write_check(stem: Path, reports: list, summary: str, **fields) -> Path:
+    """Write one bound check: ``stem``.json holds the check's name, ``fields``
+    and every report; ``stem``.txt the ``summary`` line and the report with
+    the least slack. Returns the JSON path."""
+    path = stem.with_suffix(".json")
+    _write_json({"check": stem.name, **fields, "reports": [r.to_dict() for r in reports]}, path)
+    worst = min(reports, key=lambda r: r.slack)
+    stem.with_suffix(".txt").write_text(
+        f"{summary}\ntightest case:\n" + bounds.format_bound_report(worst)
+    )
+    return path
+
+
 def cmd_theory(args: argparse.Namespace) -> int:
     cfg = read_section(_config(args, "config file"), "theory config", **THEORY_KEYS)
     # the values no library dataclass holds a default for; meta.group_size
@@ -397,28 +410,17 @@ def cmd_theory(args: argparse.Namespace) -> int:
                 preds["norm_high"],
                 seed=seed,
             )
-            full_reports = [
+            reports = [
                 bounds.check_embedding_gap_bound(meta, fmap, w, loss, config)
                 for w in predictors
             ]
-            reports = [r.to_dict() for r in full_reports]
-            slacks = [r["slack"] for r in reports]
-            doc = {
-                "check": "embedding_gap_bound",
-                "seed": seed,
-                "predictors": len(reports),
-                "min_slack": min(slacks),
-                "all_nonnegative": bool(min(slacks) >= 0),
-                "reports": reports,
-            }
-            path = out / "embedding_gap_bound.json"
-            _write_json(doc, path)
-            worst = min(full_reports, key=lambda r: r.slack)
-            (out / "embedding_gap_bound.txt").write_text(
-                f"predictors checked: {len(reports)}, min slack {min(slacks):.6g}\n"
-                "tightest case:\n" + bounds.format_bound_report(worst)
-            )
-            written.append(path)
+            min_slack = min(r.slack for r in reports)
+            written.append(_write_check(
+                out / "embedding_gap_bound", reports,
+                f"predictors checked: {len(reports)}, min slack {min_slack:.6g}",
+                seed=seed, predictors=len(reports), min_slack=min_slack,
+                all_nonnegative=bool(min_slack >= 0),
+            ))
         if "combined_risk" in cfg["checks"]:
             reports = []
             for t in range(trials):
@@ -436,21 +438,11 @@ def cmd_theory(args: argparse.Namespace) -> int:
                     bounds.check_combined_risk_bound(meta_t, fmap, w, loss, cfg_t)
                 )
             nonneg = sum(1 for r in reports if r.slack >= 0)
-            doc = {
-                "check": "combined_risk_bound",
-                "seed": seed,
-                "trials": trials,
-                "nonnegative_slacks": nonneg,
-                "reports": [r.to_dict() for r in reports],
-            }
-            path = out / "combined_risk_bound.json"
-            _write_json(doc, path)
-            worst = min(reports, key=lambda r: r.slack)
-            (out / "combined_risk_bound.txt").write_text(
-                f"trials: {trials}, nonnegative slacks: {nonneg}\n"
-                "tightest case:\n" + bounds.format_bound_report(worst)
-            )
-            written.append(path)
+            written.append(_write_check(
+                out / "combined_risk_bound", reports,
+                f"trials: {trials}, nonnegative slacks: {nonneg}",
+                seed=seed, trials=trials, nonnegative_slacks=nonneg,
+            ))
     print("wrote " + ", ".join(str(p) for p in written))
     return 0
 
@@ -479,28 +471,22 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--output", type=str, default=None, help="output directory")
 
-    p = sub.add_parser("classify", help="train once and write a classification map")
-    p.add_argument("--config", required=True)
-    add_common(p)
-    p.add_argument("--method", type=str, default=None)
-    p.add_argument("--scale", type=int, default=None, help="patch side s")
-    p.add_argument("--features", type=int, default=None, help="frequency count N")
-    p.add_argument("--c", type=float, default=None, help="fixed SVM C")
-    p.add_argument("--c-grid", action="store_true", help="grid-search C")
-    p.add_argument("--per-class", dest="per_class", type=int, default=None)
-    p.set_defaults(func=cmd_classify)
+    def add_pipeline(name, help, func):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", required=True)
+        add_common(p)
+        p.add_argument("--method", type=str, default=None)
+        p.add_argument("--scale", type=int, default=None, help="patch side s")
+        p.add_argument("--features", type=int, default=None, help="frequency count N")
+        p.add_argument("--c", type=float, default=None, help="fixed SVM C")
+        p.add_argument("--c-grid", action="store_true", help="grid-search C")
+        p.add_argument("--per-class", dest="per_class", type=int, default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("evaluate", help="run the Monte-Carlo protocol")
-    p.add_argument("--config", required=True)
-    add_common(p)
-    p.add_argument("--method", type=str, default=None)
-    p.add_argument("--scale", type=int, default=None)
-    p.add_argument("--features", type=int, default=None)
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--c-grid", action="store_true")
+    add_pipeline("classify", "train once and write a classification map", cmd_classify)
+    p = add_pipeline("evaluate", "run the Monte-Carlo protocol", cmd_evaluate)
     p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--per-class", dest="per_class", type=int, default=None)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic scene")
     p.add_argument("--config", required=True, help="scene spec JSON")

@@ -24,7 +24,6 @@ from .hsi import HyperspectralImage, PatchSpec, patch_indices
 from .morphology import MorphoProfileConfig, morphological_profile
 from .rff import RandomFeatureMap, feature_matrix, sample_frequencies
 
-FEATURE_KINDS = ("raw", "rff", "meanmap", "convmeanmap", "mp", "tensor")
 METHODS = ("raw", "rff", "meanmap", "convmeanmap", "mp", "mp_x_meanmap")
 # methods whose table rows are window means of per-pixel rows
 WINDOWED = ("meanmap", "convmeanmap")
@@ -40,7 +39,7 @@ def block_rows(width: int) -> int:
 
 @dataclass(frozen=True)
 class PixelFeature:
-    """A finite-dimensional feature vector for one pixel."""
+    """The mean-map feature vector of one pixel's patch."""
 
     values: np.ndarray
     kind: str
@@ -49,13 +48,9 @@ class PixelFeature:
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if v.ndim != 1:
             raise ShapeError(f"feature values must be 1-D, got shape {v.shape}")
-        if self.kind not in FEATURE_KINDS:
-            raise ParameterError(f"kind must be one of {FEATURE_KINDS}, got {self.kind!r}")
+        if self.kind not in WINDOWED:
+            raise ParameterError(f"kind must be one of {WINDOWED}, got {self.kind!r}")
         object.__setattr__(self, "values", v)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -153,30 +148,6 @@ def mean_map_feature(fmap: RandomFeatureMap, patch: np.ndarray) -> PixelFeature:
     return PixelFeature(feats.mean(axis=0), "meanmap")
 
 
-def mean_map_kernel(a: PixelFeature, b: PixelFeature) -> float:
-    """Dot product of two distribution embeddings."""
-    for f in (a, b):
-        if f.kind not in ("meanmap", "convmeanmap"):
-            raise ContractViolation(f"expected mean-map features, got kind {f.kind!r}")
-    if a.dim != b.dim:
-        raise ShapeError(f"feature dims differ: {a.dim} vs {b.dim}")
-    return float(a.values @ b.values)
-
-
-def augment_pixel(
-    position: np.ndarray, spectrum: np.ndarray, beta: float, sigma: float
-) -> np.ndarray:
-    """Stack scaled position and spectrum so one unit-bandwidth RBF factors
-    into spatial (bandwidth beta) and spectral (bandwidth sigma) RBFs."""
-    if beta <= 0 or sigma <= 0:
-        raise ParameterError("beta and sigma must be positive")
-    position = np.asarray(position, dtype=np.float64)
-    spectrum = np.asarray(spectrum, dtype=np.float64)
-    if position.shape != (2,):
-        raise ShapeError(f"position must be a 2-vector, got {position.shape}")
-    return np.concatenate([position / beta, spectrum / sigma])
-
-
 def conv_mean_map_feature(
     fmap: RandomFeatureMap,
     spectra: np.ndarray,
@@ -205,20 +176,6 @@ def conv_mean_map_feature(
         )
     weighted = _random_features(fmap, spectra, True, positions, config.beta, config.sigma)
     return PixelFeature(weighted.sum(axis=0) / spectra.shape[0], "convmeanmap")
-
-
-def tensor_product_features(
-    u: PixelFeature, v: PixelFeature, cap: int = 65536
-) -> PixelFeature:
-    """Flattened outer product; its inner products factor exactly into the
-    inner products of the inputs."""
-    out_dim = u.dim * v.dim
-    if out_dim > cap:
-        raise CapacityError(
-            f"tensor feature dimension {u.dim}*{v.dim}={out_dim} exceeds cap {cap}; "
-            "reduce the input feature dimensions"
-        )
-    return PixelFeature(np.outer(u.values, v.values).ravel(), "tensor")
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,13 @@ second cube.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     SEED,
-    ContractViolation,
-    DegenerateDataError,
     FormatError,
     ParameterError,
     ShapeError,
@@ -98,10 +96,6 @@ class HyperspectralImage:
     @property
     def bands(self) -> int:
         return self.data.shape[2]
-
-    def spectrum(self, row: int, col: int) -> np.ndarray:
-        """Spectrum of one pixel as a length-``bands`` vector."""
-        return self.data[row, col]
 
     def pixels(self) -> np.ndarray:
         """All spectra as a ``(height*width, bands)`` matrix (read-only view)."""
@@ -184,6 +178,11 @@ class SceneSpec:
             value = getattr(self, key)
             if value < 1:
                 raise ParameterError(f"scene spec key {key!r} must be >= 1, got {value}")
+        if self.classes > self.height * self.width:
+            raise ParameterError(
+                f"scene spec key 'classes' must be at most the {self.height * self.width} "
+                f"pixels, got {self.classes}"
+            )
         if self.region_scale <= 0:
             raise ParameterError("region_scale must be positive")
         if self.noise_sigma < 0:
@@ -385,8 +384,9 @@ def save_envi(
 
     The data file sits next to the header with an ``.img`` extension. It is
     written a tile at a time (see ``_file_tiles``), so the write holds about
-    one converted tile besides the cube. An integer payload is checked to
-    hold every value exactly, tile by tile, before the data file is opened.
+    one converted tile besides the cube. A float32 payload is checked to hold
+    the range of every value, and an integer payload every value exactly,
+    tile by tile, before the data file is opened.
     """
     if interleave not in _INTERLEAVES:
         raise ParameterError(f"interleave must be one of {_INTERLEAVES}")
@@ -401,12 +401,12 @@ def save_envi(
     data_path = header_path.with_suffix(".img")
 
     cube = image.data
-    if base.kind in "iu":
-        info = np.iinfo(base)
+    if base != np.float64:
+        info = np.finfo(base) if base.kind == "f" else np.iinfo(base)
         for a, b in _row_tiles(image.height, image.width * image.bands):
             tile = cube[a:b]
             if tile.min() < info.min or tile.max() > info.max or \
-                    not np.array_equal(tile, np.round(tile)):
+                    (base.kind != "f" and not np.array_equal(tile, np.round(tile))):
                 raise ParameterError(f"cube values do not fit a {base} payload")
     out_dtype = base.newbyteorder("<" if byte_order == 0 else ">")
     with open(data_path, "wb") as f:
@@ -524,10 +524,6 @@ def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, Groun
     stream, so the cube does not depend on the tile size.
     """
     n_pixels = spec.height * spec.width
-    if spec.classes > n_pixels:
-        raise DegenerateDataError(
-            f"cannot place {spec.classes} classes in {n_pixels} pixels"
-        )
     rng = np.random.default_rng(spec.seed)
     n_regions = int(np.clip(round(n_pixels / spec.region_scale**2), spec.classes, n_pixels))
     centers = rng.choice(n_pixels, size=n_regions, replace=False)
@@ -552,7 +548,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, Groun
 
 
 # ---------------------------------------------------------------------------
-# Spectrum normalization and patch extraction
+# Spectrum normalization and patch windows
 # ---------------------------------------------------------------------------
 
 def normalize_spectra(image: HyperspectralImage) -> HyperspectralImage:
@@ -608,14 +604,3 @@ def patch_indices(
     c = _window_axis(cols, spec, width)
     return (r[:, :, None] * width + c[:, None, :]).reshape(rows.size, -1)
 
-
-def extract_patch(
-    image: HyperspectralImage, row: int, col: int, spec: PatchSpec
-) -> np.ndarray:
-    """The side^2 spectra around ``(row, col)`` as a ``(side^2, bands)`` matrix."""
-    if not (0 <= row < image.height and 0 <= col < image.width):
-        raise ContractViolation(
-            f"pixel ({row}, {col}) outside image {image.height}x{image.width}"
-        )
-    rr, cc = patch_window(row, col, spec, image.height, image.width)
-    return image.data[rr, cc, :]

@@ -224,10 +224,6 @@ class MorphoProfileConfig:
         if self.se_shape not in _SE_FACTORIES:
             raise ParameterError(f"se_shape must be one of {sorted(_SE_FACTORIES)}")
 
-    @property
-    def profile_dim(self) -> int:
-        return self.pca_dims * (2 * self.n_scales + 1)
-
 
 def morphological_profile(image: HyperspectralImage, config: MorphoProfileConfig) -> np.ndarray:
     """Per-pixel morphological profile over PCA-reduced bands.

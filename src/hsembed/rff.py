@@ -76,23 +76,6 @@ def sample_frequencies(
     return RandomFeatureMap(freqs, float(bandwidth), int(seed))
 
 
-def _check_dim(fmap: RandomFeatureMap, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != fmap.input_dim:
-        raise ShapeError(
-            f"input dimension {x.shape[-1]} does not match map dimension {fmap.input_dim}"
-        )
-    return x
-
-
-def feature(fmap: RandomFeatureMap, x: np.ndarray) -> np.ndarray:
-    """Explicit 2N-dimensional feature of one point; Euclidean norm is 1."""
-    x = _check_dim(fmap, x)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a single vector, got shape {x.shape}")
-    return feature_matrix(fmap, x[None, :])[0]
-
-
 # fewest projection elements (about 1 ms of cos and sin) worth a thread
 _TRIG_CHUNK = 1 << 15
 
@@ -121,9 +104,13 @@ def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
     a copy of the caller's context (so ``np.errstate`` holds in it), and
     its exception or error-level warning is raised here.
     """
-    xs = _check_dim(fmap, np.atleast_2d(xs))
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.ndim != 2:
         raise ShapeError(f"expected a (n, dim) matrix of points, got shape {xs.shape}")
+    if xs.shape[1] != fmap.input_dim:
+        raise ShapeError(
+            f"input dimension {xs.shape[1]} does not match map dimension {fmap.input_dim}"
+        )
     proj = xs @ fmap.frequencies.T
     n, n_freq = proj.shape
     out = np.empty((n, 2 * n_freq))
@@ -141,11 +128,6 @@ def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
     for future in futures:
         future.result()
     return out
-
-
-def approx_kernel(fmap: RandomFeatureMap, x: np.ndarray, y: np.ndarray) -> float:
-    """Feature-space inner product z(x).z(y); always in [-1, 1]."""
-    return float(feature(fmap, x) @ feature(fmap, y))
 
 
 def exact_gaussian_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:

@@ -56,14 +56,6 @@ class BinarySeparator:
     c_value: float
     diagnostics: SolverDiagnostics | None = None
 
-    def decision(self, features: np.ndarray) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if features.shape[1] != self.weights.shape[0]:
-            raise ShapeError(
-                f"feature dim {features.shape[1]} != separator dim {self.weights.shape[0]}"
-            )
-        return features @ self.weights + self.bias
-
 
 def _projected_search(q, grad, alpha, direction, t, c, t_min):
     """Halve ``t`` from its given value until the step to
@@ -307,11 +299,6 @@ def vote(model: SvmModel, decisions: np.ndarray) -> np.ndarray:
 def predict_table(model: SvmModel, features: np.ndarray) -> np.ndarray:
     """Majority-vote class ids for each feature row."""
     return vote(model, decision_matrix(model, features))
-
-
-def predict(model: SvmModel, feature: np.ndarray) -> int:
-    """Class id of a single feature vector."""
-    return int(predict_table(model, np.atleast_2d(feature))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -180,3 +180,10 @@ def synthetic_scene_reference(spec):
     if spec.noise_sigma > 0:
         cube = cube + rng.normal(0.0, spec.noise_sigma, size=cube.shape)
     return cube, labels
+
+
+def augment(positions, spectra, beta, sigma):
+    """[position / beta, spectrum / sigma] of each pixel (rows, or one vector):
+    a unit-bandwidth Gaussian on these is a spatial Gaussian of bandwidth beta
+    times a spectral Gaussian of bandwidth sigma."""
+    return np.concatenate([np.asarray(positions) / beta, np.asarray(spectra) / sigma], axis=-1)

@@ -288,7 +288,7 @@ def test_criterion_09_bound_slack():
     """Both inequalities hold empirically: the embedding-gap bound for 100
     random predictors, the combined bound in >= 19/20 trials at delta 0.05."""
     t0 = time.perf_counter()
-    loss = LossSpec.hinge()
+    loss = LossSpec("hinge")
 
     fmap = sample_frequencies(5, 256, 1.0, seed=21)
     meta = draw_meta_sample(MetaSampleSpec(

@@ -35,11 +35,11 @@ from hsembed.rff import feature_matrix
 
 class TestLossAndRisk:
     def test_hinge_all_margins_at_least_one(self):
-        loss = LossSpec.hinge()
+        loss = LossSpec("hinge")
         assert empirical_risk(np.array([2.0, 1.0, 5.0]), np.array([1, 1, 1]), loss) == 0.0
 
     def test_hinge_zero_margin(self):
-        loss = LossSpec.hinge()
+        loss = LossSpec("hinge")
         assert empirical_risk(np.array([0.0]), np.array([1]), loss) == 1.0
 
     def test_hand_loop_oracle(self):
@@ -47,7 +47,7 @@ class TestLossAndRisk:
         values = rng.normal(size=17)
         labels = np.sign(rng.normal(size=17))
         labels[labels == 0] = 1.0
-        for loss in (LossSpec.hinge(), LossSpec.logistic()):
+        for loss in (LossSpec("hinge"), LossSpec("logistic")):
             expected = sum(
                 float(loss.values(np.array([v * y]))[0]) for v, y in zip(values, labels)
             ) / 17.0
@@ -55,10 +55,16 @@ class TestLossAndRisk:
 
     def test_empty_sample(self):
         with pytest.raises(UndefinedInputError):
-            empirical_risk(np.array([]), np.array([]), LossSpec.hinge())
+            empirical_risk(np.array([]), np.array([]), LossSpec("hinge"))
 
     def test_logistic_at_zero(self):
-        assert LossSpec.logistic().at_zero() == pytest.approx(math.log(2.0))
+        assert LossSpec("logistic").at_zero() == pytest.approx(math.log(2.0))
+
+    def test_lipschitz_constant_is_fixed(self):
+        # both losses are 1-Lipschitz; the constant is not a settable field
+        assert LossSpec("logistic").lipschitz_constant == 1.0
+        with pytest.raises(TypeError):
+            LossSpec("hinge", 2.0)
 
 
 class TestGaussianClosedForms:
@@ -210,7 +216,7 @@ GAP_SPEC = MetaSampleSpec(
 class TestEmbeddingGapBound:
     def test_large_groups_shrink_lhs(self):
         fmap = sample_frequencies(5, 128, 1.0, seed=20)
-        loss = LossSpec.hinge()
+        loss = LossSpec("hinge")
         config = BoundConfig(seed=20)
         w = sample_linear_predictors(fmap.feature_dim, 1, 5.0, 5.0, seed=20)[0]
         lhs = []
@@ -229,7 +235,7 @@ class TestEmbeddingGapBound:
         fmap = sample_frequencies(5, 64, 1.0, seed=23)
         meta = draw_meta_sample(MetaSampleSpec(n_groups=1, seed=23))
         report = check_embedding_gap_bound(
-            meta, fmap, np.zeros(fmap.feature_dim), LossSpec.hinge(), BoundConfig()
+            meta, fmap, np.zeros(fmap.feature_dim), LossSpec("hinge"), BoundConfig()
         )
         assert report.lhs == 0.0
         assert report.rhs >= 0.0
@@ -238,7 +244,7 @@ class TestEmbeddingGapBound:
         fmap = sample_frequencies(5, 256, 1.0, seed=21)
         meta = draw_meta_sample(GAP_SPEC)
         predictors = sample_linear_predictors(fmap.feature_dim, 100, 50.0, 100.0, seed=21)
-        loss = LossSpec.hinge()
+        loss = LossSpec("hinge")
         config = BoundConfig(seed=21)
         slacks = [
             check_embedding_gap_bound(meta, fmap, w, loss, config).slack
@@ -250,7 +256,7 @@ class TestEmbeddingGapBound:
         fmap = sample_frequencies(5, 64, 1.0, seed=24)
         meta = draw_meta_sample(GAP_SPEC)
         w = sample_linear_predictors(fmap.feature_dim, 1, 10.0, 10.0, seed=24)[0]
-        loss = LossSpec.hinge()
+        loss = LossSpec("hinge")
         stmt = check_embedding_gap_bound(meta, fmap, w, loss, BoundConfig(rhs_form="statement"))
         proof = check_embedding_gap_bound(meta, fmap, w, loss, BoundConfig(rhs_form="proof"))
         assert proof.rhs == pytest.approx(stmt.rhs * meta.n_groups**2, rel=1e-12)
@@ -259,8 +265,8 @@ class TestEmbeddingGapBound:
         fmap = sample_frequencies(5, 64, 1.0, seed=25)
         meta = draw_meta_sample(GAP_SPEC)
         w = sample_linear_predictors(fmap.feature_dim, 1, 10.0, 10.0, seed=25)[0]
-        a = check_embedding_gap_bound(meta, fmap, w, LossSpec.hinge(), BoundConfig(seed=2))
-        b = check_embedding_gap_bound(meta, fmap, w, LossSpec.hinge(), BoundConfig(seed=2))
+        a = check_embedding_gap_bound(meta, fmap, w, LossSpec("hinge"), BoundConfig(seed=2))
+        b = check_embedding_gap_bound(meta, fmap, w, LossSpec("hinge"), BoundConfig(seed=2))
         assert a.to_dict() == b.to_dict()
 
 
@@ -270,14 +276,14 @@ class TestCombinedRiskBound:
         meta = draw_meta_sample(spec)
         fmap = sample_frequencies(3, 64, 1.0, seed=26)
         report = check_combined_risk_bound(
-            meta, fmap, np.zeros(fmap.feature_dim), LossSpec.hinge(), BoundConfig(seed=26)
+            meta, fmap, np.zeros(fmap.feature_dim), LossSpec("hinge"), BoundConfig(seed=26)
         )
         assert report.lhs == pytest.approx(0.0, abs=1e-12)
         assert report.slack >= 0.0
 
     def test_twenty_trials_mostly_nonnegative(self):
         fmap = sample_frequencies(5, 128, 1.0, seed=27)
-        loss = LossSpec.hinge()
+        loss = LossSpec("hinge")
         nonneg = 0
         for t in range(20):
             spec = MetaSampleSpec(n_groups=50, group_size=32, dim=5,
@@ -295,7 +301,7 @@ class TestCombinedRiskBound:
         fmap = sample_frequencies(5, 64, 1.0, seed=28)
         meta = draw_meta_sample(MetaSampleSpec(n_groups=50, group_size=16, seed=28))
         w = sample_linear_predictors(fmap.feature_dim, 1, 1.0, 1.0, seed=28)[0]
-        report = check_combined_risk_bound(meta, fmap, w, LossSpec.hinge(), BoundConfig(seed=28))
+        report = check_combined_risk_bound(meta, fmap, w, LossSpec("hinge"), BoundConfig(seed=28))
         values = [assemble_combined_rhs(report.components, n, 0.05) for n in (50, 100, 200, 800)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -303,7 +309,7 @@ class TestCombinedRiskBound:
         fmap = sample_frequencies(4, 64, 1.0, seed=29)
         meta = draw_meta_sample(MetaSampleSpec(n_groups=10, dim=4, seed=29))
         w = sample_linear_predictors(fmap.feature_dim, 1, 1.0, 1.0, seed=29)[0]
-        report = check_combined_risk_bound(meta, fmap, w, LossSpec.hinge(), BoundConfig(seed=29))
+        report = check_combined_risk_bound(meta, fmap, w, LossSpec("hinge"), BoundConfig(seed=29))
         for key in (
             "moment_term",
             "deviation_term",

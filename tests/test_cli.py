@@ -588,6 +588,24 @@ class TestStrictValues:
         assert repr(key) in err and "Traceback" not in err
         assert not (out / "scene.hdr").exists()
 
+    def test_more_classes_than_pixels_exits_one_naming_the_key(self, tmp_path, capsys,
+                                                                scene_config):
+        spec = {"height": 2, "width": 2, "bands": 3, "classes": 5}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "scene_out"
+        assert main(["synth", "--config", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'classes'" in err and "Traceback" not in err
+        assert not (out / "scene.hdr").exists()
+
+        _, _, cfg = scene_config
+        cfg["data"]["synthetic"] = spec
+        path.write_text(json.dumps(cfg))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "'classes'" in err and "Traceback" not in err
+
     def test_null_class_spectra_are_drawn_from_the_seed(self, tmp_path):
         spec = {"height": 8, "width": 9, "bands": 2, "classes": 2, "seed": 4}
         outputs = []

@@ -10,22 +10,21 @@ from hsembed import (
     HyperspectralImage,
     ParameterError,
     PatchSpec,
-    PixelFeature,
     SceneSpec,
     ShapeError,
-    augment_pixel,
     build_feature_table,
     conv_mean_map_feature,
-    extract_patch,
     generate_synthetic_scene,
     mean_map_feature,
-    mean_map_kernel,
     median_heuristic,
     normalize_spectra,
+    prepare_features,
     sample_frequencies,
-    tensor_product_features,
 )
-from hsembed.rff import feature, feature_matrix
+from hsembed.embedding import _fuse
+from hsembed.hsi import patch_indices
+from hsembed.rff import feature_matrix
+from oracles import augment
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +43,7 @@ class TestMeanMapFeature:
         v = np.random.default_rng(1).normal(size=6)
         patch = np.tile(v, (9, 1))
         mm = mean_map_feature(fmap6, patch)
-        np.testing.assert_allclose(mm.values, feature(fmap6, v), atol=1e-14)
+        np.testing.assert_allclose(mm.values, feature_matrix(fmap6, v[None, :])[0], atol=1e-14)
 
     def test_double_loop_oracle(self, fmap6):
         # dot of two mean features == (1/81) sum_ij z_i . z_j
@@ -53,7 +52,7 @@ class TestMeanMapFeature:
         a, b = mean_map_feature(fmap6, p), mean_map_feature(fmap6, q)
         zp, zq = feature_matrix(fmap6, p), feature_matrix(fmap6, q)
         brute = sum(float(zp[i] @ zq[j]) for i in range(9) for j in range(9)) / 81.0
-        assert mean_map_kernel(a, b) == pytest.approx(brute, abs=1e-10)
+        assert float(a.values @ b.values) == pytest.approx(brute, abs=1e-10)
 
     def test_empty_patch_rejected(self, fmap6):
         with pytest.raises(ContractViolation):
@@ -67,16 +66,12 @@ class TestMeanMapFeature:
 
 
 class TestMeanMapKernel:
+    """The mean-map kernel of two patches is the dot product of their features."""
+
     def test_self_kernel_single_pixel(self, fmap6):
         v = np.random.default_rng(4).normal(size=6)
         a = mean_map_feature(fmap6, v[None, :])
-        assert mean_map_kernel(a, a) == pytest.approx(1.0, abs=1e-12)
-
-    def test_symmetry(self, fmap6):
-        rng = np.random.default_rng(5)
-        a = mean_map_feature(fmap6, rng.normal(size=(4, 6)))
-        b = mean_map_feature(fmap6, rng.normal(size=(7, 6)))
-        assert mean_map_kernel(a, b) == mean_map_kernel(b, a)
+        assert float(a.values @ a.values) == pytest.approx(1.0, abs=1e-12)
 
     def test_unequal_sample_sizes_oracle(self, fmap6):
         # n=4, m=7: dot == (1/(n m)) double sum
@@ -85,25 +80,22 @@ class TestMeanMapKernel:
         a, b = mean_map_feature(fmap6, p), mean_map_feature(fmap6, q)
         zp, zq = feature_matrix(fmap6, p), feature_matrix(fmap6, q)
         brute = sum(float(zp[i] @ zq[j]) for i in range(4) for j in range(7)) / 28.0
-        assert mean_map_kernel(a, b) == pytest.approx(brute, abs=1e-10)
-
-    def test_kind_and_dim_checks(self, fmap6):
-        raw = PixelFeature(np.zeros(4), "raw")
-        mm = mean_map_feature(fmap6, np.zeros((1, 6)))
-        with pytest.raises(ContractViolation):
-            mean_map_kernel(raw, mm)
-        other = PixelFeature(np.zeros(8), "meanmap")
-        with pytest.raises(ShapeError):
-            mean_map_kernel(mm, other)
+        assert float(a.values @ b.values) == pytest.approx(brute, abs=1e-10)
 
 
-class TestAugmentPixel:
-    def test_unit_bandwidths_concatenate(self):
-        pos = np.array([3.0, 4.0])
-        spec = np.array([0.6, 0.8])
-        np.testing.assert_array_equal(
-            augment_pixel(pos, spec, 1.0, 1.0), [3.0, 4.0, 0.6, 0.8]
-        )
+class TestAugmentation:
+    def test_convmeanmap_pixel_rows_embed_augmented_unit_spectra(self):
+        # |x| z([row/beta, col/beta, unit spectrum/sigma]) for every pixel
+        rng = np.random.default_rng(1)
+        image = HyperspectralImage(rng.normal(size=(4, 5, 3)))
+        cfg = EmbeddingConfig(n_features=16, seed=2, sigma=0.7, beta=2.5)
+        space = prepare_features(image, "convmeanmap", cfg)
+        spectra = image.pixels()
+        norms = np.linalg.norm(spectra, axis=1)
+        positions = np.stack(np.divmod(np.arange(20), 5), axis=1).astype(float)
+        points = augment(positions, spectra / norms[:, None], 2.5, 0.7)
+        expected = norms[:, None] * feature_matrix(space.fmap, points)
+        np.testing.assert_allclose(space.pixel_rows(np.arange(20)), expected, rtol=0, atol=1e-14)
 
     def test_spectral_factor_closed_form(self):
         # same position, spectra sigma*sqrt(2) apart -> unit RBF gives e^-1
@@ -111,24 +103,18 @@ class TestAugmentPixel:
         u = np.zeros(4); u[0] = 1.0
         v = np.zeros(4); v[1] = 1.0
         # ||u - v|| = sqrt(2); rescale so the distance is sigma*sqrt(2)
-        a = augment_pixel(np.array([5.0, 5.0]), sigma * u, beta, sigma)
-        b = augment_pixel(np.array([5.0, 5.0]), sigma * v, beta, sigma)
+        a = augment(np.array([5.0, 5.0]), sigma * u, beta, sigma)
+        b = augment(np.array([5.0, 5.0]), sigma * v, beta, sigma)
         d2 = float(np.sum((a - b) ** 2))
         assert np.exp(-0.5 * d2) == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_spatial_factor_closed_form(self):
         sigma, beta = 0.7, 2.0
         spec = np.array([1.0, 0.0])
-        a = augment_pixel(np.array([0.0, 0.0]), spec, beta, sigma)
-        b = augment_pixel(np.array([beta, beta]), spec, beta, sigma)
+        a = augment(np.array([0.0, 0.0]), spec, beta, sigma)
+        b = augment(np.array([beta, beta]), spec, beta, sigma)
         d2 = float(np.sum((a - b) ** 2))
         assert np.exp(-0.5 * d2) == pytest.approx(np.exp(-1.0), rel=1e-12)
-
-    def test_parameter_errors(self):
-        with pytest.raises(ParameterError):
-            augment_pixel(np.zeros(2), np.zeros(3), 0.0, 1.0)
-        with pytest.raises(ShapeError):
-            augment_pixel(np.zeros(3), np.zeros(3), 1.0, 1.0)
 
 
 class TestConvMeanMap:
@@ -165,11 +151,8 @@ class TestConvMeanMap:
 
         def parts(s, pos):
             norms = np.linalg.norm(s, axis=1)
-            unit = s / norms[:, None]
-            aug = np.stack(
-                [augment_pixel(pos[i], unit[i], cfg.beta, cfg.sigma) for i in range(len(s))]
-            )
-            return norms, feature_matrix(fmap, aug)
+            points = augment(pos, s / norms[:, None], cfg.beta, cfg.sigma)
+            return norms, feature_matrix(fmap, points)
 
         np_, zp = parts(p, pos_p)
         nq_, zq = parts(q, pos_q)
@@ -223,36 +206,26 @@ class TestConvMeanMap:
 
 
 class TestTensorProduct:
+    """``_fuse`` rows are the flattened outer products of fusion's rows."""
+
     def test_one_dim_identity_factor(self):
-        u = PixelFeature(np.array([1.0]), "mp")
-        v = PixelFeature(np.random.default_rng(1).normal(size=5), "meanmap")
-        out = tensor_product_features(u, v)
-        np.testing.assert_array_equal(out.values, v.values)
-        assert out.kind == "tensor"
+        v = np.random.default_rng(1).normal(size=5)
+        np.testing.assert_array_equal(_fuse(np.ones((1, 1)), v[None, :])[0], v)
 
     def test_inner_product_factorizes(self):
         rng = np.random.default_rng(2)
         u, u2 = rng.normal(size=8), rng.normal(size=8)
         v, v2 = rng.normal(size=8), rng.normal(size=8)
-        t1 = tensor_product_features(PixelFeature(u, "mp"), PixelFeature(v, "meanmap"))
-        t2 = tensor_product_features(PixelFeature(u2, "mp"), PixelFeature(v2, "meanmap"))
-        assert float(t1.values @ t2.values) == pytest.approx(
-            float(u @ u2) * float(v @ v2), abs=1e-12
-        )
+        t1, t2 = _fuse(np.stack([u, u2]), np.stack([v, v2]))
+        assert float(t1 @ t2) == pytest.approx(float(u @ u2) * float(v @ v2), abs=1e-12)
 
     def test_norm_identity(self):
         rng = np.random.default_rng(3)
         u, v = rng.normal(size=6), rng.normal(size=9)
-        t = tensor_product_features(PixelFeature(u, "mp"), PixelFeature(v, "meanmap"))
-        assert np.linalg.norm(t.values) == pytest.approx(
+        t = _fuse(u[None, :], v[None, :])[0]
+        assert np.linalg.norm(t) == pytest.approx(
             np.linalg.norm(u) * np.linalg.norm(v), abs=1e-12
         )
-
-    def test_capacity_error_names_cap(self):
-        u = PixelFeature(np.zeros(300), "mp")
-        v = PixelFeature(np.zeros(300), "meanmap")
-        with pytest.raises(CapacityError, match="65536"):
-            tensor_product_features(u, v)
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +259,7 @@ class TestFeatureTable:
         rng = np.random.default_rng(5)
         for _ in range(5):
             r, c = rng.integers(0, 10, 2)
-            patch = extract_patch(normalized, int(r), int(c), cfg.patch)
+            patch = normalized.pixels()[patch_indices([r * 10 + c], cfg.patch, 10, 10)[0]]
             expected = mean_map_feature(fmap, patch).values
             np.testing.assert_allclose(table.values[r * 10 + c], expected, atol=1e-10)
 
@@ -297,7 +270,7 @@ class TestFeatureTable:
         )
         table = build_feature_table(image, "meanmap", cfg)
         fmap = sample_frequencies(5, 32, 1.0, seed=4)
-        patch = extract_patch(image, 4, 4, cfg.patch)
+        patch = image.pixels()[patch_indices([44], cfg.patch, 10, 10)[0]]
         np.testing.assert_allclose(
             table.values[44], mean_map_feature(fmap, patch).values, atol=1e-10
         )

@@ -1,10 +1,9 @@
-"""Cube data model, ENVI IO, ground truth, synthetic scenes, patches."""
+"""Cube data model, ENVI IO, ground truth, synthetic scenes, patch windows."""
 
 import numpy as np
 import pytest
 
 from hsembed import (
-    ContractViolation,
     FormatError,
     GroundTruthMap,
     HyperspectralImage,
@@ -13,7 +12,6 @@ from hsembed import (
     SceneSpec,
     ShapeError,
     TruncationError,
-    extract_patch,
     generate_synthetic_scene,
     load_envi,
     load_ground_truth,
@@ -22,7 +20,7 @@ from hsembed import (
     save_ground_truth,
 )
 import hsembed.hsi
-from hsembed.hsi import _nearest_centre, scene_spec_from_json
+from hsembed.hsi import _nearest_centre, patch_indices, scene_spec_from_json
 from oracles import synthetic_scene_reference
 from tracing import traced_peak
 
@@ -56,8 +54,8 @@ class TestEnviIO:
         )
         image = load_envi(hdr)
         assert image.data.shape == (2, 2, 1)
-        assert image.spectrum(0, 0) == pytest.approx([1.0])
-        assert image.spectrum(1, 1) == pytest.approx([4.0])
+        assert image.data[0, 0] == pytest.approx([1.0])
+        assert image.data[1, 1] == pytest.approx([4.0])
 
     def test_pavia_shaped_header(self, tmp_path):
         hdr = write_envi_raw(
@@ -234,12 +232,17 @@ class TestEnviIO:
                 save_envi(image, tmp_path / "bad.hdr", dtype=dtype)
             assert not (tmp_path / "bad.img").exists()
 
-    def test_integer_payload_is_checked_before_the_data_file_exists(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "dtype, bad", [(np.uint8, 256.0), (np.float32, 1e300), (np.float32, -1e300)]
+    )
+    def test_payload_fit_is_checked_before_the_data_file_exists(
+        self, tmp_path, monkeypatch, dtype, bad
+    ):
         monkeypatch.setattr(hsembed.hsi, "_TILE", TILE)
         cube = np.ones(TILED_SHAPE)
-        cube[-1, -1, -1] = 256.0  # in the last tile only
+        cube[-1, -1, -1] = bad  # in the last tile only
         with pytest.raises(ParameterError, match="do not fit"):
-            save_envi(HyperspectralImage(cube), tmp_path / "bad.hdr", dtype=np.uint8)
+            save_envi(HyperspectralImage(cube), tmp_path / "bad.hdr", dtype=dtype)
         assert list(tmp_path.iterdir()) == []
 
     def test_cube_io_holds_the_cube_and_a_few_tiles(self, tmp_path, monkeypatch):
@@ -427,7 +430,7 @@ class TestNormalize:
     def test_three_four_five(self):
         image = HyperspectralImage(np.array([[[3.0, 4.0]]]))
         out = normalize_spectra(image)
-        np.testing.assert_allclose(out.spectrum(0, 0), [0.6, 0.8])
+        np.testing.assert_allclose(out.data[0, 0], [0.6, 0.8])
 
     def test_zero_pixel_stays_zero(self):
         image = HyperspectralImage(np.array([[[0.0, 0.0]]]))
@@ -448,33 +451,39 @@ class TestNormalize:
         np.testing.assert_allclose(twice.data, once.data, atol=1e-15)
 
 
-class TestExtractPatch:
+def patch_spectra(image, row, col, spec):
+    """The patch spectra of one pixel, gathered as the training rows are."""
+    flat = patch_indices([row * image.width + col], spec, image.height, image.width)
+    return image.pixels()[flat[0]]
+
+
+class TestPatchSpectra:
     def test_single_pixel_identity_everywhere(self):
         rng = np.random.default_rng(7)
         image = HyperspectralImage(rng.normal(size=(4, 5, 3)))
         spec = PatchSpec(1)
         for r in range(4):
             for c in range(5):
-                patch = extract_patch(image, r, c, spec)
+                patch = patch_spectra(image, r, c, spec)
                 assert patch.shape == (1, 3)
-                np.testing.assert_array_equal(patch[0], image.spectrum(r, c))
+                np.testing.assert_array_equal(patch[0], image.data[r, c])
 
     def test_corner_clamp_repeats_corner(self):
         # hand enumeration: offsets at (0,0) with s=3 clamp to
         # rows [0,0,1], cols [0,0,1]; the corner appears 4 times
         rng = np.random.default_rng(8)
         image = HyperspectralImage(rng.normal(size=(4, 4, 2)))
-        patch = extract_patch(image, 0, 0, PatchSpec(3, "clamp"))
+        patch = patch_spectra(image, 0, 0, PatchSpec(3, "clamp"))
         assert patch.shape == (9, 2)
-        corner = image.spectrum(0, 0)
+        corner = image.data[0, 0]
         repeats = sum(np.array_equal(row, corner) for row in patch)
         assert repeats == 4
 
     def test_interior_matches_direct_indexing(self):
         rng = np.random.default_rng(9)
         image = HyperspectralImage(rng.normal(size=(5, 5, 2)))
-        patch = extract_patch(image, 2, 3, PatchSpec(3))
-        expected = [image.spectrum(2 + dr, 3 + dc)
+        patch = patch_spectra(image, 2, 3, PatchSpec(3))
+        expected = [image.data[2 + dr, 3 + dc]
                     for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
         np.testing.assert_array_equal(patch, expected)
 
@@ -485,24 +494,19 @@ class TestExtractPatch:
         image = HyperspectralImage(rng.normal(size=(6, 6, 2)))
         spec = PatchSpec(side, border)
         for r, c in [(0, 0), (3, 2), (5, 5)]:
-            assert extract_patch(image, r, c, spec).shape == (side * side, 2)
+            assert patch_spectra(image, r, c, spec).shape == (side * side, 2)
 
     def test_even_side_window_offsets(self):
         # s=2: offsets {0, +1} in each axis
         image = HyperspectralImage(np.arange(8.0).reshape(2, 4, 1))
-        patch = extract_patch(image, 0, 1, PatchSpec(2))
+        patch = patch_spectra(image, 0, 1, PatchSpec(2))
         np.testing.assert_array_equal(patch[:, 0], [1.0, 2.0, 5.0, 6.0])
 
     def test_mirror_border(self):
         image = HyperspectralImage(np.arange(3.0).reshape(1, 3, 1))
-        patch = extract_patch(image, 0, 0, PatchSpec(3, "mirror"))
+        patch = patch_spectra(image, 0, 0, PatchSpec(3, "mirror"))
         # row axis mirrors onto itself; col -1 reflects to 0
         np.testing.assert_array_equal(patch[:, 0], [0, 0, 1, 0, 0, 1, 0, 0, 1])
-
-    def test_out_of_image_center_rejected(self):
-        image = HyperspectralImage(np.zeros((2, 2, 1)))
-        with pytest.raises(ContractViolation):
-            extract_patch(image, 2, 0, PatchSpec(1))
 
 
 class TestInvariantsOnTypes:

@@ -283,7 +283,6 @@ class TestMorphologicalProfile:
         image = HyperspectralImage(rng.normal(size=(5, 5, 6)))
         config = MorphoProfileConfig(pca_dims=3, n_scales=2)
         assert morphological_profile(image, config).shape == (25, 3 * 5)
-        assert config.profile_dim == 15
 
     def test_island_pixels_have_varying_profiles(self):
         # two regions: a 3x3 bright island (survives scale 1, erased at

@@ -8,9 +8,7 @@ import pytest
 from hsembed import (
     ParameterError,
     ShapeError,
-    approx_kernel,
     exact_gaussian_kernel,
-    feature,
     feature_matrix,
     rff,
     sample_frequencies,
@@ -49,13 +47,16 @@ class TestSampling:
         assert fmap.input_dim == 3
 
 
+def feature(fmap, x):
+    """The feature row of one point."""
+    return feature_matrix(fmap, x[None, :])[0]
+
+
 class TestFeature:
     def test_unit_norm(self):
         fmap = sample_frequencies(6, 128, 0.9, seed=2)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            z = feature(fmap, rng.normal(size=6))
-            assert abs(np.linalg.norm(z) - 1.0) < 1e-12
+        z = feature_matrix(fmap, np.random.default_rng(3).normal(size=(20, 6)))
+        np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_zero_input(self):
         n = 32
@@ -74,7 +75,7 @@ class TestFeature:
     def test_dimension_mismatch(self):
         fmap = sample_frequencies(5, 8, 1.0, seed=0)
         with pytest.raises(ShapeError):
-            feature(fmap, np.zeros(4))
+            feature_matrix(fmap, np.zeros((1, 4)))
 
     def test_feature_matrix_rows(self):
         # batched BLAS paths may differ from single-vector paths in the
@@ -87,35 +88,34 @@ class TestFeature:
 
 
 class TestApproxKernel:
+    """The approximate kernel z(x).z(y) of two feature rows."""
+
     def test_self_kernel_is_one(self):
         fmap = sample_frequencies(4, 256, 1.0, seed=3)
-        x = np.random.default_rng(4).normal(size=4)
-        assert approx_kernel(fmap, x, x) == pytest.approx(1.0, abs=1e-12)
+        z = feature(fmap, np.random.default_rng(4).normal(size=4))
+        assert z @ z == pytest.approx(1.0, abs=1e-12)
 
     def test_far_points_near_zero(self):
         fmap = sample_frequencies(4, 4096, 1.0, seed=5)
-        x = np.full(4, 50.0)
-        y = -x
-        assert abs(approx_kernel(fmap, x, y)) <= 0.05
+        z = feature_matrix(fmap, np.stack([np.full(4, 50.0), np.full(4, -50.0)]))
+        assert abs(z[0] @ z[1]) <= 0.05
 
     def test_unbiased_over_seeds(self):
         # Monte-Carlo oracle: averaging over independent frequency draws
         # converges to the exact kernel
         rng = np.random.default_rng(6)
-        x, y = rng.normal(size=6), rng.normal(size=6)
-        exact = exact_gaussian_kernel(x, y, 1.1)
-        mean = np.mean(
-            [approx_kernel(sample_frequencies(6, 1024, 1.1, seed=s), x, y)
-             for s in range(50)]
-        )
-        assert mean == pytest.approx(exact, abs=0.02)
+        xy = rng.normal(size=(2, 6))
+        exact = exact_gaussian_kernel(xy[0], xy[1], 1.1)
+        estimates = []
+        for s in range(50):
+            z = feature_matrix(sample_frequencies(6, 1024, 1.1, seed=s), xy)
+            estimates.append(z[0] @ z[1])
+        assert np.mean(estimates) == pytest.approx(exact, abs=0.02)
 
     def test_bounded(self):
         fmap = sample_frequencies(3, 64, 0.5, seed=9)
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            v = approx_kernel(fmap, rng.normal(size=3), rng.normal(size=3))
-            assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
+        z = feature_matrix(fmap, np.random.default_rng(10).normal(size=(100, 3)))
+        assert np.abs(z @ z.T).max() <= 1.0 + 1e-12
 
 
 class TestExactKernel:

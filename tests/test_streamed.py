@@ -31,14 +31,12 @@ from hsembed import (
     HyperspectralImage,
     MorphoProfileConfig,
     PatchSpec,
-    PixelFeature,
     SvmModel,
     build_feature_table,
     prepare_features,
-    tensor_product_features,
 )
 from hsembed import cli, embedding, evaluation
-from hsembed.embedding import METHODS, WINDOWED, _minmax_scale_columns
+from hsembed.embedding import METHODS, WINDOWED, _fuse, _minmax_scale_columns
 from hsembed.evaluation import train_and_predict
 from hsembed.morphology import morphological_profile
 from hsembed.svm import SvmConfig, decision_matrix
@@ -217,10 +215,7 @@ def test_fused_decisions_equal_explicit_tensor_rows(case):
     image, config, block, rng = case
     profile = _minmax_scale_columns(morphological_profile(image, MP))
     mean_map = build_feature_table(image, "meanmap", config).values
-    explicit = np.stack([
-        tensor_product_features(PixelFeature(p, "mp"), PixelFeature(m, "meanmap")).values
-        for p, m in zip(profile, mean_map)
-    ])
+    explicit = np.stack([_fuse(p[None, :], m[None, :])[0] for p, m in zip(profile, mean_map)])
     with mock.patch.object(embedding, "_SCORE_BLOCK", block):
         space = prepare_features(image, "mp_x_meanmap", config, MP)
         support, coefs = random_dual(space, rng)

@@ -16,13 +16,17 @@ from hsembed import (
     ShapeError,
     cross_validate,
     default_c_grid,
-    predict,
     predict_table,
     train_binary,
     train_multiclass,
 )
 from hsembed.svm import SvmModel, decision_matrix, dual_coefficients
 from oracles import box_qp_brute_force, cross_validate_reference
+
+
+def decision_values(sep, x):
+    """The separator's decision values w.x + b on the rows of x."""
+    return x @ sep.weights + sep.bias
 
 
 def make_blobs(n_per_class, centers, scale, seed):
@@ -50,7 +54,7 @@ class TestTrainBinary:
         x[n:, 0] = -np.abs(x[n:, 0]) - 0.25
         y = np.concatenate([np.ones(n), -np.ones(n)])
         sep = train_binary(x, y, 2.0**10)
-        assert np.all(np.sign(sep.decision(x)) == y)
+        assert np.all(np.sign(decision_values(sep, x)) == y)
 
     def test_duplication_matches_doubled_c(self):
         # objective equivalence: duplicating every point doubles the loss
@@ -75,7 +79,7 @@ class TestTrainBinary:
         sep = train_binary(x, y, c)
         alphas = sep.diagnostics.alphas
         assert np.all(alphas >= -1e-12) and np.all(alphas <= c + 1e-12)
-        margins = y * sep.decision(x)
+        margins = y * decision_values(sep, x)
         viol = alphas * np.maximum(0.0, margins - 1.0) + (c - alphas) * np.maximum(
             0.0, 1.0 - margins
         )
@@ -96,10 +100,10 @@ class TestTrainBinary:
         x, y = make_blobs(150, [(0.8, 0), (-0.8, 0)], 1.0, 6)
         y = np.where(y == 1, 1.0, -1.0)
         sep = train_binary(x, y, 1.0)
-        acc = np.mean(np.sign(sep.decision(x)) == y)
+        acc = np.mean(np.sign(decision_values(sep, x)) == y)
         perm = rng.permutation(len(y))
         sep2 = train_binary(x[perm], y[perm], 1.0)
-        acc2 = np.mean(np.sign(sep2.decision(x[perm])) == y[perm])
+        acc2 = np.mean(np.sign(decision_values(sep2, x[perm])) == y[perm])
         assert abs(acc - acc2) <= 0.005
 
     def test_deterministic(self):
@@ -148,7 +152,7 @@ class TestMulticlass:
         assert len(model.separators) == 1
         preds = predict_table(model, x)
         sep = model.separators[0]
-        sign_rule = np.where(sep.decision(x) >= 0, 1, 2)
+        sign_rule = np.where(decision_values(sep, x) >= 0, 1, 2)
         np.testing.assert_array_equal(preds, sign_rule)
 
     def test_sixteen_classes_give_120_separators(self):
@@ -193,8 +197,9 @@ class TestPredict:
         model = SvmModel(
             (1, 2), [(1, 2)], [BinarySeparator(np.array([1.0, 0.0]), 0.0, 1.0)], 2
         )
-        assert predict(model, np.array([0.5, 0.0])) == 1
-        assert predict(model, np.array([-0.5, 0.0])) == 2
+        np.testing.assert_array_equal(
+            predict_table(model, np.array([[0.5, 0.0], [-0.5, 0.0]])), [1, 2]
+        )
 
     def test_three_way_tie_breaks_to_smallest(self):
         # hand-built separators produce a 1-1-1 vote cycle at x = 0:
@@ -209,7 +214,7 @@ class TestPredict:
             ],
             1,
         )
-        assert predict(model, np.array([0.0])) == 1
+        assert predict_table(model, np.zeros((1, 1)))[0] == 1
 
     def test_vote_recount_oracle(self):
         x, y = make_blobs(25, [(2, 0), (-2, 0), (0, 2)], 0.8, 11)
@@ -220,7 +225,7 @@ class TestPredict:
         for i, row in enumerate(test_x):
             votes = {c: 0 for c in model.classes}
             for p, ((a, b), sep) in enumerate(zip(model.pairs, model.separators)):
-                d = float(sep.decision(row[None, :])[0])
+                d = float(decision_values(sep, row))
                 assert decisions[i, p] == pytest.approx(d, rel=1e-12, abs=1e-12)
                 votes[a if d >= 0 else b] += 1
             best = max(sorted(votes), key=lambda c: votes[c])
@@ -230,7 +235,7 @@ class TestPredict:
         x, y = make_blobs(5, [(1, 0), (-1, 0)], 0.1, 13)
         model = train_multiclass(x, y, 1.0)
         with pytest.raises(ShapeError):
-            predict(model, np.zeros(3))
+            predict_table(model, np.zeros((1, 3)))
 
 
 class TestCrossValidate:
