@@ -6,17 +6,22 @@ Normal(0, 1/sigma^2). The explicit feature of a point x is
 
     z(x) = sqrt(1/N) * [cos(w_1.x), ..., cos(w_N.x), sin(w_1.x), ..., sin(w_N.x)]
 
-which always has unit Euclidean norm, and z(x).z(y) is an unbiased
-estimate of exp(-||x - y||^2 / (2 sigma^2)).
+which has unit Euclidean norm to within float32 rounding (about 1e-6),
+and z(x).z(y) is an unbiased estimate of exp(-||x - y||^2 / (2 sigma^2)).
 
 Reproducibility contract: frequencies are ``standard_normal((count, dim))``
 from ``numpy.random.Generator(PCG64(seed))`` (row-major draw order,
 ziggurat normals), divided by the bandwidth. Rebuilding from
 (seed, count, dim, bandwidth) is bit-identical.
 
-The cos and sin of a feature matrix run on every available core, in
-contiguous row chunks; each element is computed by the same ufunc call on
-the same projection, so the result does not depend on the core count.
+The projection w.x is taken in float64 and reduced to [-pi, pi] in
+float64; cos and sin of the reduced angle are then taken in float32 and
+widened. That puts each entry within about 2e-7 / sqrt(N) of its float64
+value, far below the O(1/sqrt(N)) error of the random features
+themselves, at a quarter of the cost of float64 trig. The trig of a
+feature matrix runs on every available core, in contiguous row chunks;
+each element goes through the same elementwise steps on the same
+projection, so the result does not depend on the core count.
 """
 
 from __future__ import annotations
@@ -76,7 +81,8 @@ def sample_frequencies(
     return RandomFeatureMap(freqs, float(bandwidth), int(seed))
 
 
-# fewest projection elements (about 1 ms of cos and sin) worth a thread
+# fewest projection elements (about 0.25 ms of reduction, cos and sin)
+# worth a thread
 _TRIG_CHUNK = 1 << 15
 
 
@@ -89,10 +95,21 @@ def _core_count() -> int:
 
 
 def _cos_sin_rows(proj: np.ndarray, out: np.ndarray, scale: float, lo: int, hi: int) -> None:
-    """Write scale * [cos, sin] of rows lo:hi of ``proj`` into ``out``."""
+    """Write scale * [cos, sin] of rows lo:hi of ``proj`` into ``out``.
+
+    The rows of ``proj`` are reduced in place to [-pi, pi] in float64 (the
+    cos half of ``out`` holds the turns meanwhile); cos and sin then run
+    in float32, and the ufunc's buffered casts narrow and widen them.
+    """
     n_freq = proj.shape[1]
-    np.cos(proj[lo:hi], out=out[lo:hi, :n_freq])
-    np.sin(proj[lo:hi], out=out[lo:hi, n_freq:])
+    p = proj[lo:hi]
+    cos, sin = out[lo:hi, :n_freq], out[lo:hi, n_freq:]
+    np.multiply(p, 1.0 / (2.0 * np.pi), out=cos)
+    np.rint(cos, out=cos)
+    cos *= 2.0 * np.pi
+    p -= cos
+    np.cos(p, out=cos, dtype=np.float32)
+    np.sin(p, out=sin, dtype=np.float32)
     out[lo:hi] *= scale
 
 

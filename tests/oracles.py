@@ -118,11 +118,22 @@ def cross_validate_reference(features, labels, folds=5, seed=0):
     return results, best_c
 
 
-def feature_matrix_reference(fmap, xs):
-    """Random features by whole-array cos, sin, concatenation and scaling.
+# float32 rounding of the random features. An entry of the unscaled
+# [cos, sin] is within about 2.1 float32 eps of its float64 value: 1.57 eps
+# from narrowing an angle in [-pi, pi], half an eps from rounding the result
+# (1.3 eps measured). So cos^2 + sin^2, and with it a feature's squared
+# norm, is within 2 * sqrt(2) * 2.1 eps (about 6 eps, 7e-7) of 1.
+FLOAT32_TRIG_ENTRY = 3 * float(np.finfo(np.float32).eps)
+UNIT_NORM_ATOL = 8 * float(np.finfo(np.float32).eps)
 
-    One thread, no in-place writes: the straightforward form of
-    ``hsembed.rff.feature_matrix``, which must match it bit for bit.
+
+def feature_matrix_reference(fmap, xs):
+    """Random features by whole-array float64 cos, sin, concatenation and
+    scaling.
+
+    One thread, no reduction, no in-place writes. ``hsembed.rff.feature_matrix``
+    takes its cos and sin in float32; each of its entries is within
+    ``FLOAT32_TRIG_ENTRY * sqrt(1/N)`` of this one.
     """
     proj = np.atleast_2d(np.asarray(xs, dtype=np.float64)) @ fmap.frequencies.T
     scale = np.sqrt(1.0 / fmap.n_frequencies)

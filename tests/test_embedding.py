@@ -24,7 +24,7 @@ from hsembed import (
 from hsembed.embedding import _fuse
 from hsembed.hsi import patch_indices
 from hsembed.rff import feature_matrix
-from oracles import augment
+from oracles import UNIT_NORM_ATOL, augment
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,7 @@ class TestMeanMapKernel:
     def test_self_kernel_single_pixel(self, fmap6):
         v = np.random.default_rng(4).normal(size=6)
         a = mean_map_feature(fmap6, v[None, :])
-        assert float(a.values @ a.values) == pytest.approx(1.0, abs=1e-12)
+        assert float(a.values @ a.values) == pytest.approx(1.0, abs=UNIT_NORM_ATOL)
 
     def test_unequal_sample_sizes_oracle(self, fmap6):
         # n=4, m=7: dot == (1/(n m)) double sum
@@ -137,7 +137,7 @@ class TestConvMeanMap:
         out = conv_mean_map_feature(
             fmap, spec[None, :], np.array([[2.0, 3.0]]), self.config()
         )
-        assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(out.values) == pytest.approx(1.0, abs=UNIT_NORM_ATOL)
 
     def test_weighted_double_sum_oracle(self):
         cfg = self.config()

@@ -13,7 +13,8 @@ from hsembed import (
     rff,
     sample_frequencies,
 )
-from oracles import feature_matrix_reference
+from oracles import FLOAT32_TRIG_ENTRY, UNIT_NORM_ATOL, feature_matrix_reference
+from tracing import traced_peak
 
 
 class TestSampling:
@@ -56,7 +57,7 @@ class TestFeature:
     def test_unit_norm(self):
         fmap = sample_frequencies(6, 128, 0.9, seed=2)
         z = feature_matrix(fmap, np.random.default_rng(3).normal(size=(20, 6)))
-        np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, rtol=0, atol=UNIT_NORM_ATOL)
 
     def test_zero_input(self):
         n = 32
@@ -93,7 +94,7 @@ class TestApproxKernel:
     def test_self_kernel_is_one(self):
         fmap = sample_frequencies(4, 256, 1.0, seed=3)
         z = feature(fmap, np.random.default_rng(4).normal(size=4))
-        assert z @ z == pytest.approx(1.0, abs=1e-12)
+        assert z @ z == pytest.approx(1.0, abs=UNIT_NORM_ATOL)
 
     def test_far_points_near_zero(self):
         fmap = sample_frequencies(4, 4096, 1.0, seed=5)
@@ -115,7 +116,7 @@ class TestApproxKernel:
     def test_bounded(self):
         fmap = sample_frequencies(3, 64, 0.5, seed=9)
         z = feature_matrix(fmap, np.random.default_rng(10).normal(size=(100, 3)))
-        assert np.abs(z @ z.T).max() <= 1.0 + 1e-12
+        assert np.abs(z @ z.T).max() <= 1.0 + UNIT_NORM_ATOL
 
 
 class TestExactKernel:
@@ -183,63 +184,94 @@ def cores(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture
+def one_chunk(monkeypatch):
+    """``feature_matrix`` run as a single chunk on the calling thread."""
+
+    def run(fmap, xs):
+        with monkeypatch.context() as m:
+            m.setattr(rff, "_core_count", lambda: 1)
+            return feature_matrix(fmap, xs)
+
+    return run
+
+
 class TestRowChunks:
     @pytest.mark.parametrize("rows", [1, 2, 4, 7, 16, 101])
-    def test_bit_identical_to_reference(self, cores, rows):
+    def test_chunks_bit_identical_to_one_chunk(self, cores, one_chunk, rows):
         # 1 row, fewer rows than workers, and counts the workers do not divide
         fmap = sample_frequencies(6, 37, 0.8, seed=rows)
         xs = np.random.default_rng(rows).normal(scale=4.0, size=(rows, 6))
         xs[rows // 2] = 0.0
         got = feature_matrix(fmap, xs)
-        want = feature_matrix_reference(fmap, xs)
+        want = one_chunk(fmap, xs)
         assert got.shape == want.shape == (rows, 74)
         assert got.tobytes() == want.tobytes()
 
-    def test_large_block_bit_identical(self, cores):
+    def test_large_block_bit_identical_to_one_chunk(self, cores, one_chunk):
         fmap = sample_frequencies(103, 256, 1.0, seed=4)
         xs = np.random.default_rng(5).normal(size=(997, 103))
-        assert feature_matrix(fmap, xs).tobytes() == feature_matrix_reference(fmap, xs).tobytes()
+        assert feature_matrix(fmap, xs).tobytes() == one_chunk(fmap, xs).tobytes()
 
-    def test_default_chunking_bit_identical(self):
+    def test_default_chunking_bit_identical_to_one_chunk(self, one_chunk):
         # the real core count and minimum chunk size
         fmap = sample_frequencies(50, 128, 1.0, seed=6)
         xs = np.random.default_rng(7).normal(size=(3000, 50))
-        assert feature_matrix(fmap, xs).tobytes() == feature_matrix_reference(fmap, xs).tobytes()
+        assert feature_matrix(fmap, xs).tobytes() == one_chunk(fmap, xs).tobytes()
+
+    def test_entry_error_against_float64_reference(self, cores):
+        # projections up to a few hundred radians, so an unreduced float32
+        # angle would be off by about 1e-5; measured maximum 1.6e-7
+        # (1.3 float32 eps) before the 1/sqrt(N) scale
+        fmap = sample_frequencies(20, 256, 0.5, seed=8)
+        xs = np.random.default_rng(9).normal(scale=6.0, size=(300, 20))
+        assert np.abs(xs @ fmap.frequencies.T).max() > 200.0
+        err = np.abs(feature_matrix(fmap, xs) - feature_matrix_reference(fmap, xs))
+        assert err.max() <= FLOAT32_TRIG_ENTRY * np.sqrt(1.0 / 256)
 
     def test_no_rows(self, cores):
         fmap = sample_frequencies(3, 8, 1.0, seed=0)
         assert feature_matrix(fmap, np.empty((0, 3))).shape == (0, 16)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
-    def test_infinite_input_fails_as_reference(self, cores, bad):
-        # RuntimeWarning is an error under the test settings
+    def test_infinite_input_fails_in_every_chunk(self, cores, bad):
+        # the reduction of an infinite angle is invalid; RuntimeWarning is
+        # an error under the test settings, whichever chunk holds the row
         fmap = sample_frequencies(4, 8, 1.0, seed=1)
-        xs = np.random.default_rng(2).normal(size=(9, 4))
-        xs[-1, 2] = bad
-        with pytest.raises(RuntimeWarning) as want:
-            feature_matrix_reference(fmap, xs)
-        with pytest.raises(RuntimeWarning) as got:
-            feature_matrix(fmap, xs)
-        assert str(got.value) == str(want.value)
+        for row in range(9):
+            xs = np.random.default_rng(2).normal(size=(9, 4))
+            xs[row, 2] = bad
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                feature_matrix(fmap, xs)
 
-    def test_nan_input_gives_reference_nan_rows(self, cores):
+    def test_nan_input_gives_nan_rows(self, cores, one_chunk):
         fmap = sample_frequencies(4, 8, 1.0, seed=1)
         xs = np.random.default_rng(2).normal(size=(9, 4))
         xs[-1, 2] = np.nan
         got = feature_matrix(fmap, xs)
         assert np.isnan(got[-1]).all() and np.isfinite(got[:-1]).all()
-        assert got.tobytes() == feature_matrix_reference(fmap, xs).tobytes()
+        assert got.tobytes() == one_chunk(fmap, xs).tobytes()
 
-    def test_caller_errstate_reaches_every_chunk(self, cores):
+    def test_caller_errstate_reaches_every_chunk(self, cores, one_chunk):
         fmap = sample_frequencies(4, 8, 1.0, seed=1)
         xs = np.random.default_rng(2).normal(size=(9, 4))
         xs[:, 0] = np.inf
         with np.errstate(invalid="ignore"):
             got = feature_matrix(fmap, xs)
-            want = feature_matrix_reference(fmap, xs)
+            want = one_chunk(fmap, xs)
         assert np.isnan(got).all()
         assert got.tobytes() == want.tobytes()
 
+    def test_peak_is_projection_and_result(self):
+        # the in-place reduction adds no chunk-sized temporary: on an
+        # 8,192-row block the peak is the (n, N) projection and the
+        # (n, 2N) result, with a small slack; a chunk is 8 MB or more
+        n, n_freq = 8192, 256
+        fmap = sample_frequencies(103, n_freq, 1.0, seed=3)
+        xs = np.random.default_rng(4).normal(size=(n, 103))
+        proj_and_out = 3 * n * n_freq * 8
+        peak = traced_peak(lambda: feature_matrix(fmap, xs))
+        assert proj_and_out <= peak <= proj_and_out + (1 << 20)
     def test_no_thread_outlives_the_call(self, cores):
         fmap = sample_frequencies(5, 64, 1.0, seed=3)
         xs = np.random.default_rng(4).normal(size=(50, 5))
@@ -268,3 +300,41 @@ class TestRowChunks:
         fmap = sample_frequencies(3, 8, 1.0, seed=0)
         with pytest.raises(ShapeError):
             feature_matrix(fmap, np.zeros((2, 2, 3)))
+
+
+class TestFloat32Trig:
+    """The host's float32 cos and sin, fed float64 angles through
+    ``dtype=np.float32`` into float64 ``out`` as ``feature_matrix`` feeds
+    them, give each angle the same bytes wherever it sits: at odd start
+    offsets, across the ufunc's buffer edges and in strided rows. Row
+    chunks depend on that; a host whose SIMD path breaks it fails here."""
+
+    @pytest.fixture(scope="class")
+    def angles(self):
+        rng = np.random.default_rng(15)
+        # several ufunc buffers (8,192 values each) of reduced angles,
+        # with the edges of the range and the quarter turns among them
+        x = rng.uniform(-np.pi, np.pi, size=3 * 8192 + 7)
+        x[:9] = [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 1e-30, -1e-30, 3.0]
+        return rng.permutation(x)
+
+    @pytest.mark.parametrize("ufunc", [np.cos, np.sin])
+    def test_same_bytes_at_odd_offsets(self, angles, ufunc):
+        want = ufunc(angles, dtype=np.float32).astype(np.float64)
+        for start in (1, 3, 5, 7, 13, 31, 8191):
+            got = np.empty(len(angles) - start)
+            ufunc(angles[start:], out=got, dtype=np.float32)
+            assert got.tobytes() == want[start:].tobytes(), start
+
+    @pytest.mark.parametrize("ufunc", [np.cos, np.sin])
+    def test_same_bytes_in_strided_rows(self, angles, ufunc):
+        want = ufunc(angles, dtype=np.float32).astype(np.float64)
+        for cols in (1, 3, 7, 37, 103, 256):
+            rows = len(angles) // cols
+            # input rows inside a wider matrix, output in the second half
+            # of each row of a (rows, 2 * cols) result
+            wide_in = np.zeros((rows, cols + 5))
+            wide_in[:, 5:] = angles[: rows * cols].reshape(rows, cols)
+            out = np.empty((rows, 2 * cols))
+            ufunc(wide_in[:, 5:], out=out[:, cols:], dtype=np.float32)
+            assert out[:, cols:].tobytes() == want[: rows * cols].tobytes(), cols
