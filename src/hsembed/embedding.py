@@ -28,8 +28,14 @@ METHODS = ("raw", "rff", "meanmap", "convmeanmap", "mp", "mp_x_meanmap")
 # methods whose table rows are window means of per-pixel rows
 WINDOWED = ("meanmap", "convmeanmap")
 
-# float64 elements of pixel rows (or their scores) computed at once (32 MB)
-_SCORE_BLOCK = 1 << 22
+# float64 elements of pixel rows (or their scores) computed at once (8 MB).
+# It sizes the feature blocks, the score bands and the filter's column
+# groups, and the streamed pass holds about four of them beside the cube.
+# On the PU-like bench (610 x 340 x 103, N=256, 2 cores) blocks of 32, 16,
+# 8, 4, 2 and 1 MB ran in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at 378, 315,
+# 278, 261, 252 and 251 MB of RSS; on the IP-like grid (N=1024) 4 and 2 MB
+# were 0.2-0.4 s slower than 8 MB (single-thread cos and sin throughout).
+_SCORE_BLOCK = 1 << 20
 
 
 def block_rows(width: int) -> int:

@@ -40,7 +40,9 @@ _ENVI_CODES = {v: k for k, v in _ENVI_DTYPES.items()}
 _INTERLEAVES = ("bsq", "bil", "bip")
 _BORDERS = ("clamp", "mirror")
 
-# values of a cube tile handled at once (32 MB of float64, one score block)
+# values of a cube tile handled at once (32 MB of float64, four score
+# blocks: the cube plus one tile peaks below the scoring pass that follows
+# it in the commands)
 _TILE = 1 << 22
 
 

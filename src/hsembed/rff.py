@@ -18,17 +18,15 @@ The projection w.x is taken in float64 and reduced to [-pi, pi] in
 float64; cos and sin of the reduced angle are then taken in float32 and
 widened. That puts each entry within about 2e-7 / sqrt(N) of its float64
 value, far below the O(1/sqrt(N)) error of the random features
-themselves, at a quarter of the cost of float64 trig. The trig of a
-feature matrix runs on every available core, in contiguous row chunks;
-each element goes through the same elementwise steps on the same
-projection, so the result does not depend on the core count.
+themselves, at a quarter of the cost of float64 trig. Everything runs on
+the calling thread. The BLAS product gives a row's projection the same
+bytes whatever other rows share the call, and the trig is elementwise, so
+a feature row does not depend on how the caller splits its points into
+blocks (the tests check this at odd row splits).
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,45 +79,15 @@ def sample_frequencies(
     return RandomFeatureMap(freqs, float(bandwidth), int(seed))
 
 
-# fewest projection elements (about 0.25 ms of reduction, cos and sin)
-# worth a thread
-_TRIG_CHUNK = 1 << 15
-
-
-def _core_count() -> int:
-    """Cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _cos_sin_rows(proj: np.ndarray, out: np.ndarray, scale: float, lo: int, hi: int) -> None:
-    """Write scale * [cos, sin] of rows lo:hi of ``proj`` into ``out``.
-
-    The rows of ``proj`` are reduced in place to [-pi, pi] in float64 (the
-    cos half of ``out`` holds the turns meanwhile); cos and sin then run
-    in float32, and the ufunc's buffered casts narrow and widen them.
-    """
-    n_freq = proj.shape[1]
-    p = proj[lo:hi]
-    cos, sin = out[lo:hi, :n_freq], out[lo:hi, n_freq:]
-    np.multiply(p, 1.0 / (2.0 * np.pi), out=cos)
-    np.rint(cos, out=cos)
-    cos *= 2.0 * np.pi
-    p -= cos
-    np.cos(p, out=cos, dtype=np.float32)
-    np.sin(p, out=sin, dtype=np.float32)
-    out[lo:hi] *= scale
-
-
 def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
     """Features of many points: rows of a ``(n, 2N)`` matrix.
 
-    The projection is one matrix product; cos and sin are written in place
-    into the result, one contiguous row chunk per core. Each chunk runs in
-    a copy of the caller's context (so ``np.errstate`` holds in it), and
-    its exception or error-level warning is raised here.
+    The projection is one matrix product. It is reduced in place to
+    [-pi, pi] in float64 (the cos half of the result holds the turns
+    meanwhile); cos and sin then run in float32 straight into the float64
+    result, and the ufunc's buffered casts narrow and widen them. All of it
+    runs on the calling thread, so the caller's ``np.errstate`` holds, and
+    the bytes of a row do not depend on the other rows of ``xs``.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.ndim != 2:
@@ -129,21 +97,16 @@ def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
             f"input dimension {xs.shape[1]} does not match map dimension {fmap.input_dim}"
         )
     proj = xs @ fmap.frequencies.T
-    n, n_freq = proj.shape
-    out = np.empty((n, 2 * n_freq))
-    scale = np.sqrt(1.0 / n_freq)
-    chunks = max(1, min(_core_count(), n, proj.size // _TRIG_CHUNK))
-    if chunks == 1:
-        _cos_sin_rows(proj, out, scale, 0, n)
-        return out
-    edges = [n * i // chunks for i in range(chunks + 1)]
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, _cos_sin_rows, proj, out, scale, lo, hi)
-            for lo, hi in zip(edges, edges[1:])
-        ]
-    for future in futures:
-        future.result()
+    n_freq = proj.shape[1]
+    out = np.empty((proj.shape[0], 2 * n_freq))
+    cos, sin = out[:, :n_freq], out[:, n_freq:]
+    np.multiply(proj, 1.0 / (2.0 * np.pi), out=cos)
+    np.rint(cos, out=cos)
+    cos *= 2.0 * np.pi
+    proj -= cos
+    np.cos(proj, out=cos, dtype=np.float32)
+    np.sin(proj, out=sin, dtype=np.float32)
+    out *= np.sqrt(1.0 / n_freq)
     return out
 
 

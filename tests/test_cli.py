@@ -2,7 +2,6 @@
 
 import json
 import re
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -231,31 +230,35 @@ class TestEvaluate:
         assert (out / "metrics.json").read_bytes() == first
 
 
-class TestCoreCount:
+class TestScoreBlock:
+    # the old 32 MB block, and blocks below today's 8 MB one: 4,096 and
+    # 256 values give bands of a few image rows and feature blocks of a few
+    # pixels, 1 value bands of one row and feature blocks of one pixel, so
+    # the streamed pass runs in many bands
+    @pytest.mark.parametrize("block", [1 << 22, 4096, 256, 1])
     @pytest.mark.parametrize("method", ["meanmap", "convmeanmap"])
     @pytest.mark.parametrize(
         "command, files",
         [("classify", ("predictions.csv", "map.ppm", "metrics.json")),
          ("evaluate", ("metrics.json", "table.txt"))],
     )
-    def test_outputs_byte_identical_for_any_core_count(
-        self, scene_config, monkeypatch, tmp_path, method, command, files
+    def test_outputs_byte_identical_for_any_score_block(
+        self, scene_config, monkeypatch, tmp_path, method, command, files, block
     ):
-        from hsembed import rff
+        from hsembed import embedding
 
         _, out, cfg = scene_config
         cfg["method"] = method
         config = tmp_path / f"{method}.json"
         config.write_text(json.dumps(cfg))
-        monkeypatch.setattr(rff, "_TRIG_CHUNK", 1)
-        threads = threading.active_count()
         outputs = []
-        for cores in (1, 3):
-            monkeypatch.setattr(rff, "_core_count", lambda cores=cores: cores)
+        # today's block first (it holds the 14 x 14 x 64 table, so that run
+        # goes through the dense table), then the block under test
+        for size in (embedding._SCORE_BLOCK, block):
+            monkeypatch.setattr(embedding, "_SCORE_BLOCK", size)
             assert main([command, "--config", str(config)]) == 0
             outputs.append({name: (out / name).read_bytes() for name in files})
         assert outputs[0] == outputs[1]
-        assert threading.active_count() == threads
 
 
 class TestSynth:

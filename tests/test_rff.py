@@ -9,8 +9,8 @@ from hsembed import (
     ParameterError,
     ShapeError,
     exact_gaussian_kernel,
+    embedding,
     feature_matrix,
-    rff,
     sample_frequencies,
 )
 from oracles import FLOAT32_TRIG_ENTRY, UNIT_NORM_ATOL, feature_matrix_reference
@@ -177,124 +177,117 @@ class TestProperties:
 
 
 @pytest.fixture(params=[1, 2, 3, 5])
-def cores(request, monkeypatch):
-    """Pretend to run on this many cores, with no minimum chunk size."""
-    monkeypatch.setattr(rff, "_core_count", lambda: request.param)
-    monkeypatch.setattr(rff, "_TRIG_CHUNK", 1)
-    return request.param
-
-
-@pytest.fixture
-def one_chunk(monkeypatch):
-    """``feature_matrix`` run as a single chunk on the calling thread."""
+def pieces(request):
+    """``feature_matrix`` of the rows embedded in this many row blocks, one
+    after another, as the commands embed an image."""
 
     def run(fmap, xs):
-        with monkeypatch.context() as m:
-            m.setattr(rff, "_core_count", lambda: 1)
-            return feature_matrix(fmap, xs)
+        blocks = np.array_split(xs, request.param)
+        return np.vstack([feature_matrix(fmap, block) for block in blocks])
 
     return run
 
 
-class TestRowChunks:
+class TestRowBlocks:
+    @pytest.mark.parametrize("n_pieces", [2, 3, 5, 8])
     @pytest.mark.parametrize("rows", [1, 2, 4, 7, 16, 101])
-    def test_chunks_bit_identical_to_one_chunk(self, cores, one_chunk, rows):
-        # 1 row, fewer rows than workers, and counts the workers do not divide
+    def test_pieces_bit_identical_to_one_block(self, rows, n_pieces):
+        # 1 row, fewer rows than pieces (some pieces empty), and counts
+        # the pieces do not divide
         fmap = sample_frequencies(6, 37, 0.8, seed=rows)
         xs = np.random.default_rng(rows).normal(scale=4.0, size=(rows, 6))
         xs[rows // 2] = 0.0
-        got = feature_matrix(fmap, xs)
-        want = one_chunk(fmap, xs)
+        blocks = np.array_split(xs, n_pieces)
+        got = np.vstack([feature_matrix(fmap, block) for block in blocks])
+        want = feature_matrix(fmap, xs)
         assert got.shape == want.shape == (rows, 74)
         assert got.tobytes() == want.tobytes()
 
-    def test_large_block_bit_identical_to_one_chunk(self, cores, one_chunk):
+    def test_blocks_bit_identical_to_their_row_pieces(self):
+        # the commands embed an image in row blocks whose size follows the
+        # score block; a row's bytes must not depend on where a block starts
         fmap = sample_frequencies(103, 256, 1.0, seed=4)
-        xs = np.random.default_rng(5).normal(size=(997, 103))
-        assert feature_matrix(fmap, xs).tobytes() == one_chunk(fmap, xs).tobytes()
+        xs = np.random.default_rng(5).normal(scale=4.0, size=(2048, 103))
+        xs[500] = 0.0
+        pieces = np.split(xs, [1, 7, 101, 997])
+        stacked = np.vstack([feature_matrix(fmap, piece) for piece in pieces])
+        assert stacked.tobytes() == feature_matrix(fmap, xs).tobytes()
 
-    def test_default_chunking_bit_identical_to_one_chunk(self, one_chunk):
-        # the real core count and minimum chunk size
-        fmap = sample_frequencies(50, 128, 1.0, seed=6)
+    @pytest.mark.parametrize("n_freq", [256, 512, 1024])
+    def test_score_block_rows_bit_identical_to_one_block(self, n_freq):
+        # the feature blocks the commands take at the default score block:
+        # 2,048, 1,024 and 512 rows, so 3,000 rows span 2 to 6 blocks
+        step = embedding.block_rows(2 * n_freq)
+        fmap = sample_frequencies(50, n_freq, 1.0, seed=6)
         xs = np.random.default_rng(7).normal(size=(3000, 50))
-        assert feature_matrix(fmap, xs).tobytes() == one_chunk(fmap, xs).tobytes()
+        assert step < len(xs)
+        blocks = [feature_matrix(fmap, xs[i:i + step]) for i in range(0, len(xs), step)]
+        assert np.vstack(blocks).tobytes() == feature_matrix(fmap, xs).tobytes()
 
-    def test_entry_error_against_float64_reference(self, cores):
+    @pytest.mark.parametrize("rows", [1, 127, 2048, 8192])
+    def test_starts_no_thread(self, monkeypatch, rows):
+        # a single row, and blocks below, at and past the default score
+        # block of features at N=256
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        fmap = sample_frequencies(103, 256, 1.0, seed=3)
+        feature_matrix(fmap, np.random.default_rng(4).normal(size=(rows, 103)))
+        assert started == []
+
+    def test_entry_error_against_float64_reference(self, pieces):
         # projections up to a few hundred radians, so an unreduced float32
         # angle would be off by about 1e-5; measured maximum 1.6e-7
         # (1.3 float32 eps) before the 1/sqrt(N) scale
         fmap = sample_frequencies(20, 256, 0.5, seed=8)
         xs = np.random.default_rng(9).normal(scale=6.0, size=(300, 20))
         assert np.abs(xs @ fmap.frequencies.T).max() > 200.0
-        err = np.abs(feature_matrix(fmap, xs) - feature_matrix_reference(fmap, xs))
+        err = np.abs(pieces(fmap, xs) - feature_matrix_reference(fmap, xs))
         assert err.max() <= FLOAT32_TRIG_ENTRY * np.sqrt(1.0 / 256)
 
-    def test_no_rows(self, cores):
+    def test_no_rows(self, pieces):
         fmap = sample_frequencies(3, 8, 1.0, seed=0)
-        assert feature_matrix(fmap, np.empty((0, 3))).shape == (0, 16)
+        assert pieces(fmap, np.empty((0, 3))).shape == (0, 16)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
-    def test_infinite_input_fails_in_every_chunk(self, cores, bad):
+    def test_infinite_input_fails_in_any_row(self, pieces, bad):
         # the reduction of an infinite angle is invalid; RuntimeWarning is
-        # an error under the test settings, whichever chunk holds the row
+        # an error under the test settings, whichever row (and so whichever
+        # block) holds the value
         fmap = sample_frequencies(4, 8, 1.0, seed=1)
         for row in range(9):
             xs = np.random.default_rng(2).normal(size=(9, 4))
             xs[row, 2] = bad
             with pytest.raises(RuntimeWarning, match="invalid value"):
-                feature_matrix(fmap, xs)
+                pieces(fmap, xs)
 
-    def test_nan_input_gives_nan_rows(self, cores, one_chunk):
+    def test_nan_input_gives_nan_rows(self, pieces):
         fmap = sample_frequencies(4, 8, 1.0, seed=1)
         xs = np.random.default_rng(2).normal(size=(9, 4))
         xs[-1, 2] = np.nan
-        got = feature_matrix(fmap, xs)
+        got = pieces(fmap, xs)
         assert np.isnan(got[-1]).all() and np.isfinite(got[:-1]).all()
-        assert got.tobytes() == one_chunk(fmap, xs).tobytes()
+        # the NaN row leaves the other rows' bytes alone
+        assert got[:-1].tobytes() == feature_matrix(fmap, xs[:-1]).tobytes()
 
-    def test_caller_errstate_reaches_every_chunk(self, cores, one_chunk):
+    def test_caller_errstate_holds(self, pieces):
         fmap = sample_frequencies(4, 8, 1.0, seed=1)
         xs = np.random.default_rng(2).normal(size=(9, 4))
         xs[:, 0] = np.inf
         with np.errstate(invalid="ignore"):
-            got = feature_matrix(fmap, xs)
-            want = one_chunk(fmap, xs)
+            got = pieces(fmap, xs)
         assert np.isnan(got).all()
-        assert got.tobytes() == want.tobytes()
 
     def test_peak_is_projection_and_result(self):
-        # the in-place reduction adds no chunk-sized temporary: on an
-        # 8,192-row block the peak is the (n, N) projection and the
-        # (n, 2N) result, with a small slack; a chunk is 8 MB or more
-        n, n_freq = 8192, 256
+        # the in-place reduction adds no block-sized temporary: on a
+        # 2,048-row block (one 8 MB score block of features at N=256) the
+        # peak is the (n, N) projection and the (n, 2N) result, with a
+        # small slack; a float64 copy of the projection would be 4 MB
+        n, n_freq = 2048, 256
         fmap = sample_frequencies(103, n_freq, 1.0, seed=3)
         xs = np.random.default_rng(4).normal(size=(n, 103))
         proj_and_out = 3 * n * n_freq * 8
         peak = traced_peak(lambda: feature_matrix(fmap, xs))
         assert proj_and_out <= peak <= proj_and_out + (1 << 20)
-    def test_no_thread_outlives_the_call(self, cores):
-        fmap = sample_frequencies(5, 64, 1.0, seed=3)
-        xs = np.random.default_rng(4).normal(size=(50, 5))
-        before = threading.active_count()
-        feature_matrix(fmap, xs)
-        assert threading.active_count() == before
-
-    def test_chunk_exception_reaches_caller(self, cores, monkeypatch):
-        calls = []
-
-        def failing(proj, out, scale, lo, hi):
-            calls.append((lo, hi))
-            if lo == 0:
-                raise MemoryError("chunk 0")
-
-        monkeypatch.setattr(rff, "_cos_sin_rows", failing)
-        fmap = sample_frequencies(5, 16, 1.0, seed=3)
-        with pytest.raises(MemoryError, match="chunk 0"):
-            feature_matrix(fmap, np.ones((10, 5)))
-        # every chunk ran, and together they cover the rows once
-        assert sorted(calls)[0][0] == 0 and sorted(calls)[-1][1] == 10
-        assert sum(hi - lo for lo, hi in calls) == 10
-        assert len(calls) == cores
 
     def test_three_dimensional_input_rejected(self):
         fmap = sample_frequencies(3, 8, 1.0, seed=0)
@@ -307,7 +300,7 @@ class TestFloat32Trig:
     ``dtype=np.float32`` into float64 ``out`` as ``feature_matrix`` feeds
     them, give each angle the same bytes wherever it sits: at odd start
     offsets, across the ufunc's buffer edges and in strided rows. Row
-    chunks depend on that; a host whose SIMD path breaks it fails here."""
+    blocks depend on that; a host whose SIMD path breaks it fails here."""
 
     @pytest.fixture(scope="class")
     def angles(self):

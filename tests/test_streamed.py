@@ -369,6 +369,44 @@ def test_peak_of_many_runs_stays_below_their_score_image():
     assert peak < score_bytes
 
 
+def test_scoring_pass_peaks_within_four_score_blocks():
+    # the README's accounting of the streamed pass, in score blocks: the
+    # band's scores (1), the filter's scratch (1), one feature block (1)
+    # and its projection (1/2), and that block's spectra and unit spectra
+    # (2 x 10 / 128 here, under 1/2 while bands <= N/2); carried rows and
+    # the class ids fit the 1 MB slack. Measured: 15.9 MiB (3.98 blocks of
+    # 4 MiB) against the bound of 17 MiB, so a new temporary of half a
+    # block fails
+    rng = np.random.default_rng(8)
+    h = w = 132
+    image = HyperspectralImage(rng.random((h, w, 10)) + 0.05)
+    labels = rng.integers(1, 17, size=h * w)
+    train = np.concatenate(
+        [rng.choice(np.flatnonzero(labels == c), 3, replace=False) for c in range(1, 17)]
+    )
+    config = EmbeddingConfig(patch=PatchSpec(SIDE), n_features=N_FEATURES, sigma=1.0)
+    space = prepare_features(image, "meanmap", config)
+    block = 1 << 19
+    bands = []
+    window_means = embedding._window_means
+
+    def counted(*args):
+        for first, means in window_means(*args):
+            bands.append(first)
+            yield first, means
+            del means  # the filter's own rule: no band is held while the next is made
+
+    # 120 class pairs: bands of 33 image rows, feature blocks of 4,096 pixels
+    with mock.patch.object(embedding, "_SCORE_BLOCK", block), \
+            mock.patch.object(embedding, "_window_means", counted):
+        peak = traced_peak(
+            lambda: train_and_predict(space, labels, [train], 16, SvmConfig(c=8.0))
+        )
+    assert len(bands) >= 4
+    # the cube was allocated before the call, so the trace leaves it out
+    assert peak <= 4 * block * 8 + (1 << 20)
+
+
 # ---------------------------------------------------------------------------
 # Dense or streamed: the commands' choice and its agreement
 # ---------------------------------------------------------------------------
