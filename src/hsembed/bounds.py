@@ -23,7 +23,7 @@ margin zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -452,15 +452,7 @@ def check_combined_risk_bound(
     mu_hat = empirical_embeddings(fmap, meta)
     risk_hat = empirical_risk(mu_hat @ w, meta.labels, loss)
     holdout = draw_meta_sample(
-        MetaSampleSpec(
-            n_groups=config.holdout_draws,
-            group_size=1,
-            dim=spec.dim,
-            group_sigma=spec.group_sigma,
-            center_scale=spec.center_scale,
-            mean_spread=spec.mean_spread,
-            label_flip=spec.label_flip,
-        ),
+        replace(spec, n_groups=config.holdout_draws, group_size=1),
         seed=int(rng.integers(2**32)),
     )
     points = holdout.samples[:, 0, :]

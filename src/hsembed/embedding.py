@@ -20,28 +20,20 @@ from scipy.sparse import csc_matrix
 from scipy.spatial.distance import pdist
 
 from .errors import CapacityError, ContractViolation, ParameterError, ShapeError
-from .hsi import HyperspectralImage, PatchSpec, patch_indices
+from .hsi import (
+    HyperspectralImage,
+    PatchSpec,
+    block_rows,
+    patch_indices,
+    row_blocks,
+    unit_rows,
+)
 from .morphology import MorphoProfileConfig, morphological_profile
 from .rff import RandomFeatureMap, feature_matrix, sample_frequencies
 
 METHODS = ("raw", "rff", "meanmap", "convmeanmap", "mp", "mp_x_meanmap")
 # methods whose table rows are window means of per-pixel rows
 WINDOWED = ("meanmap", "convmeanmap")
-
-# float64 elements of pixel rows (or their scores) computed at once (8 MB).
-# It sizes the feature blocks, the score bands and the filter's column
-# groups, and the streamed pass holds about four of them beside the cube.
-# On the PU-like bench (610 x 340 x 103, N=256, 2 cores) blocks of 32, 16,
-# 8, 4, 2 and 1 MB ran in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at 378, 315,
-# 278, 261, 252 and 251 MB of RSS; on the IP-like grid (N=1024) 4 and 2 MB
-# were 0.2-0.4 s slower than 8 MB (single-thread cos and sin throughout).
-_SCORE_BLOCK = 1 << 20
-
-
-def block_rows(width: int) -> int:
-    """How many rows of ``width`` float64 values make one score block."""
-    return max(1, _SCORE_BLOCK // width)
-
 
 @dataclass(frozen=True)
 class PixelFeature:
@@ -92,12 +84,6 @@ class EmbeddingConfig:
             raise ParameterError(f"tensor_cap must be >= 1, got {self.tensor_cap}")
 
 
-def _unit_rows(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit norm (zero rows stay zero), and the norms."""
-    norms = np.linalg.norm(spectra, axis=1)
-    return spectra / np.where(norms > 0, norms, 1.0)[:, None], norms
-
-
 def median_heuristic(image: HyperspectralImage, sample_size: int = 1000, seed: int = 0) -> float:
     """Median pairwise distance of randomly sampled unit-normalized spectra.
 
@@ -109,7 +95,7 @@ def median_heuristic(image: HyperspectralImage, sample_size: int = 1000, seed: i
     rng = np.random.default_rng(seed)
     take = min(sample_size, n)
     idx = rng.choice(n, size=take, replace=False)
-    sample = _unit_rows(pixels[idx])[0]
+    sample = unit_rows(pixels[idx])[0]
     if take < 2:
         return 1.0
     med = float(np.median(pdist(sample)))
@@ -137,8 +123,8 @@ def _random_features(
     that calls ``feature_matrix``.
     """
     if positions is None:
-        return feature_matrix(fmap, _unit_rows(spectra)[0] if normalize else spectra)
-    unit, norms = _unit_rows(spectra)
+        return feature_matrix(fmap, unit_rows(spectra)[0] if normalize else spectra)
+    unit, norms = unit_rows(spectra)
     augmented = np.concatenate([positions / beta, unit / sigma], axis=1)
     feats = feature_matrix(fmap, augmented)
     feats *= norms[:, None]
@@ -213,7 +199,7 @@ def _window_means(rows_of, height: int, width: int, k: int, side: int, border: s
     of ``band`` image rows from top to bottom: yields (first row, (rows, width,
     k) means) per band. ``rows_of(a, b)`` gives image rows a:b, each once and in
     order; borders pad as ``np.pad``'s edge (clamp) or symmetric (mirror) mode.
-    Sums are summed-area prefix sums over column groups of one score block. A
+    Sums are summed-area prefix sums over column groups of one block. A
     band carries on the last ``side`` padded rows of the prefix sums, already
     summed along both axes, and the axis-0 sums of the last of them, so each
     padded row is summed along axis 1 once and every sum is the same
@@ -228,7 +214,7 @@ def _window_means(rows_of, height: int, width: int, k: int, side: int, border: s
     row_of = np.pad(np.arange(height), (lo, side - 1 - lo), mode=mode)
     col_of = np.pad(np.arange(width), (lo, side - 1 - lo), mode=mode)
     first_read = np.minimum.accumulate(row_of[::-1])[::-1]  # by padded rows p and on
-    group = max(1, min(k, _SCORE_BLOCK // ((band + side) * (width + side))))
+    group = max(1, min(k, block_rows((band + side) * (width + side))))
     scratch = np.zeros((band + side, width + side, group))
     carry = np.empty((side, width + side, k))  # the last side rows of the prefix sums
     carry_down = np.empty((width + side, k))  # the last of them, summed along axis 0 only
@@ -348,10 +334,8 @@ class FeatureSpace:
         owners = np.repeat(np.arange(idx.size), windows.shape[1])
         counts = csc_matrix((np.ones(windows.size), (owners, where)), shape=(idx.size, members.size))
         rows = np.zeros((idx.size, self.fmap.feature_dim))
-        step = block_rows(self.fmap.feature_dim)
-        for start in range(0, members.size, step):
-            block = members[start : start + step]
-            rows += counts[:, start : start + block.size] @ self.pixel_rows(block)
+        for a, b in row_blocks(members.size, self.fmap.feature_dim):
+            rows += counts[:, a:b] @ self.pixel_rows(members[a:b])
         rows /= windows.shape[1]
         return rows
 
@@ -367,7 +351,7 @@ class FeatureSpace:
 
     def scores(self, weights: np.ndarray, support: tuple | None = None):
         """Every pixel's table row times the (row_dim, K) weights, in one pass of row
-        bands of about one score block: yields (first flat pixel, (rows, K) scores) per
+        bands of about one block: yields (first flat pixel, (rows, K) scores) per
         band. Each row is embedded once.
 
         Fusion scores in the dual and never builds a fused row. ``support`` is
@@ -385,11 +369,15 @@ class FeatureSpace:
 
         def image_rows(a, b):
             idx = np.arange(a * w, b * w)
-            rows = self.pixel_rows(idx) if fused else self._times(self.pixel_rows, idx, weights)
-            return rows.reshape(b - a, w, width)
+            if fused:
+                return self.pixel_rows(idx).reshape(b - a, w, width)
+            rows = np.empty((idx.size, k))
+            for c, d in row_blocks(idx.size, max(self.row_dim, k)):
+                np.matmul(self.pixel_rows(idx[c:d]), weights, out=rows[c:d])
+            return rows.reshape(b - a, w, k)
 
         # a fusion band also holds its (rows, T) Gram block
-        band = max(1, _SCORE_BLOCK // (w * max(width, k, weights.shape[0] if fused else 0)))
+        band = block_rows(w * max(width, k, weights.shape[0] if fused else 0))
         for a, means in _window_means(image_rows, h, w, width, side, self.patch.border, band):
             scores = means = means.reshape(-1, width)
             if fused:
@@ -400,14 +388,6 @@ class FeatureSpace:
                 del gram
             yield a * w, scores
             del means, scores  # not held while the next band is made
-
-    def _times(self, rows_of, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """``rows_of(block) @ weights`` over row blocks of ``idx``."""
-        out = np.empty((idx.size, weights.shape[1]))
-        step = block_rows(max(self.row_dim, weights.shape[1]))
-        for start in range(0, idx.size, step):
-            np.matmul(rows_of(idx[start : start + step]), weights, out=out[start : start + step])
-        return out
 
 
 def prepare_features(
@@ -478,7 +458,7 @@ def build_feature_table(
     method (raw spectra, random features, mean maps, convolutional mean
     maps, morphological profiles or their fusion with mean maps). The
     window mean is the banded box filter run as one band, in place. The
-    commands build this table only when it fits in one score block (see
+    commands build this table only when it fits in one block (see
     ``evaluation.predict_runs``), from the ``space`` they already resolved
     for these arguments. Deterministic for a fixed config seed.
     """

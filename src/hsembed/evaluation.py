@@ -5,7 +5,7 @@ labeled pixels, trains a one-vs-one linear SVM on the configured
 features of those pixels, scores the held-out labeled pixels and
 aggregates overall accuracy, average (per-class) accuracy and the
 chance-corrected kappa statistic as mean +/- sample standard deviation.
-Unless the whole feature table fits in one score block, every run is
+Unless the whole feature table fits in one block, every run is
 trained first; then one pass of row bands scores every pixel for all runs.
 """
 
@@ -20,7 +20,6 @@ from .embedding import (
     EmbeddingConfig,
     FeatureSpace,
     FeatureTable,
-    block_rows,
     build_feature_table,
     prepare_features,
 )
@@ -31,7 +30,7 @@ from .errors import (
     ShapeError,
     UndefinedInputError,
 )
-from .hsi import GroundTruthMap, HyperspectralImage
+from .hsi import GroundTruthMap, HyperspectralImage, block_rows, row_blocks
 from .morphology import MorphoProfileConfig
 from .svm import (
     SvmConfig,
@@ -279,10 +278,8 @@ def run_split(
     model, c = train_run(table.values[train_idx], labels_flat[train_idx], n_classes, svm_cfg)
     test_idx = np.asarray(test_idx)
     preds = np.empty(test_idx.size, dtype=np.int64)
-    step = block_rows(table.dim)
-    for start in range(0, test_idx.size, step):
-        block = test_idx[start : start + step]
-        preds[start : start + block.size] = predict_table(model, table.values[block])
+    for a, b in row_blocks(test_idx.size, table.dim):
+        preds[a:b] = predict_table(model, table.values[test_idx[a:b]])
     return preds, c
 
 
@@ -338,7 +335,7 @@ def predict_runs(
     """Train one model per (training, predicted) pair of flat pixel indices
     and predict the second set: returns the features (for their meta), each
     run's predictions and the Cs used. Larger tables stream
-    (``train_and_predict``); a table within one score block is built and
+    (``train_and_predict``); a table within one block is built and
     its runs go through ``run_split``, only to keep the dense calls that
     ``perfbench/test_perfbench.py`` counts on its 24 x 24 scene, until the
     benchmark traces the streamed functions (ROADMAP item 1).

@@ -5,8 +5,9 @@ Cubes are stored band-interleaved-by-pixel, i.e. as a C-contiguous
 contiguous slice. Images and ground-truth maps are immutable after
 construction and safe for concurrent reads. The ENVI reader and writer, the
 scene generator and the image's own finiteness check move a cube through
-memory in row tiles of about ``_TILE`` values, so none of them holds a
-second cube.
+memory in row blocks of about ``_BLOCK`` values (see ``row_blocks``), so
+none of them holds a second cube. The feature, scoring and prediction loops
+of the other modules take their blocks from here too.
 """
 
 from __future__ import annotations
@@ -40,18 +41,30 @@ _ENVI_CODES = {v: k for k, v in _ENVI_DTYPES.items()}
 _INTERLEAVES = ("bsq", "bil", "bip")
 _BORDERS = ("clamp", "mirror")
 
-# values of a cube tile handled at once (32 MB of float64, four score
-# blocks: the cube plus one tile peaks below the scoring pass that follows
-# it in the commands)
-_TILE = 1 << 22
+# values a bounded loop holds at once (8 MB of float64). It sizes the cube
+# IO and the synth's fill and centre distances here, and the feature blocks,
+# score bands, filter column groups and prediction blocks of the other
+# modules; the streamed pass holds about four blocks beside the cube. On the
+# PU-like bench (610 x 340 x 103, N=256, 2 cores) blocks of 32, 16, 8, 4, 2
+# and 1 MB ran in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at 378, 315, 278,
+# 261, 252 and 251 MB of RSS; on the IP-like grid (N=1024) 4 and 2 MB were
+# 0.2-0.4 s slower than 8 MB (single-thread cos and sin throughout). Taking
+# the cube tiles and centre distances from 32 to 8 MB as well cut the synth
+# peak from 266 to 242 MB (PU-like) and from 132 to 108 MB (IP-like).
+_BLOCK = 1 << 20
 
 
-def _row_tiles(height: int, row_values: int):
-    """(first, end) rows of consecutive tiles of about ``_TILE`` values, for
-    rows of ``row_values`` values; a tile has at least one row."""
-    step = max(1, _TILE // row_values)
-    for a in range(0, height, step):
-        yield a, min(a + step, height)
+def block_rows(width: int) -> int:
+    """How many rows of ``width`` values make one block (at least one)."""
+    return max(1, _BLOCK // width)
+
+
+def row_blocks(n: int, width: int):
+    """(first, end) of consecutive blocks of ``block_rows(width)`` rows out
+    of ``n`` rows of ``width`` values each."""
+    step = block_rows(width)
+    for a in range(0, n, step):
+        yield a, min(a + step, n)
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,7 @@ class HyperspectralImage:
     ``band_centers`` optionally carries one wavelength (nm) per band. A
     C-contiguous float64 cube is kept as given, not copied (and is made
     read-only); any other is copied once into that form. Finiteness is
-    checked in row tiles, so the check holds no cube-sized mask.
+    checked in row blocks, so the check holds no cube-sized mask.
     """
 
     data: np.ndarray
@@ -73,7 +86,7 @@ class HyperspectralImage:
             raise ShapeError(f"cube must be 3-D (height, width, bands), got {cube.shape}")
         if min(cube.shape) < 1:
             raise ShapeError(f"cube dimensions must be positive, got {cube.shape}")
-        for a, b in _row_tiles(cube.shape[0], cube.shape[1] * cube.shape[2]):
+        for a, b in row_blocks(cube.shape[0], cube.shape[1] * cube.shape[2]):
             if not np.isfinite(cube[a:b]).all():
                 raise ParameterError("cube values must be finite")
         cube.flags.writeable = False
@@ -289,15 +302,15 @@ def _find_companion(header_path: Path) -> Path:
 def _file_tiles(cube: np.ndarray, interleave: str):
     """Views of ``cube`` whose C-order values, one view after another, are its
     ENVI payload in ``interleave`` order: a bsq payload one band plane at a
-    time, a bil or bip payload in row tiles; each view holds at most about
-    ``_TILE`` values (a plane is split into row tiles past that)."""
+    time, a bil or bip payload in row blocks; each view holds at most about
+    ``_BLOCK`` values (a plane is split into row blocks past that)."""
     lines, samples, bands = cube.shape
     if interleave == "bsq":
         for j in range(bands):
-            for a, b in _row_tiles(lines, samples):
+            for a, b in row_blocks(lines, samples):
                 yield cube[a:b, :, j]
         return
-    for a, b in _row_tiles(lines, samples * bands):
+    for a, b in row_blocks(lines, samples * bands):
         yield cube[a:b].transpose(0, 2, 1) if interleave == "bil" else cube[a:b]
 
 
@@ -307,9 +320,9 @@ def load_envi(header_path: str | Path) -> HyperspectralImage:
 
     Returns the cube converted to the internal band-interleaved-by-pixel
     layout with values cast to float64. The payload is read straight into
-    the one float64 cube, a tile at a time (see ``_file_tiles``), and each
-    tile of a float payload is checked to be finite as it is read; besides
-    the cube, the read holds about one tile.
+    the one float64 cube, a block at a time (see ``_file_tiles``), and each
+    block of a float payload is checked to be finite as it is read; besides
+    the cube, the read holds about one block.
     """
     header_path = Path(header_path)
     if not header_path.is_file():
@@ -385,10 +398,10 @@ def save_envi(
     """Write ``image`` as an ENVI header + binary pair; returns the header path.
 
     The data file sits next to the header with an ``.img`` extension. It is
-    written a tile at a time (see ``_file_tiles``), so the write holds about
-    one converted tile besides the cube. A float32 payload is checked to hold
-    the range of every value, and an integer payload every value exactly,
-    tile by tile, before the data file is opened.
+    written a block at a time (see ``_file_tiles``), so the write holds about
+    one converted block besides the cube. A float32 payload is checked to
+    hold the range of every value, and an integer payload every value
+    exactly, block by block, before the data file is opened.
     """
     if interleave not in _INTERLEAVES:
         raise ParameterError(f"interleave must be one of {_INTERLEAVES}")
@@ -405,7 +418,7 @@ def save_envi(
     cube = image.data
     if base != np.float64:
         info = np.finfo(base) if base.kind == "f" else np.iinfo(base)
-        for a, b in _row_tiles(image.height, image.width * image.bands):
+        for a, b in row_blocks(image.height, image.width * image.bands):
             tile = cube[a:b]
             if tile.min() < info.min or tile.max() > info.max or \
                     (base.kind != "f" and not np.array_equal(tile, np.round(tile))):
@@ -493,10 +506,6 @@ def save_ground_truth(gt: GroundTruthMap, path: str | Path) -> Path:
 # Synthetic scenes
 # ---------------------------------------------------------------------------
 
-# elements of the int64 distance scratch computed at once (32 MB)
-_DISTANCE_BLOCK = 1 << 22
-
-
 def _nearest_centre(
     height: int, width: int, center_rows: np.ndarray, center_cols: np.ndarray
 ) -> np.ndarray:
@@ -507,11 +516,9 @@ def _nearest_centre(
     """
     col_d2 = (np.arange(width)[:, None] - center_cols[None, :]) ** 2
     nearest = np.empty((height, width), dtype=np.int64)
-    step = max(1, _DISTANCE_BLOCK // col_d2.size)
-    for start in range(0, height, step):
-        rows = np.arange(start, min(start + step, height))
-        d2 = ((rows[:, None] - center_rows[None, :]) ** 2)[:, None, :] + col_d2[None]
-        nearest[start : start + rows.size] = np.argmin(d2, axis=2)
+    for a, b in row_blocks(height, col_d2.size):
+        d2 = ((np.arange(a, b)[:, None] - center_rows[None, :]) ** 2)[:, None, :] + col_d2[None]
+        nearest[a:b] = np.argmin(d2, axis=2)
     return nearest
 
 
@@ -521,13 +528,15 @@ def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, Groun
     Region centres are sampled without replacement, each Voronoi cell gets
     one class (every class owns at least one cell), and pixel spectra are
     the class endmember plus N(0, noise_sigma^2) noise per band. The cube
-    is filled a row tile at a time: the endmembers, then that tile's noise
+    is filled a row block at a time: the endmembers, then that block's noise
     draw added in place. The draws follow one another in the generator's
-    stream, so the cube does not depend on the tile size.
+    stream, so the cube does not depend on the block size. A region scale
+    below 1 or above the pixel count gives the same scene as those bounds.
     """
     n_pixels = spec.height * spec.width
     rng = np.random.default_rng(spec.seed)
-    n_regions = int(np.clip(round(n_pixels / spec.region_scale**2), spec.classes, n_pixels))
+    scale = min(max(spec.region_scale, 1.0), n_pixels)
+    n_regions = int(np.clip(round(n_pixels / scale**2), spec.classes, n_pixels))
     centers = rng.choice(n_pixels, size=n_regions, replace=False)
     center_rows = centers // spec.width
     center_cols = centers % spec.width
@@ -542,7 +551,7 @@ def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, Groun
     labels = region_class[nearest] + 1
 
     cube = np.empty((spec.height, spec.width, spec.bands))
-    for a, b in _row_tiles(spec.height, spec.width * spec.bands):
+    for a, b in row_blocks(spec.height, spec.width * spec.bands):
         cube[a:b] = spec.class_spectra[labels[a:b] - 1]
         if spec.noise_sigma > 0:
             cube[a:b] += rng.normal(0.0, spec.noise_sigma, size=(b - a, spec.width, spec.bands))
@@ -553,16 +562,20 @@ def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, Groun
 # Spectrum normalization and patch windows
 # ---------------------------------------------------------------------------
 
+def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit Euclidean norm (zero rows stay zero), and the norms."""
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / np.where(norms > 0, norms, 1.0)[:, None], norms
+
+
 def normalize_spectra(image: HyperspectralImage) -> HyperspectralImage:
     """Scale every pixel spectrum to unit Euclidean norm.
 
     All-zero spectra are left as the zero vector, so the result's per-pixel
     norms are exactly 0 or 1 and the operation is idempotent.
     """
-    cube = image.data
-    norms = np.linalg.norm(cube, axis=2, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return HyperspectralImage(cube / safe, image.band_centers)
+    unit = unit_rows(image.pixels())[0]
+    return HyperspectralImage(unit.reshape(image.data.shape), image.band_centers)
 
 
 def _fold_mirror(idx: np.ndarray, n: int) -> np.ndarray:

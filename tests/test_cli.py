@@ -230,11 +230,12 @@ class TestEvaluate:
         assert (out / "metrics.json").read_bytes() == first
 
 
-class TestScoreBlock:
+class TestBlock:
     # the old 32 MB block, and blocks below today's 8 MB one: 4,096 and
     # 256 values give bands of a few image rows and feature blocks of a few
     # pixels, 1 value bands of one row and feature blocks of one pixel, so
-    # the streamed pass runs in many bands
+    # the streamed pass runs in many bands; the synth step fills the cube
+    # and takes its centre distances in blocks of as few rows
     @pytest.mark.parametrize("block", [1 << 22, 4096, 256, 1])
     @pytest.mark.parametrize("method", ["meanmap", "convmeanmap"])
     @pytest.mark.parametrize(
@@ -242,22 +243,29 @@ class TestScoreBlock:
         [("classify", ("predictions.csv", "map.ppm", "metrics.json")),
          ("evaluate", ("metrics.json", "table.txt"))],
     )
-    def test_outputs_byte_identical_for_any_score_block(
+    def test_outputs_byte_identical_for_any_block(
         self, scene_config, monkeypatch, tmp_path, method, command, files, block
     ):
-        from hsembed import embedding
+        from hsembed import hsi
 
         _, out, cfg = scene_config
         cfg["method"] = method
         config = tmp_path / f"{method}.json"
         config.write_text(json.dumps(cfg))
+        spec = tmp_path / "scene.json"
+        spec.write_text(json.dumps(cfg["data"]["synthetic"]))
+        scene = tmp_path / "scene"
         outputs = []
         # today's block first (it holds the 14 x 14 x 64 table, so that run
         # goes through the dense table), then the block under test
-        for size in (embedding._SCORE_BLOCK, block):
-            monkeypatch.setattr(embedding, "_SCORE_BLOCK", size)
+        for size in (hsi._BLOCK, block):
+            monkeypatch.setattr(hsi, "_BLOCK", size)
+            assert main(["synth", "--config", str(spec), "--output", str(scene)]) == 0
             assert main([command, "--config", str(config)]) == 0
-            outputs.append({name: (out / name).read_bytes() for name in files})
+            outputs.append(
+                {name: (scene / name).read_bytes() for name in ("scene.img", "gt.csv")}
+                | {name: (out / name).read_bytes() for name in files}
+            )
         assert outputs[0] == outputs[1]
 
 
@@ -275,6 +283,24 @@ class TestSynth:
         assert (image.height, image.width, image.bands) == (8, 9, 4)
         gt = load_ground_truth(out / "gt.csv", 8, 9)
         assert gt.n_classes == 2
+
+    # a scale below 1 means one region per pixel, one above the 72 pixels
+    # as few regions as classes; past the float range these used to fail
+    @pytest.mark.parametrize("scale, bound", [
+        (1e-200, 1.0), (1e-160, 1.0), (1e160, 72.0), (1e200, 72.0),
+    ])
+    def test_extreme_region_scale_writes_bound_scene(self, tmp_path, scale, bound):
+        written = []
+        for value in (scale, bound):
+            spec = {"height": 8, "width": 9, "bands": 2, "classes": 2, "region_scale": value}
+            cfg = tmp_path / "scene.json"
+            cfg.write_text(json.dumps(spec))
+            out = tmp_path / f"scene_{value}"
+            assert main(["synth", "--config", str(cfg), "--output", str(out)]) == 0
+            written.append(
+                {name: (out / name).read_bytes() for name in ("scene.img", "scene.hdr", "gt.csv")}
+            )
+        assert written[0] == written[1]
 
 
 class TestTheory:

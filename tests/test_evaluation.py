@@ -23,7 +23,7 @@ from hsembed import (
     monte_carlo_protocol,
     overall_accuracy,
 )
-from hsembed import embedding, evaluation
+from hsembed import embedding, evaluation, hsi
 from hsembed.embedding import build_feature_table
 from hsembed.evaluation import format_summary_table, protocol_split, run_split
 from hsembed.morphology import MorphoProfileConfig
@@ -271,7 +271,7 @@ class TestRunSplit:
             return predict_table(model, features)
 
         monkeypatch.setattr(evaluation, "predict_table", counted)
-        monkeypatch.setattr(embedding, "_SCORE_BLOCK", 4 * table.dim)
+        monkeypatch.setattr(hsi, "_BLOCK", 4 * table.dim)
         preds, c = run_split(table, labels, train, test, 3, SvmConfig(c=32.0))
         np.testing.assert_array_equal(preds, expected)
         assert c == 32.0

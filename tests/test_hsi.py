@@ -187,7 +187,7 @@ class TestEnviIO:
     @pytest.mark.parametrize("byte_order", [0, 1])
     @pytest.mark.parametrize("dtype,code", ENVI_DTYPES)
     def test_tiled_round_trip(self, tmp_path, monkeypatch, dtype, code, byte_order, interleave):
-        monkeypatch.setattr(hsembed.hsi, "_TILE", TILE)
+        monkeypatch.setattr(hsembed.hsi, "_BLOCK", TILE)
         rng = np.random.default_rng(code)
         if np.dtype(dtype).kind == "f":
             cube = rng.normal(size=TILED_SHAPE).astype(dtype)
@@ -214,7 +214,7 @@ class TestEnviIO:
     def test_non_finite_value_in_the_last_tile(
         self, tmp_path, monkeypatch, interleave, dtype, bad
     ):
-        monkeypatch.setattr(hsembed.hsi, "_TILE", TILE)
+        monkeypatch.setattr(hsembed.hsi, "_BLOCK", TILE)
         image = HyperspectralImage(np.ones(TILED_SHAPE))
         hdr = save_envi(image, tmp_path / "t.hdr", interleave=interleave, dtype=dtype)
         with open(hdr.with_suffix(".img"), "r+b") as f:
@@ -238,7 +238,7 @@ class TestEnviIO:
     def test_payload_fit_is_checked_before_the_data_file_exists(
         self, tmp_path, monkeypatch, dtype, bad
     ):
-        monkeypatch.setattr(hsembed.hsi, "_TILE", TILE)
+        monkeypatch.setattr(hsembed.hsi, "_BLOCK", TILE)
         cube = np.ones(TILED_SHAPE)
         cube[-1, -1, -1] = bad  # in the last tile only
         with pytest.raises(ParameterError, match="do not fit"):
@@ -247,8 +247,7 @@ class TestEnviIO:
 
     def test_cube_io_holds_the_cube_and_a_few_tiles(self, tmp_path, monkeypatch):
         # tiles (and distance blocks) of 4,096 values (32 KB) against a 960 KB cube
-        monkeypatch.setattr(hsembed.hsi, "_TILE", 4096)
-        monkeypatch.setattr(hsembed.hsi, "_DISTANCE_BLOCK", 4096)
+        monkeypatch.setattr(hsembed.hsi, "_BLOCK", 4096)
         tiles = 4 * 4096 * 8
         spec = SceneSpec(height=60, width=50, bands=40, classes=3, noise_sigma=0.1, seed=1)
         cube_bytes = 60 * 50 * 40 * 8
@@ -344,7 +343,7 @@ class TestSyntheticScene:
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
     def test_tiled_scene_equals_the_one_shot_scene(self, monkeypatch, noise_sigma):
         # tiles of 3 rows and a ragged last tile of 2
-        monkeypatch.setattr(hsembed.hsi, "_TILE", 3 * 10 * 4)
+        monkeypatch.setattr(hsembed.hsi, "_BLOCK", 3 * 10 * 4)
         spec = self.spec(height=14, noise_sigma=noise_sigma)
         image, gt = generate_synthetic_scene(spec)
         cube, labels = synthetic_scene_reference(spec)
@@ -365,7 +364,7 @@ class TestSyntheticScene:
         )
         # oracle: per-pixel loop on a lattice of centres full of ties, with
         # blocks of a single row
-        monkeypatch.setattr(hsembed.hsi, "_DISTANCE_BLOCK", 1)
+        monkeypatch.setattr(hsembed.hsi, "_BLOCK", 1)
         rows, cols = np.array([0, 0, 4, 4, 2, 2]), np.array([0, 4, 0, 4, 2, 2])
         got = _nearest_centre(5, 5, rows, cols)
         for r in range(5):

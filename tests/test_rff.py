@@ -9,8 +9,8 @@ from hsembed import (
     ParameterError,
     ShapeError,
     exact_gaussian_kernel,
-    embedding,
     feature_matrix,
+    hsi,
     sample_frequencies,
 )
 from oracles import FLOAT32_TRIG_ENTRY, UNIT_NORM_ATOL, feature_matrix_reference
@@ -205,7 +205,7 @@ class TestRowBlocks:
 
     def test_blocks_bit_identical_to_their_row_pieces(self):
         # the commands embed an image in row blocks whose size follows the
-        # score block; a row's bytes must not depend on where a block starts
+        # block; a row's bytes must not depend on where a block starts
         fmap = sample_frequencies(103, 256, 1.0, seed=4)
         xs = np.random.default_rng(5).normal(scale=4.0, size=(2048, 103))
         xs[500] = 0.0
@@ -215,9 +215,9 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n_freq", [256, 512, 1024])
     def test_score_block_rows_bit_identical_to_one_block(self, n_freq):
-        # the feature blocks the commands take at the default score block:
+        # the feature blocks the commands take at the default block:
         # 2,048, 1,024 and 512 rows, so 3,000 rows span 2 to 6 blocks
-        step = embedding.block_rows(2 * n_freq)
+        step = hsi.block_rows(2 * n_freq)
         fmap = sample_frequencies(50, n_freq, 1.0, seed=6)
         xs = np.random.default_rng(7).normal(size=(3000, 50))
         assert step < len(xs)
@@ -226,8 +226,8 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("rows", [1, 127, 2048, 8192])
     def test_starts_no_thread(self, monkeypatch, rows):
-        # a single row, and blocks below, at and past the default score
-        # block of features at N=256
+        # a single row, and blocks below, at and past the default block
+        # of features at N=256
         started = []
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
         fmap = sample_frequencies(103, 256, 1.0, seed=3)
@@ -279,7 +279,7 @@ class TestRowBlocks:
 
     def test_peak_is_projection_and_result(self):
         # the in-place reduction adds no block-sized temporary: on a
-        # 2,048-row block (one 8 MB score block of features at N=256) the
+        # 2,048-row block (one 8 MB block of features at N=256) the
         # peak is the (n, N) projection and the (n, 2N) result, with a
         # small slack; a float64 copy of the projection would be 4 MB
         n, n_freq = 2048, 256

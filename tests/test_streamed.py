@@ -1,6 +1,6 @@
 """The streamed feature path against the dense feature table.
 
-Unless the whole-image table fits in one score block, the commands never
+Unless the whole-image table fits in one block, the commands never
 build it: they train on patch means of per-pixel features and score every
 pixel in one pass of row bands, window-meaning the per-pixel scores with a
 box filter that carries its prefix sums from band to band. These tests pin
@@ -35,7 +35,7 @@ from hsembed import (
     build_feature_table,
     prepare_features,
 )
-from hsembed import cli, embedding, evaluation
+from hsembed import cli, embedding, evaluation, hsi
 from hsembed.embedding import METHODS, WINDOWED, _fuse, _minmax_scale_columns
 from hsembed.evaluation import train_and_predict
 from hsembed.morphology import morphological_profile
@@ -101,7 +101,7 @@ def banded_decisions(space, models):
 def filter_cases(draw):
     """An (H, W, K) stack (sometimes scaled by 1e3), a side (possibly larger
     than the image), a border, a band height (1, side - 1, side, H or any)
-    and a score block that splits the columns into groups."""
+    and a block that splits the columns into groups."""
     h = draw(st.integers(1, 16))
     w = draw(st.integers(1, 16))
     k = draw(st.integers(1, 5))
@@ -125,7 +125,7 @@ def test_banded_window_means_equal_the_whole_image_filter_bit_for_bit(case):
         asked.append((a, b))
         return stack[a:b].copy()
 
-    with mock.patch.object(embedding, "_SCORE_BLOCK", block):
+    with mock.patch.object(hsi, "_BLOCK", block):
         bands = list(embedding._window_means(rows_of, h, w, k, side, border, band))
     assert [first for first, _ in bands] == list(range(0, h, band))
     got = np.concatenate([means for _, means in bands])
@@ -183,7 +183,7 @@ def test_banded_window_means_hold_no_earlier_band_while_the_next_is_made(band):
 def test_streamed_decisions_equal_dense_table_decisions(case, method):
     image, config, block, rng = case
     table = build_feature_table(image, method, config, MP)
-    with mock.patch.object(embedding, "_SCORE_BLOCK", block):
+    with mock.patch.object(hsi, "_BLOCK", block):
         space = prepare_features(image, method, config, MP)
         if space.dual:
             support, coefs = random_dual(space, rng)
@@ -204,7 +204,7 @@ def test_patch_training_rows_equal_table_rows(case, method):
     n = image.height * image.width
     idx = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
     table = build_feature_table(image, method, config)
-    with mock.patch.object(embedding, "_SCORE_BLOCK", block):
+    with mock.patch.object(hsi, "_BLOCK", block):
         rows = prepare_features(image, method, config).table_rows(idx)
     np.testing.assert_allclose(rows, table.values[idx], rtol=0, atol=1e-10)
 
@@ -216,7 +216,7 @@ def test_fused_decisions_equal_explicit_tensor_rows(case):
     profile = _minmax_scale_columns(morphological_profile(image, MP))
     mean_map = build_feature_table(image, "meanmap", config).values
     explicit = np.stack([_fuse(p[None, :], m[None, :])[0] for p, m in zip(profile, mean_map)])
-    with mock.patch.object(embedding, "_SCORE_BLOCK", block):
+    with mock.patch.object(hsi, "_BLOCK", block):
         space = prepare_features(image, "mp_x_meanmap", config, MP)
         support, coefs = random_dual(space, rng)
         got = banded_scores(space, coefs, support)
@@ -273,7 +273,7 @@ def test_peak_stays_below_the_dense_table(wide_scene, command, method, tmp_path)
     (tmp_path / "pipeline.json").write_text(json.dumps(config))
     argv = [command, "--config", str(tmp_path / "pipeline.json"), "--output", str(tmp_path)]
     # blocks of 64 pixel rows, so the block scratch is small against the image
-    with mock.patch.object(embedding, "_SCORE_BLOCK", 64 * 2 * N_FEATURES):
+    with mock.patch.object(hsi, "_BLOCK", 64 * 2 * N_FEATURES):
         peak = traced_peak(lambda: cli.main(argv))
     assert (tmp_path / "metrics.json").is_file()
     assert peak < table_bytes
@@ -325,7 +325,7 @@ def test_scoring_embeds_each_pixel_once_whatever_the_run_count(method, monkeypat
 
     monkeypatch.setattr(embedding, "feature_matrix", counted)
     # bands of 1 to 9 image rows
-    monkeypatch.setattr(embedding, "_SCORE_BLOCK", 300)
+    monkeypatch.setattr(hsi, "_BLOCK", 300)
     for n_runs in (1, 10):
         labels, train_sets = many_runs(rng, h, w, n_runs)
         embedded.clear()
@@ -347,7 +347,7 @@ def test_streamed_fusion_fuses_only_the_training_pixels(wide_scene, tmp_path, mo
         return fuse(profile_rows, mean_map_rows)
 
     monkeypatch.setattr(embedding, "_fuse", counted)
-    monkeypatch.setattr(embedding, "_SCORE_BLOCK", 64 * 2 * N_FEATURES)
+    monkeypatch.setattr(hsi, "_BLOCK", 64 * 2 * N_FEATURES)
     argv = ["evaluate", "--config", str(tmp_path / "pipeline.json"), "--output", str(tmp_path)]
     assert cli.main(argv) == 0
     # one call, on the training pixels of both runs (3 classes)
@@ -362,7 +362,7 @@ def test_peak_of_many_runs_stays_below_their_score_image():
     config = EmbeddingConfig(patch=PatchSpec(SIDE), n_features=N_FEATURES, sigma=1.0)
     space = prepare_features(image, "meanmap", config)
     score_bytes = h * w * n_runs * 3 * 8  # 3 class pairs per run
-    with mock.patch.object(embedding, "_SCORE_BLOCK", 64 * 2 * N_FEATURES):
+    with mock.patch.object(hsi, "_BLOCK", 64 * 2 * N_FEATURES):
         peak = traced_peak(
             lambda: train_and_predict(space, labels, train_sets, 3, SvmConfig(c=8.0))
         )
@@ -370,7 +370,7 @@ def test_peak_of_many_runs_stays_below_their_score_image():
 
 
 def test_scoring_pass_peaks_within_four_score_blocks():
-    # the README's accounting of the streamed pass, in score blocks: the
+    # the README's accounting of the streamed pass, in blocks: the
     # band's scores (1), the filter's scratch (1), one feature block (1)
     # and its projection (1/2), and that block's spectra and unit spectra
     # (2 x 10 / 128 here, under 1/2 while bands <= N/2); carried rows and
@@ -397,7 +397,7 @@ def test_scoring_pass_peaks_within_four_score_blocks():
             del means  # the filter's own rule: no band is held while the next is made
 
     # 120 class pairs: bands of 33 image rows, feature blocks of 4,096 pixels
-    with mock.patch.object(embedding, "_SCORE_BLOCK", block), \
+    with mock.patch.object(hsi, "_BLOCK", block), \
             mock.patch.object(embedding, "_window_means", counted):
         peak = traced_peak(
             lambda: train_and_predict(space, labels, [train], 16, SvmConfig(c=8.0))
@@ -428,9 +428,9 @@ def test_streamed_commands_match_the_dense_path(wide_scene, command, outputs, tm
         assert cli.main(argv) == 0
 
     monkeypatch.setattr(evaluation, "build_feature_table", counted)
-    run(tmp_path / "dense")  # a 48 x 48 x 128 table fits in one score block
+    run(tmp_path / "dense")  # a 48 x 48 x 128 table fits in one block
     assert built == ["meanmap"]
-    with mock.patch.object(embedding, "_SCORE_BLOCK", 64 * 2 * N_FEATURES):
+    with mock.patch.object(hsi, "_BLOCK", 64 * 2 * N_FEATURES):
         run(tmp_path / "streamed")
     assert built == ["meanmap"]
     for name in outputs:
@@ -442,9 +442,9 @@ def test_streamed_commands_match_the_dense_path(wide_scene, command, outputs, tm
 EVALUATE_STREAMED = """
 import sys
 from unittest import mock
-from hsembed import cli, embedding
+from hsembed import cli, hsi
 
-with mock.patch.object(embedding, "_SCORE_BLOCK", int(sys.argv[1])):
+with mock.patch.object(hsi, "_BLOCK", int(sys.argv[1])):
     for config, out in zip(sys.argv[2::2], sys.argv[3::2]):
         assert cli.main(["evaluate", "--config", config, "--output", out]) == 0
 """
