@@ -3,15 +3,25 @@
 All operators are pure functions on 2-D float arrays. Borders are handled
 by clamping (edge replication), consistent with the patch policy used for
 the distribution embeddings.
+
+Erosion, dilation and reconstruction only compare and select values, so
+they commute with any order-preserving map. Reconstruction therefore runs
+on the int32 ranks of the values (one ``np.unique``) and maps back through
+the sorted distinct values; in the profile one ranking per PCA band serves
+all its openings and closings. Each Jacobi step writes into preallocated
+buffers, and the loop stops when a step changes nothing. A zero of either
+sign in a reconstruction comes out as +0.0; NaN, which has no place in the
+order, raises NumericalError.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParameterError, ShapeError
+from .errors import ContractViolation, NumericalError, ParameterError, ShapeError
 from .hsi import HyperspectralImage
 
 
@@ -43,10 +53,14 @@ class StructuringElement:
         return self.offsets.shape[0]
 
 
+def _check_integer(value, name: str, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def disk(radius: int) -> StructuringElement:
     """Discrete disk: offsets with dr^2 + dc^2 <= radius^2."""
-    if radius < 0:
-        raise ParameterError(f"radius must be >= 0, got {radius}")
+    _check_integer(radius, "radius", 0)
     r = np.arange(-radius, radius + 1)
     rr, cc = np.meshgrid(r, r, indexing="ij")
     keep = rr**2 + cc**2 <= radius**2
@@ -55,8 +69,7 @@ def disk(radius: int) -> StructuringElement:
 
 def square(radius: int) -> StructuringElement:
     """Square of side 2*radius + 1."""
-    if radius < 0:
-        raise ParameterError(f"radius must be >= 0, got {radius}")
+    _check_integer(radius, "radius", 0)
     r = np.arange(-radius, radius + 1)
     rr, cc = np.meshgrid(r, r, indexing="ij")
     return StructuringElement(np.stack([rr.ravel(), cc.ravel()], axis=1), radius)
@@ -64,14 +77,28 @@ def square(radius: int) -> StructuringElement:
 
 _SE_FACTORIES = {"disk": disk, "square": square}
 
-# 4-connected cross used for geodesic propagation.
-_CROSS = disk(1)
+
+def _element(se_shape: str, scale: int) -> StructuringElement:
+    """The structuring element of scale index ``scale`` (its radius)."""
+    if se_shape not in _SE_FACTORIES:
+        raise ParameterError(f"se_shape must be one of {sorted(_SE_FACTORIES)}, got {se_shape!r}")
+    _check_integer(scale, "scale index", 1)
+    return _SE_FACTORIES[se_shape](scale)
 
 
 def _check_gray(f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if f.ndim != 2 or min(f.shape) < 1:
         raise ShapeError(f"expected a 2-D image, got shape {f.shape}")
+    return f
+
+
+def _ordered(f: np.ndarray, name: str) -> np.ndarray:
+    """A 2-D image without NaN, which has no place in the order that
+    reconstruction compares by."""
+    f = _check_gray(f)
+    if np.isnan(f).any():
+        raise NumericalError(f"{name} holds NaN; reconstruction needs ordered values")
     return f
 
 
@@ -83,7 +110,10 @@ def _windowed(f: np.ndarray, se: StructuringElement, reducer) -> np.ndarray:
     out = None
     for dr, dc in se.offsets:
         win = padded[rmax - dr : rmax - dr + h, cmax - dc : cmax - dc + w]
-        out = win.copy() if out is None else reducer(out, win)
+        if out is None:
+            out = win.copy()
+        else:
+            reducer(out, win, out=out)
     return out
 
 
@@ -107,33 +137,93 @@ def closing(f: np.ndarray, se: StructuringElement) -> np.ndarray:
     return erode(dilate(f, se), se)
 
 
+def _ranks(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``f`` and the int32 rank of each of its
+    pixels among them, so ``values[ranks]`` is ``f``; -0.0 becomes +0.0."""
+    values, ranks = np.unique(f, return_inverse=True)
+    # -0.0 == 0.0, so np.unique keeps whichever zero sorts first; adding
+    # +0.0 turns a -0.0 into +0.0 and leaves every other value as it is
+    return values + 0.0, ranks.reshape(f.shape).astype(np.int32)
+
+
+# polarity: (propagation, bound by the mask, border value that never wins)
+_POLARITIES = {
+    "dilation": (np.maximum, np.minimum, np.iinfo(np.int32).min),
+    "erosion": (np.minimum, np.maximum, np.iinfo(np.int32).max),
+}
+
+
+def _pads(shape: tuple[int, int]) -> list[np.ndarray]:
+    """The three buffers of ``_flood`` for images of ``shape``."""
+    return [np.empty((shape[0] + 2, shape[1] + 2), dtype=np.int32) for _ in range(3)]
+
+
+def _flood(marker: np.ndarray, mask: np.ndarray, polarity: str, pads: list) -> np.ndarray:
+    """Geodesic reconstruction of int32 ``marker`` under ``mask`` (see
+    ``reconstruct``), stepped without allocating in ``pads``, whose contents
+    it overwrites; returns a view into one of them, valid until their reuse.
+
+    Marker and mask sit in buffers one pixel wider on each side, whose
+    border holds a value that never wins the propagation: a clamped
+    neighbour is the pixel itself, which the 3x3 cross already holds. Each
+    step runs over the flat rows 1..h, border columns included, so each of
+    its operations is one contiguous pass; the mask's border sends those
+    columns back to the border value.
+    """
+    grow, bound, edge = _POLARITIES[polarity]
+    h, w = mask.shape
+    for pad in pads:
+        pad.fill(edge)
+    pads[0][1:-1, 1:-1] = marker
+    pads[2][1:-1, 1:-1] = mask
+    row = w + 2
+    lo, hi = row, (h + 1) * row  # the flat rows 1..h
+    src, dst = (pad.reshape(-1) for pad in pads[:2])
+    limit = pads[2].reshape(-1)[lo:hi]
+    total = int(src[lo:hi].sum(dtype=np.int64))
+    while True:
+        out = dst[lo:hi]
+        grow(src[lo - row : hi - row], src[lo + row : hi + row], out=out)
+        grow(out, src[lo - 1 : hi - 1], out=out)
+        grow(out, src[lo + 1 : hi + 1], out=out)
+        grow(out, src[lo:hi], out=out)
+        bound(out, limit, out=out)
+        # every step moves each pixel only towards the mask, so the image
+        # is unchanged exactly when its (exact, int64) sum is
+        step_total = int(out.sum(dtype=np.int64))
+        if step_total == total:
+            return dst.reshape(h + 2, w + 2)[1:-1, 1:-1]
+        total = step_total
+        src, dst = dst, src
+
+
 def reconstruct(marker: np.ndarray, mask: np.ndarray, polarity: str = "dilation") -> np.ndarray:
     """Geodesic reconstruction of ``marker`` under ``mask``.
 
     Iterates elementary geodesic dilation (3x3 cross, elementwise min with
     the mask) until a fixpoint; ``polarity='erosion'`` runs the dual. The
     result lies between marker and mask and is stable under re-application.
+
+    The steps only compare and select values, so they run on the int32
+    ranks of the values of both images and the result maps back through
+    them: each output value is an input value, except that a zero of
+    either sign comes out as +0.0. ±inf are ordinary values; a NaN in
+    either image raises NumericalError.
     """
-    marker = _check_gray(marker)
-    mask = _check_gray(mask)
+    marker = _ordered(marker, "marker")
+    mask = _ordered(mask, "mask")
     if marker.shape != mask.shape:
         raise ShapeError(f"marker {marker.shape} and mask {mask.shape} differ")
     if polarity == "dilation":
         if (marker > mask).any():
             raise ContractViolation("reconstruction by dilation requires marker <= mask")
-        step = lambda m: np.minimum(dilate(m, _CROSS), mask)
     elif polarity == "erosion":
         if (marker < mask).any():
             raise ContractViolation("reconstruction by erosion requires marker >= mask")
-        step = lambda m: np.maximum(erode(m, _CROSS), mask)
     else:
         raise ParameterError(f"polarity must be 'dilation' or 'erosion', got {polarity!r}")
-    current = marker
-    while True:
-        nxt = step(current)
-        if np.array_equal(nxt, current):
-            return nxt
-        current = nxt
+    values, ranks = _ranks(np.stack([marker, mask]))
+    return values[_flood(ranks[0], ranks[1], polarity, _pads(mask.shape))]
 
 
 def open_by_reconstruction(f: np.ndarray, scale: int, se_shape: str = "disk") -> np.ndarray:
@@ -141,19 +231,17 @@ def open_by_reconstruction(f: np.ndarray, scale: int, se_shape: str = "disk") ->
 
     Erodes with the scale-``i`` element, then floods back under ``f`` so
     surviving structures keep their exact shape. The family is decreasing
-    in the scale index.
+    in the scale index. NaN and signed zeros as in ``reconstruct``.
     """
-    if scale < 1:
-        raise ParameterError(f"scale index must be >= 1, got {scale}")
-    se = _SE_FACTORIES[se_shape](scale)
+    se = _element(se_shape, scale)
+    f = _ordered(f, "f")
     return reconstruct(erode(f, se), f, "dilation")
 
 
 def close_by_reconstruction(f: np.ndarray, scale: int, se_shape: str = "disk") -> np.ndarray:
     """Dual of open_by_reconstruction; increasing in the scale index."""
-    if scale < 1:
-        raise ParameterError(f"scale index must be >= 1, got {scale}")
-    se = _SE_FACTORIES[se_shape](scale)
+    se = _element(se_shape, scale)
+    f = _ordered(f, "f")
     return reconstruct(dilate(f, se), f, "erosion")
 
 
@@ -232,15 +320,26 @@ def morphological_profile(image: HyperspectralImage, config: MorphoProfileConfig
     [openings by reconstruction at scales 1..n, the band itself, closings
     by reconstruction at scales 1..n]; bands are concatenated, giving rows
     of dimension pca_dims * (2 n + 1).
+
+    One set of int32 ranks per band serves its 2 n markers and
+    reconstructions (see ``reconstruct``), since erosion and dilation only
+    select values of the band. A zero of either sign in an opening or
+    closing is +0.0; a band holding NaN raises NumericalError.
     """
     pca = pca_reduce(image, config.pca_dims)
     n = config.n_scales
-    columns = []
-    for band in pca.bands:
-        for i in range(1, n + 1):
-            columns.append(open_by_reconstruction(band, i, config.se_shape))
-        columns.append(band)
-        for i in range(1, n + 1):
-            columns.append(close_by_reconstruction(band, i, config.se_shape))
-    stacked = np.stack([c.ravel() for c in columns], axis=1)
-    return stacked
+    elements = [_element(config.se_shape, i) for i in range(1, n + 1)]
+    shape = pca.bands.shape[1:]
+    profile = np.empty((shape[0] * shape[1], config.pca_dims * (2 * n + 1)))
+    columns = profile.reshape(*shape, -1)  # columns[..., j] is column j as an image
+    pads = _pads(shape)
+    for k, band in enumerate(pca.bands):
+        values, ranks = _ranks(_ordered(band, f"PCA band {k}"))
+        first = k * (2 * n + 1)
+        columns[..., first + n] = band
+        for i, se in enumerate(elements):
+            opened = _flood(_windowed(ranks, se, np.minimum), ranks, "dilation", pads)
+            columns[..., first + i] = values[opened]
+            closed = _flood(_windowed(ranks, se, np.maximum), ranks, "erosion", pads)
+            columns[..., first + n + 1 + i] = values[closed]
+    return profile

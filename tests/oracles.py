@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 
+from hsembed.morphology import dilate, disk, erode, pca_reduce, square
+
 
 def jacobi_eigh(a, sweeps=60):
     """Cyclic Jacobi eigensolver for small symmetric matrices.
@@ -198,3 +200,40 @@ def augment(positions, spectra, beta, sigma):
     a unit-bandwidth Gaussian on these is a spatial Gaussian of bandwidth beta
     times a spectral Gaussian of bandwidth sigma."""
     return np.concatenate([np.asarray(positions) / beta, np.asarray(spectra) / sigma], axis=-1)
+
+
+def reconstruct_reference(marker, mask, polarity="dilation"):
+    """Geodesic reconstruction by the plain fixpoint loop on the float values.
+
+    Each step is the elementary geodesic dilation (3x3 cross, clamped
+    borders, then the elementwise minimum with the mask), or for
+    ``polarity='erosion'`` its dual; the loop stops when a step changes
+    nothing. Never returns for an input holding NaN.
+    """
+    cross = disk(1)
+    marker = np.asarray(marker, dtype=np.float64)
+    mask = np.asarray(mask, dtype=np.float64)
+    if polarity == "dilation":
+        step = lambda m: np.minimum(dilate(m, cross), mask)  # noqa: E731
+    else:
+        step = lambda m: np.maximum(erode(m, cross), mask)  # noqa: E731
+    current = marker
+    while True:
+        nxt = step(current)
+        if np.array_equal(nxt, current):
+            return nxt
+        current = nxt
+
+
+def profile_reference(image, config):
+    """The morphological profile assembled column by column from
+    ``pca_reduce``, the float erosion and dilation, and
+    ``reconstruct_reference``."""
+    factory = {"disk": disk, "square": square}[config.se_shape]
+    elements = [factory(i) for i in range(1, config.n_scales + 1)]
+    columns = []
+    for band in pca_reduce(image, config.pca_dims).bands:
+        columns += [reconstruct_reference(erode(band, se), band, "dilation") for se in elements]
+        columns.append(band)
+        columns += [reconstruct_reference(dilate(band, se), band, "erosion") for se in elements]
+    return np.stack([c.ravel() for c in columns], axis=1)

@@ -1,12 +1,18 @@
 """Morphological operators, geodesic reconstruction, PCA, profiles."""
 
+import faulthandler
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hsembed import (
     ContractViolation,
     HyperspectralImage,
     MorphoProfileConfig,
+    NumericalError,
     ParameterError,
     SceneSpec,
     close_by_reconstruction,
@@ -23,7 +29,7 @@ from hsembed import (
     square,
 )
 from hsembed.morphology import StructuringElement
-from oracles import brute_force_window, jacobi_eigh
+from oracles import brute_force_window, jacobi_eigh, profile_reference, reconstruct_reference
 
 
 class TestStructuringElements:
@@ -45,6 +51,16 @@ class TestStructuringElements:
             StructuringElement(np.array([[1, 0]]), 1)  # missing origin
         with pytest.raises(ParameterError):
             StructuringElement(np.array([[0, 0], [1, 0]]), 1)  # asymmetric
+
+    @pytest.mark.parametrize("factory", [disk, square])
+    @pytest.mark.parametrize("radius", [1.5, 2.0, True, -1])
+    def test_radius_must_be_a_non_negative_integer(self, factory, radius):
+        with pytest.raises(ParameterError, match="radius must be an integer >= 0"):
+            factory(radius)
+
+    def test_numpy_integer_radius(self):
+        assert disk(np.int64(2)).size == 13
+        assert square(np.int32(1)).size == 9
 
 
 class TestErodeDilate:
@@ -321,3 +337,141 @@ class TestAxiomSuite:
             assert np.all(f <= cbr) and np.all(cbr <= c)
             assert np.all(open_by_reconstruction(f, 2) <= obr)
             assert np.all(cbr <= close_by_reconstruction(f, 2))
+
+
+class TestScaleAndShapeArguments:
+    @pytest.mark.parametrize("operator", [open_by_reconstruction, close_by_reconstruction])
+    def test_unknown_shape_lists_the_shapes(self, operator):
+        with pytest.raises(ParameterError, match=r"se_shape must be one of \['disk', 'square'\]"):
+            operator(np.zeros((3, 3)), 1, "hexagon")
+
+    @pytest.mark.parametrize("operator", [open_by_reconstruction, close_by_reconstruction])
+    @pytest.mark.parametrize("scale", [2.5, 1.0, True, 0])
+    def test_scale_must_be_a_positive_integer(self, operator, scale):
+        with pytest.raises(ParameterError, match="scale index must be an integer >= 1"):
+            operator(np.zeros((3, 3)), scale)
+
+
+@pytest.fixture
+def watchdog():
+    """Ends the test process with exit status 1 if the test has not
+    finished in 30 s, so a reconstruction that never stops fails the run
+    instead of stalling it."""
+    faulthandler.dump_traceback_later(30, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.mark.usefixtures("watchdog")
+class TestNaN:
+    @staticmethod
+    def _with_nan():
+        f = np.zeros((3, 3))
+        f[1, 2] = np.nan
+        return f
+
+    def test_reconstruct_names_the_argument(self):
+        nan = self._with_nan()
+        with pytest.raises(NumericalError, match="^marker holds NaN"):
+            reconstruct(nan, np.zeros((3, 3)))
+        with pytest.raises(NumericalError, match="^mask holds NaN"):
+            reconstruct(np.zeros((3, 3)), nan)
+        with pytest.raises(NumericalError, match="^marker holds NaN"):
+            reconstruct(nan, nan, "erosion")
+
+    @pytest.mark.parametrize("operator", [open_by_reconstruction, close_by_reconstruction])
+    def test_by_reconstruction_names_the_argument(self, operator):
+        with pytest.raises(NumericalError, match="^f holds NaN"):
+            operator(self._with_nan(), 1)
+
+    def test_infinities_keep_working(self):
+        f = np.array([[np.inf, 0.0, 1.0], [-np.inf, 2.0, np.inf], [3.0, -np.inf, 0.5]])
+        marker = np.full((3, 3), -np.inf)
+        marker[0, 0] = np.inf
+        for got, ref in [
+            (reconstruct(marker, f), reconstruct_reference(marker, f)),
+            (open_by_reconstruction(f, 1), reconstruct_reference(erode(f, disk(1)), f)),
+            (
+                close_by_reconstruction(f, 1),
+                reconstruct_reference(dilate(f, disk(1)), f, "erosion"),
+            ),
+        ]:
+            assert got.tobytes() == ref.tobytes()
+
+
+# Few values, so images are full of ties and plateaus; the infinities are
+# ordinary values. The second pool adds -0.0 beside 0.0.
+VALUES = [-np.inf, -2.5, -1.0, 0.0, 0.5, 1.0, 3.0, np.inf]
+SIGNED_ZEROS = VALUES + [-0.0]
+
+
+@st.composite
+def images(draw, values, count=1):
+    """``count`` images of one shape, 1x1 to 7x7, with pixels from ``values``."""
+    shape = draw(st.tuples(st.integers(1, 7), st.integers(1, 7)))
+    return [draw(arrays(np.float64, shape, elements=st.sampled_from(values))) for _ in range(count)]
+
+
+def expected_from(ref):
+    """The reference with its one permitted change: a zero of either sign
+    comes out as +0.0. On inputs without -0.0 this is the reference itself."""
+    return np.where(ref == 0, 0.0, ref)
+
+
+def assert_matches(got, ref):
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == expected_from(ref).tobytes()
+
+
+@pytest.mark.parametrize("values", [VALUES, SIGNED_ZEROS], ids=["no-signed-zeros", "signed-zeros"])
+class TestAgainstReferenceLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), polarity=st.sampled_from(["dilation", "erosion"]))
+    def test_reconstruct(self, values, data, polarity):
+        mask, other = data.draw(images(values, count=2))
+        bound = np.minimum if polarity == "dilation" else np.maximum
+        marker = bound(mask, other)
+        assert_matches(reconstruct(marker, mask, polarity), reconstruct_reference(marker, mask, polarity))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        scale=st.integers(1, 3),
+        se_shape=st.sampled_from(["disk", "square"]),
+    )
+    def test_by_reconstruction(self, values, data, scale, se_shape):
+        (f,) = data.draw(images(values))
+        se = {"disk": disk, "square": square}[se_shape](scale)
+        assert_matches(
+            open_by_reconstruction(f, scale, se_shape),
+            reconstruct_reference(erode(f, se), f, "dilation"),
+        )
+        assert_matches(
+            close_by_reconstruction(f, scale, se_shape),
+            reconstruct_reference(dilate(f, se), f, "erosion"),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        bands=st.integers(1, 4),
+        n_scales=st.integers(0, 2),
+        se_shape=st.sampled_from(["disk", "square"]),
+    )
+    def test_morphological_profile(self, values, data, bands, n_scales, se_shape):
+        # a few distinct spectra, so the PCA bands hold plateaus
+        (labels,) = data.draw(images(list(range(3))))
+        finite = [v for v in values if np.isfinite(v)]
+        palette = data.draw(arrays(np.float64, (3, bands), elements=st.sampled_from(finite)))
+        image = HyperspectralImage(palette[labels.astype(int)])
+        config = MorphoProfileConfig(
+            pca_dims=data.draw(st.integers(1, bands)), n_scales=n_scales, se_shape=se_shape
+        )
+        got = morphological_profile(image, config)
+        ref = profile_reference(image, config)
+        expected = expected_from(ref)
+        # the bands themselves are copied as they are
+        bands_at = np.arange(config.pca_dims) * (2 * n_scales + 1) + n_scales
+        expected[:, bands_at] = ref[:, bands_at]
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == expected.tobytes()
