@@ -305,10 +305,8 @@ class MorphoProfileConfig:
     se_shape: str = "disk"
 
     def __post_init__(self):
-        if self.pca_dims < 1:
-            raise ParameterError(f"pca_dims must be >= 1, got {self.pca_dims}")
-        if self.n_scales < 0:
-            raise ParameterError(f"n_scales must be >= 0, got {self.n_scales}")
+        _check_integer(self.pca_dims, "pca_dims", 1)
+        _check_integer(self.n_scales, "n_scales", 0)
         if self.se_shape not in _SE_FACTORIES:
             raise ParameterError(f"se_shape must be one of {sorted(_SE_FACTORIES)}")
 

@@ -9,7 +9,9 @@ regularized; this keeps the dual a simple box problem and the optimum
 unique). That box-constrained dual is solved exactly by one active-set method in the
 manner of More and Toraldo (SIAM J. Optim. 1991): projected Newton steps
 on the face of free variables, and projected-gradient steps that release
-bound variables once the face is optimal. It draws no random numbers.
+bound variables once the face is optimal. ``train_binary`` checks its
+inputs and forms Q; ``_solve`` runs the steps on Q. It draws no random
+numbers.
 Multiclass is one-vs-one with majority voting, ties resolved toward the
 smallest class id. Model selection is a stratified 5-fold grid search
 over C = 2^i, i in [-15, 15], each problem solved along ascending C from
@@ -34,11 +36,16 @@ from .errors import (
 KKT_TOLERANCE = 1e-4
 STEP_CAP_PER_ROW = 20
 ARMIJO = 1e-4
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
 class SolverDiagnostics:
-    """Convergence record of one binary solve."""
+    """Convergence record of one binary solve.
+
+    ``epochs`` counts active-set steps (face and release steps), not passes
+    over the data; the name stays because ``perfbench/spans.py`` reads it.
+    """
 
     alphas: np.ndarray
     dual_objectives: list[float]
@@ -62,12 +69,87 @@ def _projected_search(q, grad, alpha, direction, t, c, t_min):
     clip(alpha + t * direction, 0, c) passes the Armijo test, or until
     ``t <= t_min``; returns the last ``t`` and its point."""
     while True:
-        trial = np.clip(alpha + t * direction, 0.0, c)
+        trial = (alpha + t * direction).clip(0.0, c)
+        if t <= t_min:
+            return t, trial
         d = trial - alpha
-        slope = grad @ d
-        if slope + 0.5 * (d @ q @ d) <= ARMIJO * slope or t <= t_min:
+        slope = float(grad @ d)
+        if slope + 0.5 * float(d @ q @ d) <= ARMIJO * slope:
             return t, trial
         t *= 0.5
+
+
+def _solve(q: np.ndarray, c: float, alpha: np.ndarray, tol: float) -> SolverDiagnostics:
+    """Minimize 0.5 a'Qa - 1'a over 0 <= a <= ``c`` by the steps that
+    ``train_binary`` describes, from the feasible ``alpha``, which it may
+    overwrite, until the largest projected gradient magnitude is at most
+    ``tol`` or the step cap is reached."""
+    n = alpha.size
+    cap = STEP_CAP_PER_ROW * n
+    grad = q @ alpha - 1.0
+    objectives: list[float] = []
+    steps = 0
+    while True:
+        low, high = alpha <= 0.0, alpha >= c
+        pg = np.where(low, np.minimum(grad, 0.0), np.where(high, np.maximum(grad, 0.0), grad))
+        kkt = float(np.abs(pg).max())
+        if kkt <= tol or steps == cap:
+            return SolverDiagnostics(alpha, objectives, kkt, steps, kkt <= tol)
+        steps += 1
+        free = (~(low | high)).nonzero()[0]
+        g_f = grad[free]
+        if free.size and np.abs(g_f).max() > tol:
+            # face step
+            if free.size == n:
+                free, q_ff, a_f = slice(None), q, alpha
+            else:
+                q_ff, a_f = q[free[:, None], free], alpha[free]
+            # split the gradient between the range and the null space of the
+            # block, with least squares' cutoff; the null part is formed
+            # directly, as Q p + g would lose it to cancellation when the
+            # Newton step is large. eigh sorts lam ascending, so ``kept`` is
+            # all true once its first entry is, and the null part is 0
+            lam, vec = np.linalg.eigh(q_ff)
+            kept = lam > lam[-1] * g_f.size * _EPS
+            coef = vec.T @ g_f
+            if kept[0]:
+                # vec[:, kept] is a Fortran-ordered copy of vec; vec itself
+                # would take another BLAS kernel and change the rounding
+                p = -(vec[:, kept] @ (coef / lam))
+            else:
+                p = -(vec[:, ~kept] @ coef[~kept])
+                if np.abs(p).max() <= tol:
+                    p = -(vec[:, kept] @ (coef[kept] / lam[kept]))
+            moving = p != 0.0
+            limits = np.divide(
+                np.where(p > 0.0, c, 0.0) - a_f, p, out=np.full(p.size, np.inf), where=moving
+            )
+            block = int(limits.argmin())
+            first = float(limits[block])
+            curvature = float(p @ q_ff @ p)
+            t = -float(g_f @ p) / curvature if curvature > 0.0 else np.inf
+            if t < first:
+                alpha[free] = (a_f + t * p).clip(0.0, c)
+            else:
+                # search the projected path beyond the first bound (past the
+                # last one nothing moves); if it fails, stop at the first
+                t, trial = _projected_search(
+                    q_ff, g_f, a_f, p, min(t, float(limits[moving].max())), c, first
+                )
+                if t <= first:
+                    trial = (a_f + first * p).clip(0.0, c)
+                    trial[block] = c if p[block] > 0.0 else 0.0
+                alpha[free] = trial
+        else:
+            # release step
+            s = -pg
+            curvature = float(s @ q @ s)
+            t = c / float(np.abs(s[s != 0.0]).min())  # every moving variable is clipped beyond this
+            if curvature > 0.0:
+                t = min(t, float(s @ s) / curvature)
+            alpha = _projected_search(q, grad, alpha, -grad, t, c, 0.0)[1]
+        grad = q @ alpha - 1.0
+        objectives.append(0.5 * (float(alpha.sum()) - float(alpha @ grad)))
 
 
 def train_binary(
@@ -96,100 +178,48 @@ def train_binary(
       whose gradient points into the box.
 
     Stops when the largest projected gradient magnitude is at most
-    ``tol``, so a start that is already optimal takes zero steps. A solve
-    that reaches ``STEP_CAP_PER_ROW`` steps per example first is returned
-    with ``converged=False`` and a ``RuntimeWarning``.
+    ``tol`` (finite and >= 0), so a start that is already optimal takes
+    zero steps. A solve that reaches ``STEP_CAP_PER_ROW`` steps per
+    example first is returned with ``converged=False`` and a
+    ``RuntimeWarning``.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"features must be a 2-D matrix, got {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise ShapeError(f"labels must be ({x.shape[0]},), got {y.shape}")
+    n, d = x.shape
+    if y.shape != (n,):
+        raise ShapeError(f"labels must be ({n},), got {y.shape}")
     if not np.isfinite(x).all():
         raise NumericalError("features contain non-finite values")
     if not 0.0 < c < np.inf:
         raise ParameterError(f"C must be positive and finite, got {c}")
-    if not np.all(np.abs(y) == 1.0):
+    if not 0.0 <= tol < np.inf:
+        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
+    signs = y.tolist()
+    positive, negative = signs.count(1.0), signs.count(-1.0)
+    if positive + negative != n:
         raise ParameterError("labels must be +1 or -1")
-    if not (y > 0).any() or not (y < 0).any():
+    if not positive or not negative:
         raise DegenerateDataError("need at least one example of each sign")
 
-    n = x.shape[0]
     if start is None:
         alpha = np.zeros(n)
     else:
         alpha = np.array(start, dtype=np.float64)
-        if alpha.shape != (n,) or not np.all((alpha >= 0.0) & (alpha <= c)):
+        if alpha.shape != (n,) or not all(0.0 <= a <= c for a in alpha.tolist()):
             raise ParameterError(f"start must be ({n},) values in [0, C={c}]")
-    xy = np.concatenate([x, np.ones((n, 1))], axis=1) * y[:, None]
-    q = xy @ xy.T
-    grad = q @ alpha - 1.0
-    objectives: list[float] = []
-    converged = False
-    steps = 0
-    while True:
-        low, high = alpha <= 0.0, alpha >= c
-        pg = np.where(low, np.minimum(grad, 0.0), np.where(high, np.maximum(grad, 0.0), grad))
-        kkt = float(np.abs(pg).max())
-        if kkt <= tol:
-            converged = True
-            break
-        if steps == STEP_CAP_PER_ROW * n:
-            break
-        steps += 1
-        free = np.flatnonzero(~(low | high))
-        if free.size and np.abs(grad[free]).max() > tol:
-            # face step
-            q_ff, g_f, a_f = q[np.ix_(free, free)], grad[free], alpha[free]
-            # split the gradient between the range and the null space of the
-            # block, with least squares' cutoff; the null part is formed
-            # directly, as Q p + g would lose it to cancellation when the
-            # Newton step is large
-            lam, vec = np.linalg.eigh(q_ff)
-            kept = lam > lam[-1] * free.size * np.finfo(np.float64).eps
-            coef = vec.T @ g_f
-            p = -(vec[:, ~kept] @ coef[~kept])
-            if np.abs(p).max() <= tol:
-                p = -(vec[:, kept] @ (coef[kept] / lam[kept]))
-            moving = p != 0.0
-            limits = np.full(free.size, np.inf)
-            limits[moving] = (np.where(p > 0.0, c, 0.0) - a_f)[moving] / p[moving]
-            block = int(np.argmin(limits))
-            curvature = p @ q_ff @ p
-            t = -(g_f @ p) / curvature if curvature > 0.0 else np.inf
-            if t < limits[block]:
-                alpha[free] = np.clip(a_f + t * p, 0.0, c)
-            else:
-                # search the projected path beyond the first bound (past the
-                # last one nothing moves); if it fails, stop at the first
-                t, trial = _projected_search(
-                    q_ff, g_f, a_f, p, min(t, limits[moving].max()), c, limits[block]
-                )
-                if t > limits[block]:
-                    alpha[free] = trial
-                else:
-                    alpha[free] = np.clip(a_f + limits[block] * p, 0.0, c)
-                    alpha[free[block]] = c if p[block] > 0.0 else 0.0
-        else:
-            # release step
-            s = -pg
-            moving = s != 0.0
-            curvature = s @ q @ s
-            t = c / np.abs(s[moving]).min()  # every moving variable is clipped beyond this
-            if curvature > 0.0:
-                t = min(t, (s @ s) / curvature)
-            alpha = _projected_search(q, grad, alpha, -grad, t, c, 0.0)[1]
-        grad = q @ alpha - 1.0
-        objectives.append(float(0.5 * (alpha.sum() - alpha @ grad)))
-    if not converged:
+    xy = np.empty((n, d + 1))
+    np.multiply(x, y[:, None], out=xy[:, :d])
+    xy[:, d] = y
+    diag = _solve(xy @ xy.T, c, alpha, tol)
+    if not diag.converged:
         warnings.warn(
             "dual solver stopped at the step cap before reaching the KKT tolerance",
             RuntimeWarning,
             stacklevel=2,
         )
-    w = xy.T @ alpha
-    diag = SolverDiagnostics(alpha, objectives, kkt, steps, converged)
+    w = xy.T @ diag.alphas
     return BinarySeparator(w[:-1].copy(), float(w[-1]), float(c), diag)
 
 
@@ -361,7 +391,8 @@ def cross_validate(
     Classes with fewer examples than folds land in distinct folds; a
     validation example whose class is absent from the training split is
     skipped in the count, and a fold with nothing left to count is not
-    trained.
+    trained. ``folds`` must be at least 2, and at least one fold must be
+    trained (``DegenerateDataError`` otherwise).
 
     The solves see only the Gram matrix X X', so they run on the rows of
     its triangular factor (n x min(n, d)), which also give the validation
@@ -376,6 +407,8 @@ def cross_validate(
         raise ShapeError(f"features {x.shape} and labels {y.shape} are inconsistent")
     if not np.isfinite(x).all():
         raise NumericalError("features contain non-finite values")
+    if folds < 2:
+        raise ParameterError(f"folds must be >= 2, got {folds}")
     if np.unique(y).size < 2:
         raise DegenerateDataError("cross-validation needs at least two classes")
     grid = default_c_grid()
@@ -416,10 +449,15 @@ def cross_validate(
             model = SvmModel(tuple(classes), pairs, seps, rows.shape[1])
             accs[k].append(float(np.mean(predict_table(model, x_val) == y_val)))
 
+    if not problems:
+        raise DegenerateDataError(
+            f"cross-validation trained no fold: none of the {folds} folds leaves two classes "
+            "to train on and an example of them to validate; set svm.c to a fixed C"
+        )
     results = []
     best_c, best_acc = None, -1.0
     for c, fold_accs in zip(grid, accs):
-        mean_acc = float(np.mean(fold_accs)) if fold_accs else 0.0
+        mean_acc = float(np.mean(fold_accs))
         results.append((c, mean_acc))
         if mean_acc > best_acc:
             best_acc, best_c = mean_acc, c

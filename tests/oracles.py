@@ -82,6 +82,103 @@ def box_qp_brute_force(q, c):
     return best
 
 
+def _projected_search_reference(q, grad, alpha, direction, t, c, t_min):
+    from hsembed.svm import ARMIJO
+
+    while True:
+        trial = np.clip(alpha + t * direction, 0.0, c)
+        d = trial - alpha
+        slope = grad @ d
+        if slope + 0.5 * (d @ q @ d) <= ARMIJO * slope or t <= t_min:
+            return t, trial
+        t *= 0.5
+
+
+def train_binary_reference(features, labels, c, tol, start=None):
+    """The active-set dual solve of ``hsembed.svm.train_binary``, written
+    as one loop over whole-array numpy expressions.
+
+    ``train_binary`` runs the same steps with the same arithmetic on the
+    same operand layouts but fewer numpy calls (no ``np.ix_`` gather or
+    copy of a block that holds every variable, no null-space product for
+    a full-rank block, one masked division for the step limits), so the
+    two must agree byte for byte. Inputs are not checked. The step cap is
+    read from ``hsembed.svm.STEP_CAP_PER_ROW`` at call time.
+    """
+    import warnings
+
+    import hsembed.svm
+    from hsembed.svm import BinarySeparator, SolverDiagnostics
+
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n = x.shape[0]
+    alpha = np.zeros(n) if start is None else np.array(start, dtype=np.float64)
+    xy = np.concatenate([x, np.ones((n, 1))], axis=1) * y[:, None]
+    q = xy @ xy.T
+    grad = q @ alpha - 1.0
+    objectives = []
+    converged = False
+    steps = 0
+    while True:
+        low, high = alpha <= 0.0, alpha >= c
+        pg = np.where(low, np.minimum(grad, 0.0), np.where(high, np.maximum(grad, 0.0), grad))
+        kkt = float(np.abs(pg).max())
+        if kkt <= tol:
+            converged = True
+            break
+        if steps == hsembed.svm.STEP_CAP_PER_ROW * n:
+            break
+        steps += 1
+        free = np.flatnonzero(~(low | high))
+        if free.size and np.abs(grad[free]).max() > tol:
+            # face step
+            q_ff, g_f, a_f = q[np.ix_(free, free)], grad[free], alpha[free]
+            lam, vec = np.linalg.eigh(q_ff)
+            kept = lam > lam[-1] * free.size * np.finfo(np.float64).eps
+            coef = vec.T @ g_f
+            p = -(vec[:, ~kept] @ coef[~kept])
+            if np.abs(p).max() <= tol:
+                p = -(vec[:, kept] @ (coef[kept] / lam[kept]))
+            moving = p != 0.0
+            limits = np.full(free.size, np.inf)
+            limits[moving] = (np.where(p > 0.0, c, 0.0) - a_f)[moving] / p[moving]
+            block = int(np.argmin(limits))
+            curvature = p @ q_ff @ p
+            t = -(g_f @ p) / curvature if curvature > 0.0 else np.inf
+            if t < limits[block]:
+                alpha[free] = np.clip(a_f + t * p, 0.0, c)
+            else:
+                t, trial = _projected_search_reference(
+                    q_ff, g_f, a_f, p, min(t, limits[moving].max()), c, limits[block]
+                )
+                if t > limits[block]:
+                    alpha[free] = trial
+                else:
+                    alpha[free] = np.clip(a_f + limits[block] * p, 0.0, c)
+                    alpha[free[block]] = c if p[block] > 0.0 else 0.0
+        else:
+            # release step
+            s = -pg
+            moving = s != 0.0
+            curvature = s @ q @ s
+            t = c / np.abs(s[moving]).min()
+            if curvature > 0.0:
+                t = min(t, (s @ s) / curvature)
+            alpha = _projected_search_reference(q, grad, alpha, -grad, t, c, 0.0)[1]
+        grad = q @ alpha - 1.0
+        objectives.append(float(0.5 * (alpha.sum() - alpha @ grad)))
+    if not converged:
+        warnings.warn(
+            "dual solver stopped at the step cap before reaching the KKT tolerance",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    w = xy.T @ alpha
+    diag = SolverDiagnostics(alpha, objectives, kkt, steps, converged)
+    return BinarySeparator(w[:-1].copy(), float(w[-1]), float(c), diag)
+
+
 def cross_validate_reference(features, labels, folds=5, seed=0):
     """The C-outer, cold grid search on the original rows.
 

@@ -389,6 +389,18 @@ class TestExitCodes:
         assert main(["classify", "--config", str(path)]) == 2
         assert "stage 'data'" in capsys.readouterr().err
 
+    def test_grid_search_without_a_trainable_fold_is_two(self, tmp_path, scene_config, capsys):
+        # one training pixel per class: every fold that validates a pixel
+        # lacks its class in training, so no C can be chosen
+        _, out, cfg = scene_config
+        cfg["svm"] = {"c": None}
+        cfg["protocol"] = {"runs": 1, "per_class": 1}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["evaluate", "--config", str(path)]) == 2
+        assert "set svm.c" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
 
 class TestUnknownKeys:
     @pytest.mark.parametrize(

@@ -351,6 +351,20 @@ class TestScaleAndShapeArguments:
         with pytest.raises(ParameterError, match="scale index must be an integer >= 1"):
             operator(np.zeros((3, 3)), scale)
 
+    @pytest.mark.parametrize("pca_dims", [0, 1.5, 2.0, True, "2"])
+    def test_profile_config_pca_dims_must_be_a_positive_integer(self, pca_dims):
+        with pytest.raises(ParameterError, match="pca_dims must be an integer >= 1"):
+            MorphoProfileConfig(pca_dims=pca_dims)
+
+    @pytest.mark.parametrize("n_scales", [-1, 2.5, 1.0, True, False, None])
+    def test_profile_config_n_scales_must_be_a_non_negative_integer(self, n_scales):
+        with pytest.raises(ParameterError, match="n_scales must be an integer >= 0"):
+            MorphoProfileConfig(n_scales=n_scales)
+
+    def test_profile_config_takes_numpy_integers(self):
+        config = MorphoProfileConfig(pca_dims=np.int64(2), n_scales=np.int32(0))
+        assert (config.pca_dims, config.n_scales) == (2, 0)
+
 
 @pytest.fixture
 def watchdog():

@@ -1,5 +1,6 @@
 """Exact dual SVM solver, one-vs-one multiclass, CV grid search."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +22,7 @@ from hsembed import (
     train_multiclass,
 )
 from hsembed.svm import SvmModel, decision_matrix, dual_coefficients
-from oracles import box_qp_brute_force, cross_validate_reference
+from oracles import box_qp_brute_force, cross_validate_reference, train_binary_reference
 
 
 def decision_values(sep, x):
@@ -143,6 +144,16 @@ class TestTrainBinary:
 
         with pytest.raises(NumericalError):
             train_binary(bad, np.array([1, -1, 1]), 1.0)
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf])
+    def test_tol_must_be_finite_and_non_negative(self, tol):
+        x, y = np.array([[1.0], [-1.0]]), np.array([1.0, -1.0])
+        with pytest.raises(ParameterError, match="tol must be finite and >= 0"):
+            train_binary(x, y, 1.0, tol=tol)
+
+    def test_zero_tol_is_allowed(self):
+        sep = train_binary(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]), 1024.0, tol=0.0)
+        assert sep.diagnostics.converged and sep.diagnostics.kkt_violation == 0.0
 
 
 class TestMulticlass:
@@ -288,6 +299,20 @@ class TestCrossValidate:
         with pytest.raises(DegenerateDataError):
             cross_validate(np.ones((5, 2)), np.ones(5), seed=0)
 
+    @pytest.mark.parametrize("folds", [1, 0, -2])
+    def test_fewer_than_two_folds_rejected(self, folds):
+        x, y = make_blobs(6, [(2, 0), (-2, 0)], 0.3, 21)
+        with pytest.raises(ParameterError, match="folds must be >= 2"):
+            cross_validate(x, y, folds=folds)
+
+    @pytest.mark.parametrize("folds", [2, 5])
+    def test_no_trainable_fold_rejected(self, folds):
+        # one example per class: the fold that validates an example lacks
+        # its class in training, so no fold is trained and no C is chosen
+        x, y = make_blobs(1, [(2, 0), (-2, 0), (0, 2)], 0.3, 22)
+        with pytest.raises(DegenerateDataError, match="set svm.c"):
+            cross_validate(x, y, folds=folds)
+
 
 class TestScaleEquivariance:
     def test_scaled_features_and_c_keep_predictions(self):
@@ -381,6 +406,77 @@ class TestWarmStart:
         x, y = np.array([[1.0], [-1.0]]), np.array([1.0, -1.0])
         with pytest.raises(ParameterError, match="start"):
             train_binary(x, y, 1.0, start=np.array(start))
+
+
+@st.composite
+def solver_problems(draw):
+    """A binary problem and a start for ``train_binary``.
+
+    Rows are Gaussian or on a half-integer lattice, with some copied, so
+    Q's blocks are often singular (also whenever d + 1 < n); blocks of 16
+    rows and more reach BLAS's vectorized kernels. The start is
+    cold (None), a feasible point with entries at 0, at C and between,
+    the next start of a C path (the solution at C/2 with its bound entries
+    raised to C, as ``cross_validate`` makes it), or the solution itself."""
+    n = draw(st.one_of(st.integers(2, 12), st.sampled_from([24, 40])))
+    dim = draw(st.sampled_from([1, 2, 3, 5, 8, 30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.normal(size=(n, dim))
+    else:
+        x = 0.5 * rng.integers(-2, 3, size=(n, dim))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        x[j] = x[i]
+    rest = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n - 2, max_size=n - 2))
+    y = np.array([1.0, -1.0] + rest)
+    c = 2.0 ** draw(st.integers(-6, 8))
+    tol = draw(st.sampled_from([hsembed.svm.KKT_TOLERANCE, 1e-9]))
+    kind = draw(st.sampled_from(["cold", "feasible", "c_path", "optimal"]))
+    start = None
+    if kind == "feasible":
+        start = c * rng.choice([0.0, 1.0, rng.uniform()], size=n)
+    elif kind == "c_path":
+        alphas = train_binary_reference(x, y, c / 2, tol=tol).diagnostics.alphas
+        start = np.where(alphas >= c / 2, c, alphas)
+    elif kind == "optimal":
+        start = train_binary_reference(x, y, c, tol=tol).diagnostics.alphas
+    return x, y, c, tol, start
+
+
+def assert_same_solve(got, ref):
+    """Two separators are equal in every byte of their solve."""
+    g, r = got.diagnostics, ref.diagnostics
+    for a, b in ((g.alphas, r.alphas), (got.weights, ref.weights)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(ref.bias).tobytes()
+    assert np.array(g.dual_objectives).tobytes() == np.array(r.dual_objectives).tobytes()
+    assert len(g.dual_objectives) == len(r.dual_objectives) == g.epochs
+    assert np.float64(g.kkt_violation).tobytes() == np.float64(r.kkt_violation).tobytes()
+    assert (g.epochs, g.converged) == (r.epochs, r.converged)
+
+
+class TestSolverBytes:
+    """``train_binary`` (through ``_solve``) takes the reference loop's
+    steps with the same operations on the same operand layouts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(solver_problems(), st.sampled_from([None, None, 0, 1]))
+    # a singular block (d + 1 < n, a copied row) that needs a null-space step
+    @example((np.array([[1.0], [1.0], [-1.0], [0.5]]), np.array([1.0, -1.0, 1.0, -1.0]),
+              4.0, 1e-9, None), None)
+    def test_matches_the_reference_loop_byte_for_byte(self, problem, cap):
+        # cap: STEP_CAP_PER_ROW as it is (None), or 0 or 1 step per row
+        x, y, c, tol, start = problem
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            if cap is not None:
+                mp.setattr(hsembed.svm, "STEP_CAP_PER_ROW", cap)
+            got = train_binary(x, y, c, tol=tol, start=start)
+            warned = len(caught)
+            ref = train_binary_reference(x, y, c, tol=tol, start=start)
+        assert_same_solve(got, ref)
+        assert warned == len(caught) - warned == (not got.diagnostics.converged)
 
 
 @st.composite
