@@ -32,7 +32,6 @@ from .embedding import (
     prepare_features,
 )
 from .errors import (
-    CapacityError,
     ContractViolation,
     DegenerateDataError,
     FormatError,

@@ -31,7 +31,6 @@ from .embedding import (
 from .errors import (
     POSITIVE,
     SEED,
-    CapacityError,
     ContractViolation,
     DegenerateDataError,
     FormatError,
@@ -173,7 +172,7 @@ PIPELINE_KEYS = dict(
     method=str,
     embedding=dict(
         patch_side=int, border=str, n_features=int, sigma=POSITIVE, beta=POSITIVE,
-        normalize=bool, tensor_cap=int,
+        normalize=bool,
     ),
     mp=dict(pca_dims=int, n_scales=int, se_shape=str),
     svm=dict(c=POSITIVE, folds=int),
@@ -510,7 +509,7 @@ def build_parser() -> _Parser:
 def _exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, StageError):
         return _exit_code_for(exc.cause)
-    if isinstance(exc, (UsageError, ParameterError, CapacityError)):
+    if isinstance(exc, (UsageError, ParameterError)):
         return 1
     if isinstance(exc, _DATA_ERRORS):
         return 2

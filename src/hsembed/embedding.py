@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf
 from scipy.sparse import csc_matrix
 from scipy.spatial.distance import pdist
 
-from .errors import CapacityError, ContractViolation, ParameterError, ShapeError
+from .errors import ContractViolation, ParameterError, ShapeError
 from .hsi import (
     HyperspectralImage,
     PatchSpec,
@@ -71,7 +72,6 @@ class EmbeddingConfig:
     n_features: int = 1024
     seed: int = 0
     normalize: bool = True
-    tensor_cap: int = 65536
 
     def __post_init__(self):
         if self.sigma is not None and self.sigma <= 0:
@@ -80,8 +80,6 @@ class EmbeddingConfig:
             raise ParameterError(f"beta must be positive, got {self.beta}")
         if self.n_features < 1:
             raise ParameterError(f"n_features must be >= 1, got {self.n_features}")
-        if self.tensor_cap < 1:
-            raise ParameterError(f"tensor_cap must be >= 1, got {self.tensor_cap}")
 
 
 def median_heuristic(image: HyperspectralImage, sample_size: int = 1000, seed: int = 0) -> float:
@@ -276,12 +274,12 @@ class FeatureSpace:
     """One method's features on one image, resolved but not materialized.
 
     A feature-table row of a windowed method (meanmap, convmeanmap) is the
-    mean of the pixel rows (z) over the pixel's patch; fusion fuses it with
-    the pixel's min-max-scaled profile row; other methods use the pixel
-    row. The window mean is linear, so ``scores`` window-means the pixel
-    rows' scores (fusion: the z) in bands, never building a whole-image
-    table, score image or mean map; fusion scores through its factored
-    kernel, so only training rows are ever fused.
+    mean of the pixel rows (z) over the pixel's patch; fusion's would fuse
+    it with the pixel's min-max-scaled profile row; other methods use the
+    pixel row. The window mean is linear, so ``scores`` window-means the
+    pixel rows' scores (fusion: the z) in bands, never building a
+    whole-image table, score image or mean map. Fusion builds no fused row:
+    it trains on ``kernel_rows`` and scores through its factored kernel.
     """
 
     image: HyperspectralImage
@@ -334,57 +332,70 @@ class FeatureSpace:
         owners = np.repeat(np.arange(idx.size), windows.shape[1])
         counts = csc_matrix((np.ones(windows.size), (owners, where)), shape=(idx.size, members.size))
         rows = np.zeros((idx.size, self.fmap.feature_dim))
-        for a, b in row_blocks(members.size, self.fmap.feature_dim):
+        for a, b in row_blocks(members.size, max(self.fmap.feature_dim, self.image.bands)):
             rows += counts[:, a:b] @ self.pixel_rows(members[a:b])
         rows /= windows.shape[1]
         return rows
 
-    def table_rows(self, idx: np.ndarray, means: np.ndarray | None = None) -> np.ndarray:
+    def table_rows(self, idx: np.ndarray) -> np.ndarray:
         """Feature-table rows of the given flat pixel indices: windowed methods
-        take their ``patch_means`` (or the ``means`` given for them), and fusion
-        fuses those with the profile rows."""
+        take their ``patch_means``. Fusion has none (see ``kernel_rows``)."""
+        if self.dual:
+            raise ContractViolation("fusion builds no fused row; train on kernel_rows")
         idx = np.asarray(idx, dtype=np.int64)
-        if self.method not in WINDOWED and self.method != "mp_x_meanmap":
-            return self.pixel_rows(idx)
-        means = self.patch_means(idx) if means is None else means
-        return _fuse(self.profile[idx], means) if self.method == "mp_x_meanmap" else means
+        return self.patch_means(idx) if self.method in WINDOWED else self.pixel_rows(idx)
 
-    def scores(self, weights: np.ndarray, support: tuple | None = None):
+    def kernel_rows(self, idx: np.ndarray, means: np.ndarray) -> np.ndarray:
+        """Fusion's training rows of flat pixel indices and their ``patch_means`` M:
+        R with R R' = (P P') * (M M'), their fused rows' Gram (P: profile rows),
+        from LAPACK's rank-revealing pivoted Cholesky, one column per pivot."""
+        gram = self.profile[idx] @ self.profile[idx].T
+        gram *= means @ means.T
+        factor, pivots, rank, _ = dpstrf(gram, lower=1)
+        return np.tril(factor)[np.argsort(pivots), :rank]
+
+    def scores(self, weights, support: tuple | None = None):
         """Every pixel's table row times the (row_dim, K) weights, in one pass of row
         bands of about one block: yields (first flat pixel, (rows, K) scores) per
-        band. Each row is embedded once.
+        band. Each row is embedded once, in blocks sized by their widest array.
 
         Fusion scores in the dual and never builds a fused row. ``support`` is
-        the (flat indices, patch means) of T training pixels, and ``weights``
-        are their (T, K) dual coefficients A (``svm.dual_coefficients``). A
-        fused row's inner product factors, <p (x) m, p' (x) m'> = <p, p'> <m, m'>,
-        so a band's scores are ((P P_T') * (M M_T')) A, with P its profile rows
-        and M the window means of its z."""
-        h, w, k = self.image.height, self.image.width, weights.shape[1]
-        fused = self.dual
+        the (flat indices, patch means) of the training pixels of all runs, run
+        after run, and ``weights`` the list of each run's (T_r, K_r) dual
+        coefficients A_r (``svm.dual_coefficients``). A fused row's inner
+        product factors, <p (x) m, p' (x) m'> = <p, p'> <m, m'>, so run r's K_r
+        columns of a band are ((P P_r') * (M M_r')) A_r, with P the band's
+        profile rows and M the window means of its z."""
+        h, w, fused = self.image.height, self.image.width, self.dual
         if fused and support is None:
             raise ContractViolation("fusion scores need the training pixels as support")
+        # the ends of each run's support rows and score columns
+        ends = np.cumsum([a_r.shape for a_r in weights], axis=0) if fused else None
+        k = int(ends[-1, 1]) if fused else weights.shape[1]
         width = self.fmap.feature_dim if fused else k
         side = self.patch.side if fused or self.method in WINDOWED else 1
+        spectra = 0 if self.method == "mp" else self.image.bands
 
         def image_rows(a, b):
             idx = np.arange(a * w, b * w)
             if fused:
                 return self.pixel_rows(idx).reshape(b - a, w, width)
             rows = np.empty((idx.size, k))
-            for c, d in row_blocks(idx.size, max(self.row_dim, k)):
+            for c, d in row_blocks(idx.size, max(self.row_dim, k, spectra)):
                 np.matmul(self.pixel_rows(idx[c:d]), weights, out=rows[c:d])
             return rows.reshape(b - a, w, k)
 
         # a fusion band also holds its (rows, T) Gram block
-        band = block_rows(w * max(width, k, weights.shape[0] if fused else 0))
+        band = block_rows(w * max(width, k, len(support[0]) if fused else 0))
         for a, means in _window_means(image_rows, h, w, width, side, self.patch.border, band):
             scores = means = means.reshape(-1, width)
             if fused:
                 train_idx, train_means = support
                 gram = self.profile[a * w : a * w + len(means)] @ self.profile[train_idx].T
                 gram *= means @ train_means.T
-                scores = gram @ weights
+                scores = np.empty((len(means), k))
+                for a_r, (t, c) in zip(weights, ends):
+                    np.matmul(gram[:, t - len(a_r) : t], a_r, out=scores[:, c - a_r.shape[1] : c])
                 del gram
             yield a * w, scores
             del means, scores  # not held while the next band is made
@@ -435,12 +446,6 @@ def prepare_features(
     else:
         fmap = sample_frequencies(d, config.n_features, sigma, config.seed)
     if method == "mp_x_meanmap":
-        out_dim = profile.shape[1] * fmap.feature_dim
-        if out_dim > config.tensor_cap:
-            raise CapacityError(
-                f"tensor feature dimension {profile.shape[1]}*{fmap.feature_dim}={out_dim} "
-                f"exceeds cap {config.tensor_cap}; reduce n_features or the profile size"
-            )
         profile = _minmax_scale_columns(profile)
     return FeatureSpace(
         image, method, meta, config.patch, config.normalize, fmap, sigma, beta, profile

@@ -5,6 +5,7 @@ malformed or degenerate data exits 2, numerical failures exit 3.
 """
 
 import math
+import numbers
 
 
 class HsembedError(Exception):
@@ -31,10 +32,6 @@ class DegenerateDataError(HsembedError):
     """Data is structurally unusable, e.g. a class with no examples."""
 
 
-class CapacityError(HsembedError):
-    """A configured resource cap would be exceeded."""
-
-
 class UndefinedInputError(HsembedError):
     """A quantity is undefined for the given input, e.g. metrics of an
     empty confusion matrix."""
@@ -51,6 +48,12 @@ class NumericalError(HsembedError):
 def is_finite_number(value: object) -> bool:
     """True for a finite JSON number; a bool is not one."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_integer(value, name: str, least: int) -> None:
+    """ParameterError unless ``value`` is an integer (not a bool) >= ``least``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _is_int(value: object) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .embedding import (
     EmbeddingConfig,
@@ -294,23 +293,24 @@ def train_and_predict(
     each: returns (len(train_sets), H*W) class ids and the Cs used. The
     training rows of all runs come from one pass over their patches, and
     one pass of row bands scores every pixel against all the models; only
-    the class ids outlive a band. Fusion scores in the dual, against the
-    training pixels of all runs and their patch means.
+    the class ids outlive a band. Fusion trains each run on a factor of its
+    kernel (``FeatureSpace.kernel_rows``) and scores it in the dual.
     """
     train_idx = np.concatenate(train_sets)
-    means = space.patch_means(train_idx) if space.dual else None
     ends = np.cumsum([idx.size for idx in train_sets])[:-1]
-    rows = np.split(space.table_rows(train_idx, means), ends)
+    if space.dual:
+        means = space.patch_means(train_idx)
+        rows = [space.kernel_rows(*run) for run in zip(train_sets, np.split(means, ends))]
+    else:
+        rows = np.split(space.table_rows(train_idx), ends)
     fits = [
         train_run(run_rows, labels_flat[idx], n_classes, svm_cfg)
         for run_rows, idx in zip(rows, train_sets)
     ]
-    del rows  # fusion's training rows are not held while scoring
+    del rows  # the training rows are not held while scoring
     models = [model for model, _ in fits]
     if space.dual:
-        coefs = block_diag(
-            *(dual_coefficients(m, labels_flat[idx]) for m, idx in zip(models, train_sets))
-        )
+        coefs = [dual_coefficients(m, labels_flat[idx]) for m, idx in zip(models, train_sets)]
     else:
         coefs = np.concatenate([m.weights for m in models], axis=1)
     biases = np.concatenate([m.biases for m in models])
@@ -334,15 +334,15 @@ def predict_runs(
 ) -> tuple[FeatureSpace | FeatureTable, list[np.ndarray], list[float]]:
     """Train one model per (training, predicted) pair of flat pixel indices
     and predict the second set: returns the features (for their meta), each
-    run's predictions and the Cs used. Larger tables stream
-    (``train_and_predict``); a table within one block is built and
+    run's predictions and the Cs used. Fusion and larger tables stream
+    (``train_and_predict``); any other table within one block is built and
     its runs go through ``run_split``, only to keep the dense calls that
     ``perfbench/test_perfbench.py`` counts on its 24 x 24 scene, until the
     benchmark traces the streamed functions (ROADMAP item 1).
     """
     method, embedding, mp = classifier.method, classifier.embedding, classifier.mp
     space = prepare_features(image, method, embedding, mp)
-    if image.height * image.width <= block_rows(space.row_dim):
+    if not space.dual and image.height * image.width <= block_rows(space.row_dim):
         table = build_feature_table(image, method, embedding, mp, space)
         fits = [
             run_split(table, labels_flat, train, predicted, n_classes, classifier.svm)

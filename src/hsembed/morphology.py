@@ -16,13 +16,12 @@ order, raises NumericalError.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, NumericalError, ParameterError, ShapeError
-from .hsi import HyperspectralImage
+from .errors import ContractViolation, NumericalError, ParameterError, ShapeError, check_integer
+from .hsi import HyperspectralImage, block_rows, row_blocks
 
 
 @dataclass(frozen=True)
@@ -53,14 +52,9 @@ class StructuringElement:
         return self.offsets.shape[0]
 
 
-def _check_integer(value, name: str, least: int) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def disk(radius: int) -> StructuringElement:
     """Discrete disk: offsets with dr^2 + dc^2 <= radius^2."""
-    _check_integer(radius, "radius", 0)
+    check_integer(radius, "radius", 0)
     r = np.arange(-radius, radius + 1)
     rr, cc = np.meshgrid(r, r, indexing="ij")
     keep = rr**2 + cc**2 <= radius**2
@@ -69,7 +63,7 @@ def disk(radius: int) -> StructuringElement:
 
 def square(radius: int) -> StructuringElement:
     """Square of side 2*radius + 1."""
-    _check_integer(radius, "radius", 0)
+    check_integer(radius, "radius", 0)
     r = np.arange(-radius, radius + 1)
     rr, cc = np.meshgrid(r, r, indexing="ij")
     return StructuringElement(np.stack([rr.ravel(), cc.ravel()], axis=1), radius)
@@ -82,7 +76,7 @@ def _element(se_shape: str, scale: int) -> StructuringElement:
     """The structuring element of scale index ``scale`` (its radius)."""
     if se_shape not in _SE_FACTORIES:
         raise ParameterError(f"se_shape must be one of {sorted(_SE_FACTORIES)}, got {se_shape!r}")
-    _check_integer(scale, "scale index", 1)
+    check_integer(scale, "scale index", 1)
     return _SE_FACTORIES[se_shape](scale)
 
 
@@ -268,27 +262,28 @@ class PcaResult:
 
 
 def pca_reduce(image: HyperspectralImage, dims: int) -> PcaResult:
-    """Project pixels onto the top ``dims`` eigenvectors of the spectral covariance."""
+    """Project pixels onto the top ``dims`` eigenvectors of the spectral covariance,
+    centring them a row block at a time in one buffer: no centred cube is made."""
     d_in = image.bands
     if not 1 <= dims <= d_in:
         raise ParameterError(f"dims must be in [1, {d_in}], got {dims}")
     x = image.pixels()
     n = x.shape[0]
     mean = x.mean(axis=0)
-    xc = x - mean
-    denom = max(n - 1, 1)
-    cov = (xc.T @ xc) / denom
+    centred = np.empty((min(n, block_rows(d_in)), d_in))
+    cov = np.zeros((d_in, d_in))
+    for a, b in row_blocks(n, d_in):
+        xc = np.subtract(x[a:b], mean, out=centred[: b - a])
+        cov += xc.T @ xc
+    cov /= max(n - 1, 1)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:dims]
-    evals = evals[order]
-    comps = evecs[:, order].T.copy()
-    for k in range(dims):
-        pivot = int(np.argmax(np.abs(comps[k])))
-        if comps[k, pivot] < 0:
-            comps[k] = -comps[k]
-    scores = xc @ comps.T
-    bands = scores.T.reshape(dims, image.height, image.width)
-    return PcaResult(bands, evals, comps, mean)
+    evals, comps = evals[order], evecs[:, order].T.copy()
+    comps *= np.sign(comps[np.arange(dims), np.abs(comps).argmax(axis=1)])[:, None]
+    scores = np.empty((n, dims))
+    for a, b in row_blocks(n, d_in):
+        np.matmul(np.subtract(x[a:b], mean, out=centred[: b - a]), comps.T, out=scores[a:b])
+    return PcaResult(scores.T.reshape(dims, image.height, image.width), evals, comps, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +300,8 @@ class MorphoProfileConfig:
     se_shape: str = "disk"
 
     def __post_init__(self):
-        _check_integer(self.pca_dims, "pca_dims", 1)
-        _check_integer(self.n_scales, "n_scales", 0)
+        check_integer(self.pca_dims, "pca_dims", 1)
+        check_integer(self.n_scales, "n_scales", 0)
         if self.se_shape not in _SE_FACTORIES:
             raise ParameterError(f"se_shape must be one of {sorted(_SE_FACTORIES)}")
 

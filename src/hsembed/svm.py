@@ -31,6 +31,7 @@ from .errors import (
     NumericalError,
     ParameterError,
     ShapeError,
+    check_integer,
 )
 
 KKT_TOLERANCE = 1e-4
@@ -366,8 +367,7 @@ class SvmConfig:
     def __post_init__(self):
         if self.c is not None and not 0.0 < self.c < np.inf:
             raise ParameterError(f"C must be positive and finite, got {self.c}")
-        if self.folds < 2:
-            raise ParameterError(f"folds must be >= 2, got {self.folds}")
+        check_integer(self.folds, "folds", 2)
 
 
 def _stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -391,7 +391,7 @@ def cross_validate(
     Classes with fewer examples than folds land in distinct folds; a
     validation example whose class is absent from the training split is
     skipped in the count, and a fold with nothing left to count is not
-    trained. ``folds`` must be at least 2, and at least one fold must be
+    trained. ``folds`` must be an integer of at least 2, and at least one fold must be
     trained (``DegenerateDataError`` otherwise).
 
     The solves see only the Gram matrix X X', so they run on the rows of
@@ -407,8 +407,7 @@ def cross_validate(
         raise ShapeError(f"features {x.shape} and labels {y.shape} are inconsistent")
     if not np.isfinite(x).all():
         raise NumericalError("features contain non-finite values")
-    if folds < 2:
-        raise ParameterError(f"folds must be >= 2, got {folds}")
+    check_integer(folds, "folds", 2)
     if np.unique(y).size < 2:
         raise DegenerateDataError("cross-validation needs at least two classes")
     grid = default_c_grid()

@@ -141,16 +141,16 @@ class TestClassify:
         assert first == second
 
     def test_tensor_cap_exit_code_and_message(self, tmp_path, scene_config, capsys):
+        # the cap went with the fused rows: the key is unknown now
         _, _, cfg = scene_config
         cfg["method"] = "mp_x_meanmap"
-        cfg["embedding"]["n_features"] = 512
         cfg["embedding"]["tensor_cap"] = 1000
         cfg["mp"] = {"pca_dims": 2, "n_scales": 1}
         path = tmp_path / "over.json"
         path.write_text(json.dumps(cfg))
         code = main(["classify", "--config", str(path)])
         assert code == 1
-        assert "1000" in capsys.readouterr().err
+        assert "unknown key 'tensor_cap'" in capsys.readouterr().err
 
     def test_metrics_equal_evaluate_run_zero(self, scene_config, tmp_path):
         config, out, _ = scene_config
@@ -504,7 +504,7 @@ class TestStrictValues:
     @pytest.mark.parametrize(
         "section, key, value",
         [(None, "seed", 1.5), (None, "seed", True), ("embedding", "patch_side", 3.0),
-         ("embedding", "n_features", 8.5), ("embedding", "tensor_cap", "1000"),
+         ("embedding", "n_features", 8.5), ("embedding", "n_features", "1000"),
          ("mp", "pca_dims", None), ("mp", "n_scales", 2.0), ("svm", "folds", "5"),
          ("protocol", "runs", 1.9), ("protocol", "per_class", False),
          ("svm", "c", True), ("svm", "c", "8"), ("svm", "c", 0), ("svm", "c", -1.0),
@@ -583,9 +583,7 @@ class TestStrictValues:
         assert (spec.method, emb.patch.side, emb.patch.border, emb.n_features) == (
             "meanmap", 3, "clamp", 1024
         )
-        assert (emb.sigma, emb.beta, emb.normalize, emb.tensor_cap, emb.seed) == (
-            None, None, True, 65536, 0
-        )
+        assert (emb.sigma, emb.beta, emb.normalize, emb.seed) == (None, None, True, 0)
         assert (spec.mp.pca_dims, spec.mp.n_scales, spec.mp.se_shape) == (4, 4, "disk")
         assert (spec.svm.c, spec.svm.folds, spec.svm.seed) == (None, 5, 0)
 

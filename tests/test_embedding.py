@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hsembed import (
-    CapacityError,
     ContractViolation,
     EmbeddingConfig,
     HyperspectralImage,
@@ -298,11 +297,9 @@ class TestFeatureTable:
         table = build_feature_table(image, "mp_x_meanmap", cfg, mp_cfg)
         assert table.dim == (2 * 3) * (2 * 16)
         assert table.kind == "tensor"
-        small_cap = EmbeddingConfig(
-            patch=PatchSpec(3), n_features=16, seed=4, tensor_cap=100
-        )
-        with pytest.raises(CapacityError, match="100"):
-            build_feature_table(image, "mp_x_meanmap", small_cap, mp_cfg)
+        # no fused row is built by the commands, so no cap bounds them
+        with pytest.raises(TypeError, match="tensor_cap"):
+            EmbeddingConfig(patch=PatchSpec(3), n_features=16, seed=4, tensor_cap=100)
 
     def test_tensor_rows_factorize(self, small_scene):
         image, _ = small_scene

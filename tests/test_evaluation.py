@@ -197,11 +197,12 @@ class TestMonteCarloProtocol:
         assert s.best_c[0] in [2.0**i for i in range(-15, 16)]
 
     @pytest.mark.parametrize(
-        "method, profiles, medians",
-        [("mp", 1, 0), ("meanmap", 0, 1), ("mp_x_meanmap", 1, 1)],
+        "method, profiles, medians, tables",
+        # fusion streams whatever its size: no command builds a fused row
+        [("mp", 1, 0, 1), ("meanmap", 0, 1, 1), ("mp_x_meanmap", 1, 1, 0)],
     )
     def test_dense_branch_resolves_the_features_once(
-        self, blob_scene, monkeypatch, method, profiles, medians
+        self, blob_scene, monkeypatch, method, profiles, medians, tables
     ):
         image, gt = blob_scene
         calls = Counter()
@@ -226,7 +227,7 @@ class TestMonteCarloProtocol:
         )
         monte_carlo_protocol(image, gt, McProtocol(runs=2, per_class=5, seed=1), spec)
         assert calls == Counter(
-            build_feature_table=1, morphological_profile=profiles, median_heuristic=medians
+            build_feature_table=tables, morphological_profile=profiles, median_heuristic=medians
         )
 
     def test_table_formatting(self, blob_scene):

@@ -1,6 +1,7 @@
 """Morphological operators, geodesic reconstruction, PCA, profiles."""
 
 import faulthandler
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from hsembed import (
     reconstruct,
     square,
 )
+from hsembed import hsi
 from hsembed.morphology import StructuringElement
 from oracles import brute_force_window, jacobi_eigh, profile_reference, reconstruct_reference
+from tracing import traced_peak
 
 
 class TestStructuringElements:
@@ -251,6 +254,54 @@ class TestPca:
         cov = np.cov(scores, rowvar=False)
         off = cov - np.diag(np.diag(cov))
         assert np.max(np.abs(off)) <= 1e-8 * result.eigenvalues[0]
+
+    @pytest.mark.parametrize("block", [7, 7 * 50, 7 * 599, 1 << 20])
+    def test_blocked_centring_matches_one_product(self, block):
+        rng = np.random.default_rng(16)
+        image = HyperspectralImage(rng.normal(size=(30, 20, 7)) * 3 + 5)
+        with mock.patch.object(hsi, "_BLOCK", block):
+            result = pca_reduce(image, 4)
+        x = image.pixels()
+        xc = x - x.mean(axis=0)
+        evals, evecs = np.linalg.eigh(xc.T @ xc / (x.shape[0] - 1))
+        comps = evecs[:, ::-1][:, :4].T
+        comps *= np.sign(comps[np.arange(4), np.abs(comps).argmax(axis=1)])[:, None]
+        np.testing.assert_allclose(result.eigenvalues, evals[::-1][:4], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.components, comps, rtol=0, atol=1e-12)
+        bands = (xc @ comps.T).T.reshape(4, 30, 20)
+        np.testing.assert_allclose(result.bands, bands, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [3, 1 << 20])
+    def test_components_past_the_rank_score_only_rounding(self, block):
+        # three pixels span two directions. The third component's direction
+        # is rounding, so it follows the order in which the covariance is
+        # summed, that is the row blocks; its scores stay at rounding level,
+        # and the components within the rank do not move
+        rng = np.random.default_rng(18)
+        image = HyperspectralImage(rng.normal(size=(1, 3, 5)))
+        with mock.patch.object(hsi, "_BLOCK", block):
+            result = pca_reduce(image, 3)
+        x = image.pixels()
+        xc = x - x.mean(axis=0)
+        evals, evecs = np.linalg.eigh(xc.T @ xc / 2)
+        comps = evecs[:, ::-1][:, :2].T
+        comps *= np.sign(comps[np.arange(2), np.abs(comps).argmax(axis=1)])[:, None]
+        np.testing.assert_allclose(result.components[:2], comps, rtol=0, atol=1e-12)
+        bands = (xc @ comps.T).T.reshape(2, 1, 3)
+        np.testing.assert_allclose(result.bands[:2], bands, rtol=0, atol=1e-12)
+        assert np.abs(result.bands[2]).max() <= 1e-12
+
+    def test_peak_is_about_one_block_above_the_scores(self):
+        h, w, d, dims = 64, 64, 80, 4
+        image = HyperspectralImage(np.random.default_rng(17).normal(size=(h, w, d)))
+        block = 1 << 14  # the cube is 20 blocks
+        with mock.patch.object(hsi, "_BLOCK", block):
+            peak = traced_peak(lambda: pca_reduce(image, dims))
+        # the scores, one block of centred rows, a few d x d matrices and
+        # numpy's 64 KiB ufunc buffer (8,192 values) for the broadcast mean;
+        # measured 437 kB against this bound of 532 kB, so a second block
+        # or a centred cube (2.6 MB) fails
+        assert peak <= h * w * dims * 8 + block * 8 + 4 * d * d * 8 + (1 << 16)
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(15)

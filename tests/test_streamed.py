@@ -20,8 +20,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 import hsembed
 from hsembed import (
@@ -39,7 +40,7 @@ from hsembed import cli, embedding, evaluation, hsi
 from hsembed.embedding import METHODS, WINDOWED, _fuse, _minmax_scale_columns
 from hsembed.evaluation import train_and_predict
 from hsembed.morphology import morphological_profile
-from hsembed.svm import SvmConfig, decision_matrix
+from hsembed.svm import SvmConfig, decision_matrix, train_multiclass
 from oracles import sliding_window_mean_reference
 from tracing import traced_peak
 
@@ -67,6 +68,18 @@ def streamed_cases(draw):
     return HyperspectralImage(cube), config, block, rng
 
 
+def pca_is_well_posed(image, dims=MP.pca_dims):
+    """Whether the top ``dims`` variances of the centred pixels stand clear of
+    rounding, of each other and of the next one. Otherwise the profile's PCA
+    keeps a direction of rounding-level variance, or one of a tie, that
+    min-max scaling blows up to O(1): such profile columns depend on the
+    order the covariance is summed in, which follows the row blocks."""
+    x = image.pixels()
+    var = np.linalg.svd(x - x.mean(axis=0), compute_uv=False) ** 2
+    var = np.concatenate([var, np.zeros(dims + 1)])[: dims + 1]
+    return bool(np.all(-np.diff(var) > 1e-6 * var[0]))
+
+
 def random_model(dim, rng, n_classes=3):
     """A one-vs-one model with random separators (no training needed)."""
     pairs = [(a, b) for a in range(1, n_classes + 1) for b in range(a + 1, n_classes + 1)]
@@ -75,10 +88,13 @@ def random_model(dim, rng, n_classes=3):
 
 
 def random_dual(space, rng, k=3):
-    """Fusion's support, random training pixels (some may repeat) with their
-    patch means, and random (T, k) dual coefficients for it."""
-    train = rng.choice(space.image.height * space.image.width, size=int(rng.integers(1, 6)))
-    return (train, space.patch_means(train)), rng.normal(size=(train.size, k))
+    """Fusion's support, the random training pixels (some may repeat) of one
+    or two runs with their patch means, and random (T_r, k) dual
+    coefficients for each run."""
+    n = space.image.height * space.image.width
+    runs = [rng.choice(n, size=int(rng.integers(1, 4))) for _ in range(rng.integers(1, 3))]
+    train = np.concatenate(runs)
+    return (train, space.patch_means(train)), [rng.normal(size=(run.size, k)) for run in runs]
 
 
 def banded_scores(space, weights, support=None):
@@ -182,13 +198,14 @@ def test_banded_window_means_hold_no_earlier_band_while_the_next_is_made(band):
 @given(streamed_cases(), st.sampled_from(METHODS))
 def test_streamed_decisions_equal_dense_table_decisions(case, method):
     image, config, block, rng = case
+    assume(method not in ("mp", "mp_x_meanmap") or pca_is_well_posed(image))
     table = build_feature_table(image, method, config, MP)
     with mock.patch.object(hsi, "_BLOCK", block):
         space = prepare_features(image, method, config, MP)
         if space.dual:
             support, coefs = random_dual(space, rng)
             got = banded_scores(space, coefs, support)
-            expected = table.values @ (table.values[support[0]].T @ coefs)
+            expected = table.values @ (table.values[support[0]].T @ block_diag(*coefs))
         else:
             models = [random_model(table.dim, rng), random_model(table.dim, rng)]
             got = banded_decisions(space, models)
@@ -213,6 +230,7 @@ def test_patch_training_rows_equal_table_rows(case, method):
 @given(streamed_cases())
 def test_fused_decisions_equal_explicit_tensor_rows(case):
     image, config, block, rng = case
+    assume(pca_is_well_posed(image))
     profile = _minmax_scale_columns(morphological_profile(image, MP))
     mean_map = build_feature_table(image, "meanmap", config).values
     explicit = np.stack([_fuse(p[None, :], m[None, :])[0] for p, m in zip(profile, mean_map)])
@@ -220,11 +238,31 @@ def test_fused_decisions_equal_explicit_tensor_rows(case):
         space = prepare_features(image, "mp_x_meanmap", config, MP)
         support, coefs = random_dual(space, rng)
         got = banded_scores(space, coefs, support)
-    train = support[0]
-    np.testing.assert_allclose(got, explicit @ (explicit[train].T @ coefs), rtol=0, atol=1e-9)
-    np.testing.assert_allclose(space.table_rows(train), explicit[train], rtol=0, atol=1e-12)
+    train, means = support
+    expected = explicit @ (explicit[train].T @ block_diag(*coefs))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+    # the training rows factor the fused rows' Gram matrix
+    rows = space.kernel_rows(train, means)
+    assert rows.shape[1] <= train.size
+    gram = explicit[train] @ explicit[train].T
+    np.testing.assert_allclose(rows @ rows.T, gram, rtol=0, atol=1e-12)
     with pytest.raises(ContractViolation):
         next(space.scores(coefs))
+    with pytest.raises(ContractViolation):
+        space.table_rows(train)
+
+
+def test_kernel_rows_of_a_repeated_pixel_drop_its_rank():
+    rng = np.random.default_rng(9)
+    image = HyperspectralImage(rng.random((7, 6, BANDS)) + 0.05)
+    config = EmbeddingConfig(patch=PatchSpec(3), n_features=6, sigma=0.8)
+    space = prepare_features(image, "mp_x_meanmap", config, MP)
+    explicit = build_feature_table(image, "mp_x_meanmap", config, MP).values
+    train = np.array([3, 17, 3, 40, 17, 25])  # two pixels twice
+    rows = space.kernel_rows(train, space.patch_means(train))
+    assert rows.shape == (6, 4)
+    np.testing.assert_allclose(rows @ rows.T, explicit[train] @ explicit[train].T, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(rows[0], rows[2])
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +322,38 @@ def test_peak_stays_below_the_dense_table(wide_scene, command, method, tmp_path)
     assert dense >= table_bytes
 
 
+def test_fusion_peaks_below_cube_profile_and_a_few_blocks(tmp_path):
+    # evaluate holds the cube (25 blocks here) and the profile; the rest is
+    # the scoring pass's first band (its z, the filter's scratch and carried
+    # prefix sums), the per-pixel labels and class ids, and the ENVI read.
+    # Measured 11.5 blocks above cube + profile; a centred copy of the cube
+    # in the PCA read 26.3, and the 240 fused training rows (1.5 MB, 768
+    # wide) 24.4, against the bound of 16
+    spec = {"height": 64, "width": 64, "bands": 100, "classes": 3,
+            "region_scale": 10.0, "noise_sigma": 0.2, "seed": 3}
+    (tmp_path / "scene.json").write_text(json.dumps(spec))
+    assert cli.main(["synth", "--config", str(tmp_path / "scene.json"),
+                     "--output", str(tmp_path / "scene")]) == 0
+    mp = {"pca_dims": 2, "n_scales": 1}
+    config = {
+        "seed": 3,
+        "data": {"image": str(tmp_path / "scene" / "scene.hdr"),
+                 "ground_truth": str(tmp_path / "scene" / "gt.csv")},
+        "method": "mp_x_meanmap", "mp": mp,
+        "embedding": {"patch_side": SIDE, "n_features": N_FEATURES, "sigma": 1.0},
+        "svm": {"c": 8.0},
+        "protocol": {"runs": 2, "per_class": 40},
+    }
+    (tmp_path / "pipeline.json").write_text(json.dumps(config))
+    argv = ["evaluate", "--config", str(tmp_path / "pipeline.json"), "--output", str(tmp_path)]
+    block = 1 << 14
+    with mock.patch.object(hsi, "_BLOCK", block):
+        peak = traced_peak(lambda: cli.main(argv))
+    cube = 64 * 64 * 100 * 8
+    profile = 64 * 64 * mp["pca_dims"] * (2 * mp["n_scales"] + 1) * 8
+    assert peak < cube + profile + 16 * block * 8
+
+
 # ---------------------------------------------------------------------------
 # Many runs: one scoring pass, whatever the run count
 # ---------------------------------------------------------------------------
@@ -329,16 +399,19 @@ def test_scoring_embeds_each_pixel_once_whatever_the_run_count(method, monkeypat
     for n_runs in (1, 10):
         labels, train_sets = many_runs(rng, h, w, n_runs)
         embedded.clear()
-        space.table_rows(np.concatenate(train_sets))
+        (space.patch_means if space.dual else space.table_rows)(np.concatenate(train_sets))
         training = sum(embedded)
         embedded.clear()
         train_and_predict(space, labels, train_sets, 3, SvmConfig(c=8.0))
         assert sum(embedded) - training == h * w
 
 
-def test_streamed_fusion_fuses_only_the_training_pixels(wide_scene, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["evaluate", "classify"])
+@pytest.mark.parametrize("block", [64 * 2 * N_FEATURES, 1 << 20], ids=["streamed", "one-block"])
+def test_streamed_fusion_fuses_no_pixel(wide_scene, tmp_path, monkeypatch, command, block):
     config = json.loads((wide_scene / "pipeline.json").read_text())
-    config.update(method="mp_x_meanmap", mp={"pca_dims": 2, "n_scales": 1})
+    config.update(method="mp_x_meanmap", mp={"pca_dims": 2, "n_scales": 1},
+                  embedding=dict(config["embedding"], n_features=8))
     (tmp_path / "pipeline.json").write_text(json.dumps(config))
     fused, fuse = [], embedding._fuse
 
@@ -347,11 +420,37 @@ def test_streamed_fusion_fuses_only_the_training_pixels(wide_scene, tmp_path, mo
         return fuse(profile_rows, mean_map_rows)
 
     monkeypatch.setattr(embedding, "_fuse", counted)
-    monkeypatch.setattr(hsi, "_BLOCK", 64 * 2 * N_FEATURES)
-    argv = ["evaluate", "--config", str(tmp_path / "pipeline.json"), "--output", str(tmp_path)]
+    monkeypatch.setattr(hsi, "_BLOCK", block)
+    argv = [command, "--config", str(tmp_path / "pipeline.json"), "--output", str(tmp_path)]
     assert cli.main(argv) == 0
-    # one call, on the training pixels of both runs (3 classes)
-    assert fused == [config["protocol"]["runs"] * 3 * config["protocol"]["per_class"]]
+    # at N = 8 the 48 x 48 x 96 fused table would fit in one 1 << 20 block
+    assert fused == []
+
+
+def test_fusion_decisions_equal_a_model_on_explicit_fused_rows(monkeypatch):
+    rng = np.random.default_rng(10)
+    h, w = 12, 11
+    image = HyperspectralImage(rng.random((h, w, BANDS)) + 0.05)
+    labels, train_sets = many_runs(rng, h, w, 2)
+    config = EmbeddingConfig(patch=PatchSpec(3), n_features=6, sigma=0.8)
+    space = prepare_features(image, "mp_x_meanmap", config, MP)
+    explicit = build_feature_table(image, "mp_x_meanmap", config, MP).values
+    voted = []  # (model, decisions) of every band and run, in order
+
+    def recorded(model, decisions):
+        voted.append((model, decisions.copy()))
+        return vote(model, decisions)
+
+    vote = evaluation.vote
+    monkeypatch.setattr(evaluation, "vote", recorded)
+    monkeypatch.setattr(hsi, "_BLOCK", 300)  # several bands
+    preds, _ = train_and_predict(space, labels, train_sets, 3, SvmConfig(c=8.0))
+    assert len(voted) > 2 * 2
+    for r, idx in enumerate(train_sets):
+        model = train_multiclass(explicit[idx], labels[idx], 8.0, classes=[1, 2, 3])
+        got = np.vstack([d for m, d in voted[r::2]])
+        np.testing.assert_allclose(got, decision_matrix(model, explicit), rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(preds[r], vote(model, got))
 
 
 def test_peak_of_many_runs_stays_below_their_score_image():
@@ -405,6 +504,30 @@ def test_scoring_pass_peaks_within_four_score_blocks():
     assert len(bands) >= 4
     # the cube was allocated before the call, so the trace leaves it out
     assert peak <= 4 * block * 8 + (1 << 20)
+
+
+def test_feature_blocks_are_sized_by_the_spectra_when_they_are_wider():
+    # N = 32 on a 200-band cube: a feature block's spectra, not its 64-wide
+    # features, are its widest array. With blocks of one block's spectra the
+    # pass holds two of them (the spectra and their unit rows, or the squares
+    # that their norms sum), and under one more block of the band's scores,
+    # the filter's scratch, the features, their projection and numpy's
+    # 64 KiB ufunc buffers: measured 4.05 blocks; sized by the features, the
+    # spectra were 200 / 64 blocks each, and the pass peaked at 9.5 blocks
+    rng = np.random.default_rng(11)
+    image = HyperspectralImage(rng.random((64, 64, 200)) + 0.05)
+    config = EmbeddingConfig(patch=PatchSpec(3), n_features=32, sigma=1.0)
+    space = prepare_features(image, "meanmap", config)
+    weights = rng.normal(size=(64, 3))
+    block = 1 << 15  # the cube is 25 blocks
+
+    def scoring_pass():
+        for _, scores in space.scores(weights):
+            del scores
+
+    with mock.patch.object(hsi, "_BLOCK", block):
+        peak = traced_peak(scoring_pass)
+    assert peak <= 5 * block * 8
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from hsembed import (
     train_binary,
     train_multiclass,
 )
-from hsembed.svm import SvmModel, decision_matrix, dual_coefficients
+from hsembed.svm import SvmConfig, SvmModel, decision_matrix, dual_coefficients
 from oracles import box_qp_brute_force, cross_validate_reference, train_binary_reference
 
 
@@ -302,8 +302,20 @@ class TestCrossValidate:
     @pytest.mark.parametrize("folds", [1, 0, -2])
     def test_fewer_than_two_folds_rejected(self, folds):
         x, y = make_blobs(6, [(2, 0), (-2, 0)], 0.3, 21)
-        with pytest.raises(ParameterError, match="folds must be >= 2"):
+        with pytest.raises(ParameterError, match="folds must be an integer >= 2"):
             cross_validate(x, y, folds=folds)
+
+    @pytest.mark.parametrize("folds", [2.5, 5.0, True])
+    def test_non_integer_folds_rejected(self, folds):
+        x, y = make_blobs(6, [(2, 0), (-2, 0)], 0.3, 21)
+        with pytest.raises(ParameterError, match="folds must be an integer >= 2"):
+            cross_validate(x, y, folds=folds)
+
+    @pytest.mark.parametrize("folds", [2.5, 5.0, True, 1])
+    def test_svm_config_rejects_non_integer_folds(self, folds):
+        with pytest.raises(ParameterError, match="folds must be an integer >= 2"):
+            SvmConfig(folds=folds)
+        assert SvmConfig(folds=np.int64(3)).folds == 3
 
     @pytest.mark.parametrize("folds", [2, 5])
     def test_no_trainable_fold_rejected(self, folds):
