@@ -257,10 +257,14 @@ def _window_means(rows_of, height: int, width: int, k: int, side: int, border: s
 
 
 def _minmax_scale_columns(table: np.ndarray) -> np.ndarray:
+    """Each column mapped onto [0, 1] (a constant column onto 0), in one new
+    table: the differences are divided in place, so no second copy is held."""
     lows = table.min(axis=0)
     spans = table.max(axis=0) - lows
     spans = np.where(spans > 0, spans, 1.0)
-    return (table - lows) / spans
+    scaled = np.subtract(table, lows)
+    scaled /= spans
+    return scaled
 
 
 def _fuse(profile_rows: np.ndarray, mean_map_rows: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ The projection w.x is taken in float64 and reduced to [-pi, pi] in
 float64; cos and sin of the reduced angle are then taken in float32 and
 widened. That puts each entry within about 2e-7 / sqrt(N) of its float64
 value, far below the O(1/sqrt(N)) error of the random features
-themselves, at a quarter of the cost of float64 trig. Everything runs on
+themselves, at a quarter of the cost of float64 trig. The reduction
+needs no buffer of its own: its turns sit in the front of the result, as
+one contiguous block, until cos and sin overwrite them. Everything runs on
 the calling thread. The BLAS product gives a row's projection the same
 bytes whatever other rows share the call, and the trig is elementwise, so
 a feature row does not depend on how the caller splits its points into
@@ -83,11 +85,13 @@ def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
     """Features of many points: rows of a ``(n, 2N)`` matrix.
 
     The projection is one matrix product. It is reduced in place to
-    [-pi, pi] in float64 (the cos half of the result holds the turns
-    meanwhile); cos and sin then run in float32 straight into the float64
-    result, and the ufunc's buffered casts narrow and widen them. All of it
-    runs on the calling thread, so the caller's ``np.errstate`` holds, and
-    the bytes of a row do not depend on the other rows of ``xs``.
+    [-pi, pi] in float64; the turns meanwhile sit in the first n*N values
+    of the result, read as one contiguous (n, N) matrix, so every pass of
+    the reduction runs in memory order. cos and sin then overwrite that
+    scratch, in float32 straight into the float64 result, and the ufunc's
+    buffered casts narrow and widen them. All of it runs on the calling
+    thread, so the caller's ``np.errstate`` holds, and the bytes of a row
+    do not depend on the other rows of ``xs``.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.ndim != 2:
@@ -97,15 +101,15 @@ def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
             f"input dimension {xs.shape[1]} does not match map dimension {fmap.input_dim}"
         )
     proj = xs @ fmap.frequencies.T
-    n_freq = proj.shape[1]
-    out = np.empty((proj.shape[0], 2 * n_freq))
-    cos, sin = out[:, :n_freq], out[:, n_freq:]
-    np.multiply(proj, 1.0 / (2.0 * np.pi), out=cos)
-    np.rint(cos, out=cos)
-    cos *= 2.0 * np.pi
-    proj -= cos
-    np.cos(proj, out=cos, dtype=np.float32)
-    np.sin(proj, out=sin, dtype=np.float32)
+    n, n_freq = proj.shape
+    out = np.empty((n, 2 * n_freq))
+    turns = out.reshape(-1)[: n * n_freq].reshape(n, n_freq)
+    np.multiply(proj, 1.0 / (2.0 * np.pi), out=turns)
+    np.rint(turns, out=turns)
+    turns *= 2.0 * np.pi
+    proj -= turns
+    np.cos(proj, out=out[:, :n_freq], dtype=np.float32)
+    np.sin(proj, out=out[:, n_freq:], dtype=np.float32)
     out *= np.sqrt(1.0 / n_freq)
     return out
 

@@ -20,10 +20,11 @@ from hsembed import (
     prepare_features,
     sample_frequencies,
 )
-from hsembed.embedding import _fuse
+from hsembed.embedding import _fuse, _minmax_scale_columns
 from hsembed.hsi import patch_indices
 from hsembed.rff import feature_matrix
 from oracles import UNIT_NORM_ATOL, augment
+from tracing import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -304,7 +305,6 @@ class TestFeatureTable:
     def test_tensor_rows_factorize(self, small_scene):
         image, _ = small_scene
         from hsembed import MorphoProfileConfig
-        from hsembed.embedding import _minmax_scale_columns
         from hsembed.morphology import morphological_profile
 
         cfg = EmbeddingConfig(patch=PatchSpec(3), n_features=16, seed=4)
@@ -328,6 +328,30 @@ class TestFeatureTable:
         image, _ = small_scene
         with pytest.raises(ParameterError):
             build_feature_table(image, "spectral_unmixing")
+
+
+class TestMinMaxScale:
+    @pytest.fixture
+    def profile(self):
+        # the IP-like default profile shape, with a constant column
+        profile = np.random.default_rng(12).normal(scale=3.0, size=(21025, 36))
+        profile[:, 5] = 0.7
+        return profile
+
+    def test_bytes_equal_the_one_expression(self, profile):
+        lows = profile.min(axis=0)
+        spans = profile.max(axis=0) - lows
+        want = (profile - lows) / np.where(spans > 0, spans, 1.0)
+        got = _minmax_scale_columns(profile)
+        assert got.tobytes() == want.tobytes()
+        assert got.min() == 0.0 and got.max() == 1.0 and not got[:, 5].any()
+
+    def test_peak_is_one_profile(self, profile):
+        # the result, column-sized arrays and the reductions' buffers:
+        # measured 1.011 profiles; the one expression held a second
+        # profile-sized temporary (2.01 profiles)
+        peak = traced_peak(lambda: _minmax_scale_columns(profile))
+        assert profile.nbytes <= peak <= 1.1 * profile.nbytes
 
 
 class TestMedianHeuristic:

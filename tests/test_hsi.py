@@ -25,21 +25,39 @@ from oracles import synthetic_scene_reference
 from tracing import traced_peak
 
 # ENVI data type codes, and a cube shape that with TILE values per tile splits
-# bil and bip payloads into row tiles of 2 rows and bsq band planes into row
-# tiles of 5, each ending in a ragged last tile of 1 row
+# the reader's blocks (every interleave) and the writer's bil and bip payloads
+# into row tiles of 2 rows, and the writer's bsq band planes into row tiles
+# of 5, each ending in a ragged last tile of 1 row
 ENVI_DTYPES = [(np.uint8, 1), (np.int16, 2), (np.int32, 3), (np.float32, 4),
                (np.float64, 5), (np.uint16, 12), (np.uint32, 13)]
 TILED_SHAPE = (11, 3, 2)
 TILE = 16
+# the cube's axes in the file order of each interleave
+FILE_ORDER = {"bsq": (2, 0, 1), "bil": (0, 2, 1), "bip": (0, 1, 2)}
 
 
-def write_envi_raw(tmp_path, name, array_file_order, header_lines):
-    """Hand-author an ENVI pair; the bytes are the oracle."""
+def write_envi_raw(tmp_path, name, array_file_order, header_lines, offset=0):
+    """Hand-author an ENVI pair, the array after ``offset`` filler bytes;
+    the bytes are the oracle."""
     hdr = tmp_path / f"{name}.hdr"
     img = tmp_path / f"{name}.img"
     hdr.write_text("\n".join(header_lines) + "\n")
-    array_file_order.tofile(img)
+    img.write_bytes(b"\xa5" * offset + array_file_order.tobytes())
     return hdr
+
+
+def write_envi_cube(tmp_path, cube, interleave, dtype, byte_order=0, offset=0):
+    """Hand-author an ENVI pair holding ``cube`` in ``interleave`` order."""
+    lines, samples, bands = cube.shape
+    code = dict((np.dtype(d), c) for d, c in ENVI_DTYPES)[np.dtype(dtype)]
+    file_dtype = np.dtype(dtype).newbyteorder("<>"[byte_order])
+    return write_envi_raw(
+        tmp_path, "raw", cube.transpose(FILE_ORDER[interleave]).astype(file_dtype),
+        [f"samples = {samples}", f"lines = {lines}", f"bands = {bands}",
+         f"data type = {code}", f"interleave = {interleave}",
+         f"byte order = {byte_order}", f"header offset = {offset}"],
+        offset,
+    )
 
 
 class TestEnviIO:
@@ -200,10 +218,9 @@ class TestEnviIO:
                         byte_order=byte_order)
         assert f"data type = {code}" in hdr.read_text()
         # the bytes are the oracle: the cube in file order, in the file's dtype
-        order = {"bsq": (2, 0, 1), "bil": (0, 2, 1), "bip": (0, 1, 2)}[interleave]
         file_dtype = np.dtype(dtype).newbyteorder("<>"[byte_order])
         assert hdr.with_suffix(".img").read_bytes() == \
-            cube.transpose(order).astype(file_dtype).tobytes()
+            cube.transpose(FILE_ORDER[interleave]).astype(file_dtype).tobytes()
         back = load_envi(hdr)
         assert back.data.flags.c_contiguous
         assert back.data.tobytes() == image.data.tobytes()
@@ -220,6 +237,40 @@ class TestEnviIO:
         with open(hdr.with_suffix(".img"), "r+b") as f:
             f.seek(-np.dtype(dtype).itemsize, 2)
             f.write(np.array([bad], dtype=dtype).tobytes())
+        with pytest.raises(FormatError, match="non-finite"):
+            load_envi(hdr)
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("dtype,byte_order", [
+        (np.float64, 0), (np.float32, 1), (np.int16, 1), (np.uint8, 0), (np.uint32, 1),
+    ])
+    def test_tiled_read_after_a_header_offset(
+        self, tmp_path, monkeypatch, interleave, dtype, byte_order
+    ):
+        # 2-row blocks of an (11, 3, 4) cube after 13 filler bytes: six
+        # blocks, the last of 1 row, each read in one run per band for bsq
+        monkeypatch.setattr(hsembed.hsi, "_BLOCK", 2 * 3 * 4)
+        rng = np.random.default_rng(np.dtype(dtype).itemsize + byte_order)
+        if np.dtype(dtype).kind == "f":
+            cube = rng.normal(size=(11, 3, 4)).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            cube = rng.integers(info.min, info.max, size=(11, 3, 4), endpoint=True)
+        hdr = write_envi_cube(tmp_path, cube, interleave, dtype, byte_order, offset=13)
+        back = load_envi(hdr)
+        assert back.data.flags.c_contiguous
+        assert back.data.tobytes() == cube.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_value_in_band_0_of_a_middle_block(
+        self, tmp_path, monkeypatch, interleave, dtype
+    ):
+        # rows 4-5 are the third of the six 2-row blocks
+        monkeypatch.setattr(hsembed.hsi, "_BLOCK", TILE)
+        cube = np.ones(TILED_SHAPE)
+        cube[5, 1, 0] = np.nan
+        hdr = write_envi_cube(tmp_path, cube, interleave, dtype, offset=5)
         with pytest.raises(FormatError, match="non-finite"):
             load_envi(hdr)
 
@@ -264,6 +315,11 @@ class TestEnviIO:
                 hdr = tmp_path / f"{interleave}-{np.dtype(dtype)}.hdr"
                 assert traced_peak(lambda: save_envi(rounded, hdr, interleave, dtype)) < tiles
                 assert traced_peak(lambda: load_envi(hdr)) < cube_bytes + tiles
+
+    def test_read_of_a_cube_below_one_block_holds_no_whole_block(self, tmp_path):
+        # the raw buffer is sized by the cube's rows, not by the 8 MB block
+        hdr = save_envi(HyperspectralImage(np.ones((3, 4, 5))), tmp_path / "small.hdr")
+        assert traced_peak(lambda: load_envi(hdr)) < 64 << 10
 
 
 class TestGroundTruth:

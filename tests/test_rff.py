@@ -289,6 +289,25 @@ class TestRowBlocks:
         peak = traced_peak(lambda: feature_matrix(fmap, xs))
         assert proj_and_out <= peak <= proj_and_out + (1 << 20)
 
+    @pytest.mark.parametrize("n_freq", [3, 256])
+    def test_bytes_equal_the_reduction_in_the_cos_half(self, n_freq):
+        # the reduction as first written, its turns kept in the strided cos
+        # half of the result; an odd row count, large and zero angles
+        fmap = sample_frequencies(17, n_freq, 0.5, seed=n_freq)
+        xs = np.random.default_rng(10).normal(scale=6.0, size=(1001, 17))
+        xs[3] = 0.0
+        proj = xs @ fmap.frequencies.T
+        want = np.empty((len(xs), 2 * n_freq))
+        cos, sin = want[:, :n_freq], want[:, n_freq:]
+        np.multiply(proj, 1.0 / (2.0 * np.pi), out=cos)
+        np.rint(cos, out=cos)
+        cos *= 2.0 * np.pi
+        proj -= cos
+        np.cos(proj, out=cos, dtype=np.float32)
+        np.sin(proj, out=sin, dtype=np.float32)
+        want *= np.sqrt(1.0 / n_freq)
+        assert feature_matrix(fmap, xs).tobytes() == want.tobytes()
+
     def test_three_dimensional_input_rejected(self):
         fmap = sample_frequencies(3, 8, 1.0, seed=0)
         with pytest.raises(ShapeError):
