@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dpstrf
 from scipy.sparse import csc_matrix
 from scipy.spatial.distance import pdist
 
-from .errors import ContractViolation, ParameterError, ShapeError
+from .errors import ContractViolation, ParameterError, ShapeError, check_integer
 from .hsi import (
     HyperspectralImage,
     PatchSpec,
@@ -28,13 +28,14 @@ from .hsi import (
     patch_indices,
     row_blocks,
     unit_rows,
+    window_axis,
 )
 from .morphology import MorphoProfileConfig, morphological_profile
 from .rff import RandomFeatureMap, feature_matrix, sample_frequencies
 
 METHODS = ("raw", "rff", "meanmap", "convmeanmap", "mp", "mp_x_meanmap")
-# methods whose table rows are window means of per-pixel rows
-WINDOWED = ("meanmap", "convmeanmap")
+# methods that take the configured patch; the others are windows of side 1
+WINDOWED = ("meanmap", "convmeanmap", "mp_x_meanmap")
 
 @dataclass(frozen=True)
 class PixelFeature:
@@ -47,8 +48,8 @@ class PixelFeature:
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if v.ndim != 1:
             raise ShapeError(f"feature values must be 1-D, got shape {v.shape}")
-        if self.kind not in WINDOWED:
-            raise ParameterError(f"kind must be one of {WINDOWED}, got {self.kind!r}")
+        if self.kind not in ("meanmap", "convmeanmap"):
+            raise ParameterError(f"kind must be meanmap or convmeanmap, got {self.kind!r}")
         object.__setattr__(self, "values", v)
 
 
@@ -74,12 +75,11 @@ class EmbeddingConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if self.sigma is not None and self.sigma <= 0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
-        if self.beta is not None and self.beta <= 0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
-        if self.n_features < 1:
-            raise ParameterError(f"n_features must be >= 1, got {self.n_features}")
+        for key in ("sigma", "beta"):
+            value = getattr(self, key)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ParameterError(f"{key} must be positive and finite, got {value}")
+        check_integer(self.n_features, "n_features", 1)
 
 
 def median_heuristic(image: HyperspectralImage, sample_size: int = 1000, seed: int = 0) -> float:
@@ -192,25 +192,24 @@ class FeatureTable:
         return self.values.shape[1]
 
 
-def _window_means(rows_of, height: int, width: int, k: int, side: int, border: str, band: int):
-    """Means over side x side windows of an (height, width, k) image, in bands
+def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, band: int):
+    """Means over the patch windows of an (height, width, k) image, in bands
     of ``band`` image rows from top to bottom: yields (first row, (rows, width,
     k) means) per band. ``rows_of(a, b)`` gives image rows a:b, each once and in
-    order; borders pad as ``np.pad``'s edge (clamp) or symmetric (mirror) mode.
-    Sums are summed-area prefix sums over column groups of one block. A
-    band carries on the last ``side`` padded rows of the prefix sums, already
-    summed along both axes, and the axis-0 sums of the last of them, so each
-    padded row is summed along axis 1 once and every sum is the same
-    sequential sum as over the whole image. A whole-image band is filtered in
-    place, in the array that ``rows_of`` gave."""
+    order; ``hsi.window_axis`` maps each padded row and column to the pixel it
+    reads, and a side-1 window yields those rows as they are. Sums are
+    summed-area prefix sums over column groups of one block. A band carries
+    on the last ``side`` padded rows of the prefix sums, already summed along
+    both axes, and the axis-0 sums of the last of them, so each padded row is
+    summed along axis 1 once and every sum is the same sequential sum as over
+    the whole image. A whole-image band is filtered in place, in the array
+    that ``rows_of`` gave."""
+    side = patch.side
     if side == 1:
         for a in range(0, height, band):
             yield a, rows_of(a, min(a + band, height))
         return
-    lo = (side - 1) // 2
-    mode = "edge" if border == "clamp" else "symmetric"
-    row_of = np.pad(np.arange(height), (lo, side - 1 - lo), mode=mode)
-    col_of = np.pad(np.arange(width), (lo, side - 1 - lo), mode=mode)
+    row_of, col_of = window_axis(height, patch), window_axis(width, patch)
     first_read = np.minimum.accumulate(row_of[::-1])[::-1]  # by padded rows p and on
     group = max(1, min(k, block_rows((band + side) * (width + side))))
     scratch = np.zeros((band + side, width + side, group))
@@ -277,13 +276,15 @@ def _fuse(profile_rows: np.ndarray, mean_map_rows: np.ndarray) -> np.ndarray:
 class FeatureSpace:
     """One method's features on one image, resolved but not materialized.
 
-    A feature-table row of a windowed method (meanmap, convmeanmap) is the
-    mean of the pixel rows (z) over the pixel's patch; fusion's would fuse
-    it with the pixel's min-max-scaled profile row; other methods use the
-    pixel row. The window mean is linear, so ``scores`` window-means the
-    pixel rows' scores (fusion: the z) in bands, never building a
-    whole-image table, score image or mean map. Fusion builds no fused row:
-    it trains on ``kernel_rows`` and scores through its factored kernel.
+    A feature-table row is the mean of the pixel rows (spectra, z or profile
+    rows) over the pixel's ``patch``: the configured patch for the
+    ``WINDOWED`` methods, a window of side 1, the pixel row itself, for the
+    others. Fusion's row would fuse that mean with the pixel's
+    min-max-scaled profile row. The window mean is linear, so ``scores``
+    window-means the pixel rows' scores (fusion: the z) in bands, never
+    building a whole-image table, score image or mean map. Every method
+    trains on ``patch_means``; fusion builds no fused row: it trains on
+    ``kernel_rows`` of them and scores through its factored kernel.
     """
 
     image: HyperspectralImage
@@ -304,13 +305,11 @@ class FeatureSpace:
 
     @property
     def row_dim(self) -> int:
-        """Width of a table row."""
+        """Width of a pixel row (fusion: of its z)."""
         if self.method == "raw":
             return self.image.bands
         if self.method == "mp":
             return self.profile.shape[1]
-        if self.method == "mp_x_meanmap":
-            return self.profile.shape[1] * self.fmap.feature_dim
         return self.fmap.feature_dim
 
     def pixel_rows(self, idx: np.ndarray) -> np.ndarray:
@@ -328,26 +327,20 @@ class FeatureSpace:
 
     def patch_means(self, idx: np.ndarray) -> np.ndarray:
         """Means of the pixel rows over the patches of the given flat pixel
-        indices (windowed methods and fusion). They embed the union of the
-        patches once, in blocks."""
+        indices: every method's training rows (fusion's before
+        ``kernel_rows``). They embed the union of the patches once, in
+        blocks. A side-1 window gives 0 + 1.0 x / 1, the pixel row x itself
+        (up to the sign of a zero)."""
         idx = np.asarray(idx, dtype=np.int64)
         windows = patch_indices(idx, self.patch, self.image.height, self.image.width)
         members, where = np.unique(windows.ravel(), return_inverse=True)
         owners = np.repeat(np.arange(idx.size), windows.shape[1])
         counts = csc_matrix((np.ones(windows.size), (owners, where)), shape=(idx.size, members.size))
-        rows = np.zeros((idx.size, self.fmap.feature_dim))
-        for a, b in row_blocks(members.size, max(self.fmap.feature_dim, self.image.bands)):
+        rows = np.zeros((idx.size, self.row_dim))
+        for a, b in row_blocks(members.size, max(self.row_dim, self.image.bands)):
             rows += counts[:, a:b] @ self.pixel_rows(members[a:b])
         rows /= windows.shape[1]
         return rows
-
-    def table_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Feature-table rows of the given flat pixel indices: windowed methods
-        take their ``patch_means``. Fusion has none (see ``kernel_rows``)."""
-        if self.dual:
-            raise ContractViolation("fusion builds no fused row; train on kernel_rows")
-        idx = np.asarray(idx, dtype=np.int64)
-        return self.patch_means(idx) if self.method in WINDOWED else self.pixel_rows(idx)
 
     def kernel_rows(self, idx: np.ndarray, means: np.ndarray) -> np.ndarray:
         """Fusion's training rows of flat pixel indices and their ``patch_means`` M:
@@ -376,8 +369,7 @@ class FeatureSpace:
         # the ends of each run's support rows and score columns
         ends = np.cumsum([a_r.shape for a_r in weights], axis=0) if fused else None
         k = int(ends[-1, 1]) if fused else weights.shape[1]
-        width = self.fmap.feature_dim if fused else k
-        side = self.patch.side if fused or self.method in WINDOWED else 1
+        width = self.row_dim if fused else k
         spectra = 0 if self.method == "mp" else self.image.bands
 
         def image_rows(a, b):
@@ -391,7 +383,7 @@ class FeatureSpace:
 
         # a fusion band also holds its (rows, T) Gram block
         band = block_rows(w * max(width, k, len(support[0]) if fused else 0))
-        for a, means in _window_means(image_rows, h, w, width, side, self.patch.border, band):
+        for a, means in _window_means(image_rows, h, w, width, self.patch, band):
             scores = means = means.reshape(-1, width)
             if fused:
                 train_idx, train_means = support
@@ -420,8 +412,9 @@ def prepare_features(
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     config = config or EmbeddingConfig()
     h, w, d = image.height, image.width, image.bands
+    patch = config.patch if method in WINDOWED else PatchSpec(1)
     if method == "raw":
-        return FeatureSpace(image, "raw", {"method": "raw", "rows": h * w, "dim": d}, config.patch)
+        return FeatureSpace(image, "raw", {"method": "raw", "rows": h * w, "dim": d}, patch)
 
     meta = {"method": method}
     profile = None
@@ -432,7 +425,7 @@ def prepare_features(
             pca_dims=mp_config.pca_dims, n_scales=mp_config.n_scales, se_shape=mp_config.se_shape
         )
     if method == "mp":
-        return FeatureSpace(image, "mp", meta, config.patch, profile=profile)
+        return FeatureSpace(image, "mp", meta, patch, profile=profile)
 
     sigma = config.sigma if config.sigma is not None else median_heuristic(image, seed=config.seed)
     beta = config.beta if config.beta is not None else float(np.hypot(h, w))
@@ -451,9 +444,7 @@ def prepare_features(
         fmap = sample_frequencies(d, config.n_features, sigma, config.seed)
     if method == "mp_x_meanmap":
         profile = _minmax_scale_columns(profile)
-    return FeatureSpace(
-        image, method, meta, config.patch, config.normalize, fmap, sigma, beta, profile
-    )
+    return FeatureSpace(image, method, meta, patch, config.normalize, fmap, sigma, beta, profile)
 
 
 def build_feature_table(
@@ -474,12 +465,10 @@ def build_feature_table(
     if space is None:
         space = prepare_features(image, method, config, mp_config)
     h, w = image.height, image.width
-    values = space.pixel_rows(np.arange(h * w))
-    if method in WINDOWED or method == "mp_x_meanmap":
-        stack, side, border = values.reshape(h, w, -1), space.patch.side, space.patch.border
-        ((_, means),) = _window_means(lambda a, b: stack[a:b], h, w, stack.shape[2], side, border, h)
-        values = means.reshape(h * w, -1)
-    if method == "mp_x_meanmap":
+    stack = space.pixel_rows(np.arange(h * w)).reshape(h, w, -1)
+    ((_, means),) = _window_means(lambda a, b: stack[a:b], h, w, stack.shape[2], space.patch, h)
+    values = means.reshape(h * w, -1)
+    if space.dual:
         values = _fuse(space.profile, values)
     kind = "tensor" if method == "mp_x_meanmap" else method
     return FeatureTable(values, kind, space.meta)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import (
+    WINDOWED,
     EmbeddingConfig,
     FeatureSpace,
     FeatureTable,
@@ -28,6 +29,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     UndefinedInputError,
+    check_integer,
 )
 from .hsi import GroundTruthMap, HyperspectralImage, block_rows, row_blocks
 from .morphology import MorphoProfileConfig
@@ -125,10 +127,8 @@ class McProtocol:
     fixed_test: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ParameterError(f"runs must be >= 1, got {self.runs}")
-        if self.per_class < 1:
-            raise ParameterError(f"per_class must be >= 1, got {self.per_class}")
+        check_integer(self.runs, "runs", 1)
+        check_integer(self.per_class, "per_class", 1)
         if self.fixed_test is not None:
             idx = np.asarray(self.fixed_test, dtype=np.int64)
             idx.flags.writeable = False
@@ -291,23 +291,23 @@ def train_and_predict(
 ) -> tuple[np.ndarray, list[float]]:
     """Train one model per training set, then predict every pixel under
     each: returns (len(train_sets), H*W) class ids and the Cs used. The
-    training rows of all runs come from one pass over their patches, and
-    one pass of row bands scores every pixel against all the models; only
-    the class ids outlive a band. Fusion trains each run on a factor of its
-    kernel (``FeatureSpace.kernel_rows``) and scores it in the dual.
+    training rows of all runs are their ``patch_means``, from one pass over
+    their patches, and one pass of row bands scores every pixel against all
+    the models; only the class ids outlive a band. Fusion trains each run on
+    a factor of its kernel (``FeatureSpace.kernel_rows``) and scores it in
+    the dual.
     """
     train_idx = np.concatenate(train_sets)
-    ends = np.cumsum([idx.size for idx in train_sets])[:-1]
+    means = space.patch_means(train_idx)
+    rows = np.split(means, np.cumsum([idx.size for idx in train_sets])[:-1])
     if space.dual:
-        means = space.patch_means(train_idx)
-        rows = [space.kernel_rows(*run) for run in zip(train_sets, np.split(means, ends))]
-    else:
-        rows = np.split(space.table_rows(train_idx), ends)
+        rows = [space.kernel_rows(idx, run_means) for idx, run_means in zip(train_sets, rows)]
     fits = [
         train_run(run_rows, labels_flat[idx], n_classes, svm_cfg)
         for run_rows, idx in zip(rows, train_sets)
     ]
-    del rows  # the training rows are not held while scoring
+    support = (train_idx, means) if space.dual else None
+    del rows, means  # the training rows are not held while scoring
     models = [model for model, _ in fits]
     if space.dual:
         coefs = [dual_coefficients(m, labels_flat[idx]) for m, idx in zip(models, train_sets)]
@@ -316,7 +316,7 @@ def train_and_predict(
     biases = np.concatenate([m.biases for m in models])
     pair_ends = np.cumsum([len(m.pairs) for m in models])
     preds = np.empty((len(models), space.image.height * space.image.width), dtype=np.int64)
-    for first, decisions in space.scores(coefs, (train_idx, means) if space.dual else None):
+    for first, decisions in space.scores(coefs, support):
         decisions += biases
         band = slice(first, first + decisions.shape[0])
         for r, (model, end) in enumerate(zip(models, pair_ends)):
@@ -385,7 +385,7 @@ def format_summary_table(summaries: list[McSummary]) -> str:
     for s in summaries:
         mean, std = s.mean(), s.std()
         parts = []
-        if "patch_side" in s.params and s.method in ("meanmap", "convmeanmap", "mp_x_meanmap"):
+        if "patch_side" in s.params and s.method in WINDOWED:
             parts.append(f"s={s.params['patch_side']}")
         if "n_features" in s.params:
             parts.append(f"N={s.params['n_features']}")

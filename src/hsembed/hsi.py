@@ -23,6 +23,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     TruncationError,
+    check_integer,
     is_finite_number,
     read_section,
 )
@@ -166,8 +167,7 @@ class PatchSpec:
     border: str = "clamp"
 
     def __post_init__(self):
-        if self.side < 1:
-            raise ParameterError(f"patch side must be >= 1, got {self.side}")
+        check_integer(self.side, "patch side", 1)
         if self.border not in _BORDERS:
             raise ParameterError(f"border must be one of {_BORDERS}, got {self.border!r}")
 
@@ -192,9 +192,7 @@ class SceneSpec:
 
     def __post_init__(self):
         for key in ("height", "width", "bands", "classes"):
-            value = getattr(self, key)
-            if value < 1:
-                raise ParameterError(f"scene spec key {key!r} must be >= 1, got {value}")
+            check_integer(getattr(self, key), f"scene spec key {key!r}", 1)
         if self.classes > self.height * self.width:
             raise ParameterError(
                 f"scene spec key 'classes' must be at most the {self.height * self.width} "
@@ -598,44 +596,47 @@ def normalize_spectra(image: HyperspectralImage) -> HyperspectralImage:
     return HyperspectralImage(unit.reshape(image.data.shape), image.band_centers)
 
 
-def _fold_mirror(idx: np.ndarray, n: int) -> np.ndarray:
-    """Symmetric reflection of indices into [0, n): ..., -1 -> 0, n -> n-1."""
-    j = np.mod(idx, 2 * n)
-    return np.where(j >= n, 2 * n - 1 - j, j)
-
-
-def _window_axis(centres, spec: PatchSpec, n: int) -> np.ndarray:
-    """Resolved coordinates along one axis of the side-long window around
-    each centre: shape ``centres.shape + (side,)``."""
+def window_axis(n: int, spec: PatchSpec) -> np.ndarray:
+    """The pixel that each position -lo ... n - 1 + hi of an axis of n pixels
+    resolves to, where a side-long window spans offsets -lo ... hi, lo =
+    floor((side - 1) / 2) and hi = side - 1 - lo, so an even side is centred
+    on the top-left pixel of its central pair. Clamp repeats the edge pixel;
+    mirror reflects symmetrically (..., -1 -> 0, n -> n - 1), as often as a
+    window wider than the axis needs. The window of pixel i is entries
+    i ... i + side - 1. The one border resolution of the training rows and
+    the box filter."""
     lo = (spec.side - 1) // 2
-    coords = np.asarray(centres)[..., None] + np.arange(-lo, spec.side - lo)
+    at = np.arange(-lo, n + spec.side - 1 - lo)
     if spec.border == "clamp":
-        return np.clip(coords, 0, n - 1)
-    return _fold_mirror(coords, n)
+        return np.clip(at, 0, n - 1)
+    at %= 2 * n
+    return np.where(at >= n, 2 * n - 1 - at, at)
 
 
 def patch_window(
     row: int, col: int, spec: PatchSpec, height: int, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Resolved (rows, cols) of the side^2 patch members in row-major order.
-
-    Offsets run from -floor((s-1)/2) to +ceil((s-1)/2) so even sides are
-    centred on the top-left pixel of the central 2x2 block. Out-of-image
-    coordinates are resolved by the border policy, so each returned pair
-    is an actual pixel of the image (possibly repeated).
-    """
-    r = _window_axis(row, spec, height)
-    c = _window_axis(col, spec, width)
-    return np.repeat(r, spec.side), np.tile(c, spec.side)
+    """Resolved (rows, cols) of the side^2 patch members of one pixel, in
+    row-major order: its ``patch_indices``. Each returned pair is an actual
+    pixel of the image (possibly repeated); a pixel outside the image is a
+    ParameterError."""
+    if not (0 <= row < height and 0 <= col < width):
+        raise ParameterError(f"pixel ({row}, {col}) is outside the {height} x {width} image")
+    return np.divmod(patch_indices([row * width + col], spec, height, width)[0], width)
 
 
 def patch_indices(
     flat: np.ndarray, spec: PatchSpec, height: int, width: int
 ) -> np.ndarray:
     """Flat indices of the patch members of each given flat pixel index, one
-    row per pixel in ``patch_window`` order: shape ``(len(flat), side^2)``."""
-    rows, cols = np.divmod(np.asarray(flat, dtype=np.int64), width)
-    r = _window_axis(rows, spec, height)
-    c = _window_axis(cols, spec, width)
+    row per pixel in row-major window order, borders resolved by
+    ``window_axis``: shape ``(len(flat), side^2)``. An index outside the
+    image is a ParameterError."""
+    flat = np.asarray(flat, dtype=np.int64)
+    if np.any((flat < 0) | (flat >= height * width)):
+        raise ParameterError(f"pixel indices must lie in [0, {height * width})")
+    rows, cols = np.divmod(flat, width)
+    offsets = np.arange(spec.side)
+    r = window_axis(height, spec)[rows[:, None] + offsets]
+    c = window_axis(width, spec)[cols[:, None] + offsets]
     return (r[:, :, None] * width + c[:, None, :]).reshape(rows.size, -1)
-

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_integer
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class RandomFeatureMap:
         freqs = np.ascontiguousarray(np.asarray(self.frequencies, dtype=np.float64))
         if freqs.ndim != 2 or min(freqs.shape) < 1:
             raise ShapeError(f"frequencies must be a (count, dim) matrix, got {freqs.shape}")
-        if self.bandwidth <= 0:
-            raise ParameterError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise ParameterError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         freqs.flags.writeable = False
         object.__setattr__(self, "frequencies", freqs)
 
@@ -70,12 +70,10 @@ def sample_frequencies(
     input_dim: int, count: int, bandwidth: float, seed: int = 0
 ) -> RandomFeatureMap:
     """Draw ``count`` spectral frequencies for a Gaussian RBF of the given bandwidth."""
-    if input_dim < 1:
-        raise ParameterError(f"input_dim must be >= 1, got {input_dim}")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    if bandwidth <= 0:
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
+    check_integer(input_dim, "input_dim", 1)
+    check_integer(count, "count", 1)
+    if not 0.0 < bandwidth < np.inf:
+        raise ParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
     rng = np.random.Generator(np.random.PCG64(seed))
     freqs = rng.standard_normal((count, input_dim)) / bandwidth
     return RandomFeatureMap(freqs, float(bandwidth), int(seed))

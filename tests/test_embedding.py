@@ -7,6 +7,7 @@ from hsembed import (
     ContractViolation,
     EmbeddingConfig,
     HyperspectralImage,
+    McProtocol,
     ParameterError,
     PatchSpec,
     SceneSpec,
@@ -22,7 +23,7 @@ from hsembed import (
 )
 from hsembed.embedding import _fuse, _minmax_scale_columns
 from hsembed.hsi import patch_indices
-from hsembed.rff import feature_matrix
+from hsembed.rff import RandomFeatureMap, feature_matrix
 from oracles import UNIT_NORM_ATOL, augment
 from tracing import traced_peak
 
@@ -364,3 +365,38 @@ class TestMedianHeuristic:
     def test_constant_image_falls_back(self):
         image = HyperspectralImage(np.full((4, 4, 3), 2.0))
         assert median_heuristic(image, seed=0) == 1.0
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: McProtocol(runs=2.5),
+            lambda: McProtocol(runs=True),
+            lambda: McProtocol(per_class=2.5),
+            lambda: EmbeddingConfig(n_features=8.5),
+            lambda: EmbeddingConfig(n_features=True),
+            lambda: PatchSpec(2.5),
+            lambda: PatchSpec(True),
+            lambda: SceneSpec(12.5, 12, 5, 3),
+            lambda: SceneSpec(12, 12, 5.0, 3),
+            lambda: sample_frequencies(3, 2.5, 1.0),
+            lambda: sample_frequencies(3.0, 4, 1.0),
+        ],
+    )
+    def test_sizes_must_be_integers(self, make):
+        # each of these used to pass as an integer or fail deep inside numpy
+        with pytest.raises(ParameterError, match="must be an integer"):
+            make()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    def test_bandwidths_must_be_positive_and_finite(self, value):
+        # sigma = inf embedded every pixel to the same z; nan surfaced only in the solver
+        for make in (
+            lambda: EmbeddingConfig(sigma=value),
+            lambda: EmbeddingConfig(beta=value),
+            lambda: sample_frequencies(3, 4, value),
+            lambda: RandomFeatureMap(np.ones((4, 3)), value, 0),
+        ):
+            with pytest.raises(ParameterError, match="positive and finite"):
+                make()

@@ -20,7 +20,13 @@ from hsembed import (
     save_ground_truth,
 )
 import hsembed.hsi
-from hsembed.hsi import _nearest_centre, patch_indices, scene_spec_from_json
+from hsembed.hsi import (
+    _nearest_centre,
+    patch_indices,
+    patch_window,
+    scene_spec_from_json,
+    window_axis,
+)
 from oracles import synthetic_scene_reference
 from tracing import traced_peak
 
@@ -562,6 +568,28 @@ class TestPatchSpectra:
         patch = patch_spectra(image, 0, 0, PatchSpec(3, "mirror"))
         # row axis mirrors onto itself; col -1 reflects to 0
         np.testing.assert_array_equal(patch[:, 0], [0, 0, 1, 0, 0, 1, 0, 0, 1])
+
+    @pytest.mark.parametrize("border, mode", [("clamp", "edge"), ("mirror", "symmetric")])
+    def test_window_axis_is_the_padded_axis(self, border, mode):
+        # sides up to 25 on axes of 1 to 9 pixels: a mirror wider than 2n
+        # reflects more than once
+        for n in range(1, 10):
+            for side in range(1, 26):
+                lo = (side - 1) // 2
+                want = np.pad(np.arange(n), (lo, side - 1 - lo), mode=mode)
+                got = window_axis(n, PatchSpec(side, border))
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("row, col", [(-1, 0), (0, -1), (4, 0), (0, 5), (1, -1)])
+    def test_pixel_outside_the_image_is_rejected_by_patch_window(self, row, col):
+        # (0, 5) and (1, -1) would have flat indices inside the 4 x 5 image
+        with pytest.raises(ParameterError):
+            patch_window(row, col, PatchSpec(3), 4, 5)
+
+    @pytest.mark.parametrize("flat", [-1, 20, 10**6])
+    def test_pixel_outside_the_image_is_rejected_by_patch_indices(self, flat):
+        with pytest.raises(ParameterError):
+            patch_indices([0, flat], PatchSpec(3), 4, 5)
 
 
 class TestInvariantsOnTypes:

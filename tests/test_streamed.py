@@ -142,7 +142,7 @@ def test_banded_window_means_equal_the_whole_image_filter_bit_for_bit(case):
         return stack[a:b].copy()
 
     with mock.patch.object(hsi, "_BLOCK", block):
-        bands = list(embedding._window_means(rows_of, h, w, k, side, border, band))
+        bands = list(embedding._window_means(rows_of, h, w, k, PatchSpec(side, border), band))
     assert [first for first, _ in bands] == list(range(0, h, band))
     got = np.concatenate([means for _, means in bands])
     expected = sliding_window_mean_reference(stack.copy(), side, border)
@@ -171,7 +171,7 @@ def test_banded_window_means_sum_each_padded_row_along_axis_1_once(side, border,
     monkeypatch.setattr(np, "cumsum", counted)
     for band in range(1, side + 3):
         summed.clear()
-        bands = embedding._window_means(rows_of, h, w, k, side, border, band)
+        bands = embedding._window_means(rows_of, h, w, k, PatchSpec(side, border), band)
         assert np.concatenate([means for _, means in bands]).tobytes() == expected
         # one column group: the h + side - 1 padded rows, each summed once
         assert sum(summed) == h + side - 1
@@ -189,7 +189,7 @@ def test_banded_window_means_hold_no_earlier_band_while_the_next_is_made(band):
         given.append(weakref.ref(rows))
         return rows
 
-    for _, means in embedding._window_means(rows_of, h, w, k, side, "clamp", band):
+    for _, means in embedding._window_means(rows_of, h, w, k, PatchSpec(side), band):
         del means
     assert len(given) > 1 or band == h
 
@@ -215,15 +215,21 @@ def test_streamed_decisions_equal_dense_table_decisions(case, method):
 
 
 @settings(max_examples=150, deadline=None)
-@given(streamed_cases(), st.sampled_from(WINDOWED))
+@given(streamed_cases(), st.sampled_from([m for m in METHODS if m != "mp_x_meanmap"]))
 def test_patch_training_rows_equal_table_rows(case, method):
+    # per-pixel methods train through 1 x 1 windows
     image, config, block, rng = case
+    assume(method != "mp" or pca_is_well_posed(image))
     n = image.height * image.width
     idx = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-    table = build_feature_table(image, method, config)
+    table = build_feature_table(image, method, config, MP)
     with mock.patch.object(hsi, "_BLOCK", block):
-        rows = prepare_features(image, method, config).table_rows(idx)
+        space = prepare_features(image, method, config, MP)
+        rows = space.patch_means(idx)
     np.testing.assert_allclose(rows, table.values[idx], rtol=0, atol=1e-10)
+    if method not in WINDOWED:
+        # whatever the configured patch, the pixel rows themselves
+        np.testing.assert_array_equal(rows, space.pixel_rows(idx))
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,8 +254,6 @@ def test_fused_decisions_equal_explicit_tensor_rows(case):
     np.testing.assert_allclose(rows @ rows.T, gram, rtol=0, atol=1e-12)
     with pytest.raises(ContractViolation):
         next(space.scores(coefs))
-    with pytest.raises(ContractViolation):
-        space.table_rows(train)
 
 
 def test_kernel_rows_of_a_repeated_pixel_drop_its_rank():
@@ -399,7 +403,7 @@ def test_scoring_embeds_each_pixel_once_whatever_the_run_count(method, monkeypat
     for n_runs in (1, 10):
         labels, train_sets = many_runs(rng, h, w, n_runs)
         embedded.clear()
-        (space.patch_means if space.dual else space.table_rows)(np.concatenate(train_sets))
+        space.patch_means(np.concatenate(train_sets))
         training = sum(embedded)
         embedded.clear()
         train_and_predict(space, labels, train_sets, 3, SvmConfig(c=8.0))
