@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ParameterError, ShapeError, UndefinedInputError
+from .errors import ParameterError, ShapeError, UndefinedInputError, check_integer
 from .rff import RandomFeatureMap, feature_matrix
 
 
@@ -71,8 +71,8 @@ def empirical_risk(values: np.ndarray, labels: np.ndarray, loss: LossSpec) -> fl
 
 def gaussian_gram(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
     """Gaussian RBF kernel matrix between two point sets."""
-    if bandwidth <= 0:
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
+    if not 0 < bandwidth < np.inf:
+        raise ParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
     d2 = cdist(np.atleast_2d(x), np.atleast_2d(y), "sqeuclidean")
     return np.exp(-0.5 * d2 / bandwidth**2)
 
@@ -81,10 +81,10 @@ def expected_kernel_to_gaussian(
     x: np.ndarray, mean: np.ndarray, sigma: float, bandwidth: float
 ) -> np.ndarray:
     """E_y k(x, y) for y ~ N(mean, sigma^2 I) under a Gaussian RBF kernel."""
-    if bandwidth <= 0:
-        raise ParameterError("bandwidth must be positive")
-    if sigma < 0:
-        raise ParameterError("sigma must be >= 0")
+    if not 0 < bandwidth < np.inf:
+        raise ParameterError("bandwidth must be positive and finite")
+    if not 0 <= sigma < np.inf:
+        raise ParameterError("sigma must be >= 0 and finite")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     mean = np.asarray(mean, dtype=np.float64)
     dim = x.shape[1]
@@ -96,10 +96,10 @@ def expected_kernel_to_gaussian(
 
 def expected_kernel_between_gaussians(sigma: float, bandwidth: float, dim: int) -> float:
     """E k(x, y) for independent x, y ~ N(m, sigma^2 I) (any common mean m)."""
-    if bandwidth <= 0:
-        raise ParameterError("bandwidth must be positive")
-    if sigma < 0:
-        raise ParameterError("sigma must be >= 0")
+    if not 0 < bandwidth < np.inf:
+        raise ParameterError("bandwidth must be positive and finite")
+    if not 0 <= sigma < np.inf:
+        raise ParameterError("sigma must be >= 0 and finite")
     return float((bandwidth**2 / (bandwidth**2 + 2 * sigma**2)) ** (dim / 2.0))
 
 
@@ -212,10 +212,12 @@ class MetaSampleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_groups < 1 or self.group_size < 1 or self.dim < 1:
-            raise ParameterError("n_groups, group_size and dim must be >= 1")
-        if self.group_sigma < 0 or self.mean_spread < 0 or self.center_scale < 0:
-            raise ParameterError("scales must be >= 0")
+        for key in ("n_groups", "group_size", "dim"):
+            check_integer(getattr(self, key), key, 1)
+        check_integer(self.seed, "seed", 0)
+        if not all(0 <= v < np.inf for v in (self.group_sigma, self.mean_spread,
+                                             self.center_scale)):
+            raise ParameterError("scales must be >= 0 and finite")
         if not 0.0 <= self.label_flip <= 1.0:
             raise ParameterError("label_flip must be in [0, 1]")
 
@@ -312,12 +314,13 @@ class BoundConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
-        if self.r_bound < 0:
-            raise ParameterError("r_bound must be >= 0")
+        if not 0 <= self.r_bound < np.inf:
+            raise ParameterError("r_bound must be >= 0 and finite")
         if self.rhs_form not in ("statement", "proof"):
             raise ParameterError("rhs_form must be 'statement' or 'proof'")
-        if self.rademacher_draws < 1 or self.dictionary_size < 1 or self.holdout_draws < 1:
-            raise ParameterError("draw counts must be >= 1")
+        for key in ("rademacher_draws", "dictionary_size", "holdout_draws"):
+            check_integer(getattr(self, key), key, 1)
+        check_integer(self.seed, "seed", 0)
 
 
 @dataclass

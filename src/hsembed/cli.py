@@ -32,14 +32,12 @@ from .errors import (
     POSITIVE,
     SEED,
     ContractViolation,
-    DegenerateDataError,
     FormatError,
     HsembedError,
     NumericalError,
     ParameterError,
     ShapeError,
     StageError,
-    UndefinedInputError,
     read_section,
 )
 from .evaluation import (
@@ -76,14 +74,6 @@ class UsageError(HsembedError):
     """Bad command line or config document."""
 
 
-_DATA_ERRORS = (
-    FormatError,
-    ShapeError,
-    DegenerateDataError,
-    UndefinedInputError,
-    ContractViolation,
-    FileNotFoundError,
-)
 _NUMERIC_ERRORS = (NumericalError, FloatingPointError)
 
 
@@ -511,8 +501,6 @@ def _exit_code_for(exc: BaseException) -> int:
         return _exit_code_for(exc.cause)
     if isinstance(exc, (UsageError, ParameterError)):
         return 1
-    if isinstance(exc, _DATA_ERRORS):
-        return 2
     if isinstance(exc, _NUMERIC_ERRORS):
         return 3
     return 2

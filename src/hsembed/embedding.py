@@ -80,6 +80,7 @@ class EmbeddingConfig:
             if value is not None and not 0.0 < value < np.inf:
                 raise ParameterError(f"{key} must be positive and finite, got {value}")
         check_integer(self.n_features, "n_features", 1)
+        check_integer(self.seed, "seed", 0)
 
 
 def median_heuristic(image: HyperspectralImage, sample_size: int = 1000, seed: int = 0) -> float:

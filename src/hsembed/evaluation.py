@@ -129,6 +129,7 @@ class McProtocol:
     def __post_init__(self):
         check_integer(self.runs, "runs", 1)
         check_integer(self.per_class, "per_class", 1)
+        check_integer(self.seed, "seed", 0)
         if self.fixed_test is not None:
             idx = np.asarray(self.fixed_test, dtype=np.int64)
             idx.flags.writeable = False

@@ -3,11 +3,14 @@
 Cubes are stored band-interleaved-by-pixel, i.e. as a C-contiguous
 ``(height, width, bands)`` array, so the spectrum of one pixel is a
 contiguous slice. Images and ground-truth maps are immutable after
-construction and safe for concurrent reads. The ENVI reader and writer, the
-scene generator and the image's own finiteness check move a cube through
-memory in row blocks of about ``_BLOCK`` values (see ``row_blocks``), so
-none of them holds a second cube. The feature, scoring and prediction loops
-of the other modules take their blocks from here too.
+construction and safe for concurrent reads. The ENVI reader takes every
+interleave, data type and byte order that real scenes arrive in; the writer
+writes the one format the synthetic scenes need, bsq little-endian float64.
+The reader and writer, the scene generator and the image's own finiteness
+check move a cube through memory in row blocks of about ``_BLOCK`` values
+(see ``row_blocks``), so none of them holds a second cube. The feature,
+scoring and prediction loops of the other modules take their blocks from
+here too.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     read_section,
 )
 
-# ENVI "data type" codes accepted by the reader/writer.
+# ENVI "data type" codes accepted by the reader (the writer's is 5).
 _ENVI_DTYPES = {
     1: np.dtype(np.uint8),
     2: np.dtype(np.int16),
@@ -38,7 +41,6 @@ _ENVI_DTYPES = {
     12: np.dtype(np.uint16),
     13: np.dtype(np.uint32),
 }
-_ENVI_CODES = {v: k for k, v in _ENVI_DTYPES.items()}
 # the cube's (lines, samples, bands) axes in the file order of each interleave
 _FILE_AXES = {"bsq": (2, 0, 1), "bil": (0, 2, 1), "bip": (0, 1, 2)}
 _INTERLEAVES = tuple(_FILE_AXES)
@@ -74,14 +76,12 @@ def row_blocks(n: int, width: int):
 class HyperspectralImage:
     """A ``height x width x bands`` cube of finite reflectance values.
 
-    ``band_centers`` optionally carries one wavelength (nm) per band. A
-    C-contiguous float64 cube is kept as given, not copied (and is made
+    A C-contiguous float64 cube is kept as given, not copied (and is made
     read-only); any other is copied once into that form. Finiteness is
     checked in row blocks, so the check holds no cube-sized mask.
     """
 
     data: np.ndarray
-    band_centers: np.ndarray | None = None
 
     def __post_init__(self):
         cube = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
@@ -94,14 +94,6 @@ class HyperspectralImage:
                 raise ParameterError("cube values must be finite")
         cube.flags.writeable = False
         object.__setattr__(self, "data", cube)
-        if self.band_centers is not None:
-            centers = np.asarray(self.band_centers, dtype=np.float64)
-            if centers.shape != (cube.shape[2],):
-                raise ShapeError(
-                    f"band_centers must have length {cube.shape[2]}, got {centers.shape}"
-                )
-            centers.flags.writeable = False
-            object.__setattr__(self, "band_centers", centers)
 
     @property
     def height(self) -> int:
@@ -198,10 +190,11 @@ class SceneSpec:
                 f"scene spec key 'classes' must be at most the {self.height * self.width} "
                 f"pixels, got {self.classes}"
             )
-        if self.region_scale <= 0:
-            raise ParameterError("region_scale must be positive")
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be >= 0")
+        if not 0 < self.region_scale < np.inf:
+            raise ParameterError("region_scale must be positive and finite")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ParameterError("noise_sigma must be >= 0 and finite")
+        check_integer(self.seed, "scene spec key 'seed'", 0)
         if self.class_spectra is None:
             rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x5CE7E]))
             object.__setattr__(self, "class_spectra", rng.random((self.classes, self.bands)))
@@ -299,27 +292,6 @@ def _find_companion(header_path: Path) -> Path:
     raise FormatError(f"no companion binary found for header {header_path}")
 
 
-def _file_tiles(cube: np.ndarray, interleave: str):
-    """Views of ``cube`` whose C-order values, one view after another, are its
-    ENVI payload in ``interleave`` order: a bsq payload one band plane at a
-    time, a bil or bip payload in row blocks; each view holds at most about
-    ``_BLOCK`` values (a plane is split into row blocks past that).
-
-    ``save_envi`` writes these in file order, so it never seeks. The reader
-    tiles differently (see ``load_envi``): it takes row blocks over all
-    bands, so that it writes the cube in memory order. A writer tiled that
-    way needs a transposed copy of each block: on the PU-like scene it
-    measured no faster and raised the synth peak from 242 to 250 MB."""
-    lines, samples, bands = cube.shape
-    if interleave == "bsq":
-        for j in range(bands):
-            for a, b in row_blocks(lines, samples):
-                yield cube[a:b, :, j]
-        return
-    for a, b in row_blocks(lines, samples * bands):
-        yield cube[a:b].transpose(0, 2, 1) if interleave == "bil" else cube[a:b]
-
-
 def load_envi(header_path: str | Path) -> HyperspectralImage:
     """Read an ENVI cube (bsq/bil/bip; uint8, int16, int32, uint16, uint32,
     float32 or float64 payloads, either byte order).
@@ -392,59 +364,31 @@ def load_envi(header_path: str | Path) -> HyperspectralImage:
             if dtype.kind == "f" and not np.isfinite(values).all():
                 raise FormatError(f"{data_path}: payload contains non-finite values")
             cube[a:b] = values.transpose(np.argsort(axes))
-
-    band_centers = None
-    if "wavelength" in entries:
-        try:
-            band_centers = np.array(
-                [float(tok) for tok in entries["wavelength"].split(",") if tok.strip()]
-            )
-        except ValueError as exc:
-            raise FormatError(f"{header_path}: malformed wavelength list") from exc
-        if band_centers.shape != (bands,):
-            raise FormatError(f"{header_path}: wavelength count does not match bands")
-    return HyperspectralImage(cube, band_centers)
+    return HyperspectralImage(cube)
 
 
-def save_envi(
-    image: HyperspectralImage,
-    header_path: str | Path,
-    interleave: str = "bsq",
-    dtype: str | np.dtype = np.float64,
-    byte_order: int = 0,
-) -> Path:
-    """Write ``image`` as an ENVI header + binary pair; returns the header path.
+def save_envi(image: HyperspectralImage, header_path: str | Path) -> Path:
+    """Write ``image`` as an ENVI header + binary pair, bsq little-endian
+    float64; returns the header path.
 
     The data file sits next to the header with an ``.img`` extension. It is
-    written a block at a time (see ``_file_tiles``), so the write holds about
-    one converted block besides the cube. A float32 payload is checked to
-    hold the range of every value, and an integer payload every value
-    exactly, block by block, before the data file is opened.
+    written in file order, band by band, each band plane in row blocks (see
+    ``row_blocks``), so the write never seeks and holds about one converted
+    block besides the cube. The reader takes row blocks over all bands
+    instead (see ``load_envi``), so that it fills the cube in memory order;
+    a writer tiled that way needs a transposed copy of each block, and on
+    the PU-like scene it measured no faster and raised the synth peak from
+    242 to 250 MB.
     """
-    if interleave not in _INTERLEAVES:
-        raise ParameterError(f"interleave must be one of {_INTERLEAVES}")
-    if byte_order not in (0, 1):
-        raise ParameterError("byte order must be 0 or 1")
-    base = np.dtype(dtype)
-    if base not in _ENVI_CODES:
-        raise ParameterError(f"dtype must be one of {sorted(str(d) for d in _ENVI_CODES)}")
     header_path = Path(header_path)
     if header_path.suffix != ".hdr":
         header_path = header_path.with_suffix(header_path.suffix + ".hdr")
     data_path = header_path.with_suffix(".img")
 
-    cube = image.data
-    if base != np.float64:
-        info = np.finfo(base) if base.kind == "f" else np.iinfo(base)
-        for a, b in row_blocks(image.height, image.width * image.bands):
-            tile = cube[a:b]
-            if tile.min() < info.min or tile.max() > info.max or \
-                    (base.kind != "f" and not np.array_equal(tile, np.round(tile))):
-                raise ParameterError(f"cube values do not fit a {base} payload")
-    out_dtype = base.newbyteorder("<" if byte_order == 0 else ">")
     with open(data_path, "wb") as f:
-        for tile in _file_tiles(cube, interleave):
-            np.ascontiguousarray(tile, dtype=out_dtype).tofile(f)
+        for j in range(image.bands):
+            for a, b in row_blocks(image.height, image.width):
+                np.ascontiguousarray(image.data[a:b, :, j], "<f8").tofile(f)
 
     lines = [
         "ENVI",
@@ -452,13 +396,10 @@ def save_envi(
         f"lines = {image.height}",
         f"bands = {image.bands}",
         "header offset = 0",
-        f"data type = {_ENVI_CODES[base]}",
-        f"interleave = {interleave}",
-        f"byte order = {byte_order}",
+        "data type = 5",
+        "interleave = bsq",
+        "byte order = 0",
     ]
-    if image.band_centers is not None:
-        wl = ", ".join(repr(float(w)) for w in image.band_centers)
-        lines.append("wavelength = {" + wl + "}")
     header_path.write_text("\n".join(lines) + "\n")
     return header_path
 
@@ -593,7 +534,7 @@ def normalize_spectra(image: HyperspectralImage) -> HyperspectralImage:
     norms are exactly 0 or 1 and the operation is idempotent.
     """
     unit = unit_rows(image.pixels())[0]
-    return HyperspectralImage(unit.reshape(image.data.shape), image.band_centers)
+    return HyperspectralImage(unit.reshape(image.data.shape))
 
 
 def window_axis(n: int, spec: PatchSpec) -> np.ndarray:

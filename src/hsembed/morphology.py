@@ -30,7 +30,6 @@ class StructuringElement:
     origin and be symmetric under negation."""
 
     offsets: np.ndarray
-    radius: int
 
     def __post_init__(self):
         offs = np.asarray(self.offsets, dtype=np.int64)
@@ -58,7 +57,7 @@ def disk(radius: int) -> StructuringElement:
     r = np.arange(-radius, radius + 1)
     rr, cc = np.meshgrid(r, r, indexing="ij")
     keep = rr**2 + cc**2 <= radius**2
-    return StructuringElement(np.stack([rr[keep], cc[keep]], axis=1), radius)
+    return StructuringElement(np.stack([rr[keep], cc[keep]], axis=1))
 
 
 def square(radius: int) -> StructuringElement:
@@ -66,7 +65,7 @@ def square(radius: int) -> StructuringElement:
     check_integer(radius, "radius", 0)
     r = np.arange(-radius, radius + 1)
     rr, cc = np.meshgrid(r, r, indexing="ij")
-    return StructuringElement(np.stack([rr.ravel(), cc.ravel()], axis=1), radius)
+    return StructuringElement(np.stack([rr.ravel(), cc.ravel()], axis=1))
 
 
 _SE_FACTORIES = {"disk": disk, "square": square}

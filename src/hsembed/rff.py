@@ -42,7 +42,6 @@ class RandomFeatureMap:
 
     frequencies: np.ndarray
     bandwidth: float
-    seed: int
 
     def __post_init__(self):
         freqs = np.ascontiguousarray(np.asarray(self.frequencies, dtype=np.float64))
@@ -76,7 +75,7 @@ def sample_frequencies(
         raise ParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
     rng = np.random.Generator(np.random.PCG64(seed))
     freqs = rng.standard_normal((count, input_dim)) / bandwidth
-    return RandomFeatureMap(freqs, float(bandwidth), int(seed))
+    return RandomFeatureMap(freqs, float(bandwidth))
 
 
 def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
@@ -114,8 +113,8 @@ def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
 
 def exact_gaussian_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
     """exp(-||x - y||^2 / (2 bandwidth^2))."""
-    if bandwidth <= 0:
-        raise ParameterError(f"bandwidth must be positive, got {bandwidth}")
+    if not 0.0 < bandwidth < np.inf:
+        raise ParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:

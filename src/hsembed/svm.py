@@ -368,6 +368,7 @@ class SvmConfig:
         if self.c is not None and not 0.0 < self.c < np.inf:
             raise ParameterError(f"C must be positive and finite, got {self.c}")
         check_integer(self.folds, "folds", 2)
+        check_integer(self.seed, "seed", 0)
 
 
 def _stratified_folds(labels: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:

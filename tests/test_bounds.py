@@ -88,6 +88,27 @@ class TestGaussianClosedForms:
         assert closed == pytest.approx(mc, abs=5e-3)
 
 
+    @pytest.mark.parametrize("call", [
+        lambda: gaussian_gram(np.zeros((1, 2)), np.ones((1, 2)), np.nan),
+        lambda: expected_kernel_to_gaussian(np.zeros((1, 2)), np.zeros(2), np.nan, 1.0),
+        lambda: expected_kernel_between_gaussians(np.nan, 1.0, 2),
+        lambda: expected_kernel_between_gaussians(np.inf, 1.0, 2),
+        lambda: expected_kernel_between_gaussians(0.5, np.inf, 2),
+        lambda: MetaSampleSpec(group_sigma=np.nan),
+        lambda: MetaSampleSpec(center_scale=np.inf),
+        lambda: MetaSampleSpec(n_groups=True),
+        lambda: MetaSampleSpec(n_groups=2.5),
+        lambda: MetaSampleSpec(seed=-1),
+        lambda: BoundConfig(r_bound=np.nan),
+        lambda: BoundConfig(r_bound=np.inf),
+        lambda: BoundConfig(rademacher_draws=2.5),
+        lambda: BoundConfig(seed=-1),
+    ])
+    def test_non_finite_scales_and_non_integer_counts_rejected(self, call):
+        with pytest.raises(ParameterError):
+            call()
+
+
 class TestEmbeddingDeviation:
     def test_point_mass_gives_zero(self):
         assert embedding_deviation_gaussian(20, 0.0, 1.0, 4, seed=3) == 0.0

@@ -366,10 +366,22 @@ class TestExitCodes:
     def test_numerical_error_maps_to_three(self):
         from hsembed import NumericalError
         from hsembed.cli import _exit_code_for
-        from hsembed.errors import StageError
+        from hsembed.errors import (
+            ContractViolation,
+            DegenerateDataError,
+            FormatError,
+            ShapeError,
+            StageError,
+            UndefinedInputError,
+        )
 
         assert _exit_code_for(NumericalError("nan")) == 3
         assert _exit_code_for(StageError("train", NumericalError("nan"))) == 3
+        # data errors exit 2, as does anything else that is neither
+        for exc in (FormatError("x"), ShapeError("x"), DegenerateDataError("x"),
+                    UndefinedInputError("x"), ContractViolation("x"), FileNotFoundError("x"),
+                    StageError("data", FormatError("x"))):
+            assert _exit_code_for(exc) == 2
 
     def test_missing_config_file_is_one(self, tmp_path):
         assert main(["classify", "--config", str(tmp_path / "absent.json")]) == 1

@@ -12,6 +12,7 @@ from hsembed import (
     PatchSpec,
     SceneSpec,
     ShapeError,
+    SvmConfig,
     build_feature_table,
     conv_mean_map_feature,
     generate_synthetic_scene,
@@ -389,6 +390,22 @@ class TestConfigValues:
         with pytest.raises(ParameterError, match="must be an integer"):
             make()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: McProtocol(seed=-1),
+            lambda: McProtocol(seed=2.5),
+            lambda: EmbeddingConfig(seed=-1),
+            lambda: EmbeddingConfig(seed=True),
+            lambda: SvmConfig(seed=2.5),
+            lambda: SvmConfig(seed=-1),
+        ],
+    )
+    def test_seeds_must_be_non_negative_integers(self, make):
+        # each of these used to pass and fail later inside numpy's seeding
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            make()
+
     @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
     def test_bandwidths_must_be_positive_and_finite(self, value):
         # sigma = inf embedded every pixel to the same z; nan surfaced only in the solver
@@ -396,7 +413,7 @@ class TestConfigValues:
             lambda: EmbeddingConfig(sigma=value),
             lambda: EmbeddingConfig(beta=value),
             lambda: sample_frequencies(3, 4, value),
-            lambda: RandomFeatureMap(np.ones((4, 3)), value, 0),
+            lambda: RandomFeatureMap(np.ones((4, 3)), value),
         ):
             with pytest.raises(ParameterError, match="positive and finite"):
                 make()

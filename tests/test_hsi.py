@@ -31,9 +31,9 @@ from oracles import synthetic_scene_reference
 from tracing import traced_peak
 
 # ENVI data type codes, and a cube shape that with TILE values per tile splits
-# the reader's blocks (every interleave) and the writer's bil and bip payloads
-# into row tiles of 2 rows, and the writer's bsq band planes into row tiles
-# of 5, each ending in a ragged last tile of 1 row
+# the reader's blocks (every interleave) into row tiles of 2 rows, and the
+# writer's band planes into row tiles of 5, each ending in a ragged last tile
+# of 1 row
 ENVI_DTYPES = [(np.uint8, 1), (np.int16, 2), (np.int32, 3), (np.float32, 4),
                (np.float64, 5), (np.uint16, 12), (np.uint32, 13)]
 TILED_SHAPE = (11, 3, 2)
@@ -182,30 +182,30 @@ class TestEnviIO:
         with pytest.raises(FormatError, match="interleave"):
             load_envi(hdr2)
 
-    @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
-    def test_round_trip(self, tmp_path, interleave):
+    def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        image = HyperspectralImage(rng.normal(size=(5, 4, 3)),
-                                   band_centers=[450.0, 550.0, 650.0])
-        hdr = save_envi(image, tmp_path / f"rt_{interleave}.hdr", interleave=interleave)
-        back = load_envi(hdr)
-        np.testing.assert_array_equal(back.data, image.data)
-        np.testing.assert_array_equal(back.band_centers, image.band_centers)
-
-    @pytest.mark.parametrize("dtype,code", [
-        (np.uint8, 1), (np.int16, 2), (np.int32, 3), (np.uint32, 13),
-    ])
-    @pytest.mark.parametrize("byte_order", [0, 1])
-    def test_integer_round_trip(self, tmp_path, dtype, code, byte_order):
-        info = np.iinfo(dtype)
-        rng = np.random.default_rng(code)
-        cube = rng.integers(info.min, info.max, size=(4, 3, 2), endpoint=True)
-        cube[0, 0] = [info.min, info.max]
-        image = HyperspectralImage(cube.astype(np.float64))
-        hdr = save_envi(image, tmp_path / "ints.hdr", interleave="bil", dtype=dtype,
-                        byte_order=byte_order)
-        assert f"data type = {code}" in hdr.read_text()
+        image = HyperspectralImage(rng.normal(size=(5, 4, 3)))
+        hdr = save_envi(image, tmp_path / "rt.hdr")
         np.testing.assert_array_equal(load_envi(hdr).data, image.data)
+
+    def test_tiled_write_is_bsq_float64(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(hsembed.hsi, "_BLOCK", TILE)
+        cube = np.random.default_rng(5).normal(size=TILED_SHAPE)
+        hdr = save_envi(HyperspectralImage(cube), tmp_path / "t.hdr")
+        # the bytes are the oracle: the cube in band order, little-endian float64
+        assert hdr.with_suffix(".img").read_bytes() == \
+            cube.transpose(2, 0, 1).astype("<f8").tobytes()
+
+    def test_brace_blocks_span_lines(self, tmp_path):
+        # a continuation line that reads like a key belongs to its block
+        cube = np.arange(12, dtype="<f4").reshape(2, 3, 2)
+        hdr = write_envi_raw(
+            tmp_path, "braces", np.ascontiguousarray(cube.transpose(2, 0, 1)),
+            ["ENVI", "description = {", "  hand-written scene,", "  interleave = bip", "}",
+             "samples = 3", "lines = 2", "bands = 2", "wavelength = {",
+             "  450.0,", "  550.0}", "data type = 4", "interleave = bsq", "byte order = 0"],
+        )
+        np.testing.assert_array_equal(load_envi(hdr).data, cube)
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     @pytest.mark.parametrize("byte_order", [0, 1])
@@ -219,17 +219,10 @@ class TestEnviIO:
             info = np.iinfo(dtype)
             cube = rng.integers(info.min, info.max, size=TILED_SHAPE, endpoint=True)
             cube[-1, -1] = [info.min, info.max]
-        image = HyperspectralImage(cube.astype(np.float64))
-        hdr = save_envi(image, tmp_path / "t.hdr", interleave=interleave, dtype=dtype,
-                        byte_order=byte_order)
-        assert f"data type = {code}" in hdr.read_text()
-        # the bytes are the oracle: the cube in file order, in the file's dtype
-        file_dtype = np.dtype(dtype).newbyteorder("<>"[byte_order])
-        assert hdr.with_suffix(".img").read_bytes() == \
-            cube.transpose(FILE_ORDER[interleave]).astype(file_dtype).tobytes()
+        hdr = write_envi_cube(tmp_path, cube, interleave, dtype, byte_order)
         back = load_envi(hdr)
         assert back.data.flags.c_contiguous
-        assert back.data.tobytes() == image.data.tobytes()
+        assert back.data.tobytes() == cube.astype(np.float64).tobytes()
 
     @pytest.mark.parametrize("interleave", ["bsq", "bil", "bip"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -238,8 +231,7 @@ class TestEnviIO:
         self, tmp_path, monkeypatch, interleave, dtype, bad
     ):
         monkeypatch.setattr(hsembed.hsi, "_BLOCK", TILE)
-        image = HyperspectralImage(np.ones(TILED_SHAPE))
-        hdr = save_envi(image, tmp_path / "t.hdr", interleave=interleave, dtype=dtype)
+        hdr = write_envi_cube(tmp_path, np.ones(TILED_SHAPE), interleave, dtype)
         with open(hdr.with_suffix(".img"), "r+b") as f:
             f.seek(-np.dtype(dtype).itemsize, 2)
             f.write(np.array([bad], dtype=dtype).tobytes())
@@ -280,28 +272,6 @@ class TestEnviIO:
         with pytest.raises(FormatError, match="non-finite"):
             load_envi(hdr)
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.uint32])
-    def test_integer_payload_rejects_values_out_of_range(self, tmp_path, dtype):
-        info = np.iinfo(dtype)
-        for bad in (info.min - 1.0, info.max + 1.0, 0.5):
-            image = HyperspectralImage(np.full((1, 1, 1), bad))
-            with pytest.raises(ParameterError, match="do not fit"):
-                save_envi(image, tmp_path / "bad.hdr", dtype=dtype)
-            assert not (tmp_path / "bad.img").exists()
-
-    @pytest.mark.parametrize(
-        "dtype, bad", [(np.uint8, 256.0), (np.float32, 1e300), (np.float32, -1e300)]
-    )
-    def test_payload_fit_is_checked_before_the_data_file_exists(
-        self, tmp_path, monkeypatch, dtype, bad
-    ):
-        monkeypatch.setattr(hsembed.hsi, "_BLOCK", TILE)
-        cube = np.ones(TILED_SHAPE)
-        cube[-1, -1, -1] = bad  # in the last tile only
-        with pytest.raises(ParameterError, match="do not fit"):
-            save_envi(HyperspectralImage(cube), tmp_path / "bad.hdr", dtype=dtype)
-        assert list(tmp_path.iterdir()) == []
-
     def test_cube_io_holds_the_cube_and_a_few_tiles(self, tmp_path, monkeypatch):
         # tiles (and distance blocks) of 4,096 values (32 KB) against a 960 KB cube
         monkeypatch.setattr(hsembed.hsi, "_BLOCK", 4096)
@@ -315,11 +285,11 @@ class TestEnviIO:
         # a C-contiguous float64 cube is kept as it is
         assert HyperspectralImage(image.data).data is image.data
         assert traced_peak(lambda: HyperspectralImage(image.data)) < tiles
-        rounded = HyperspectralImage(np.round(image.data * 50 + 100))
+        assert traced_peak(lambda: save_envi(image, tmp_path / "scene.hdr")) < tiles
+        rounded = np.round(image.data * 50 + 100)
         for interleave in ("bsq", "bil", "bip"):
             for dtype in (np.float64, np.uint8):
-                hdr = tmp_path / f"{interleave}-{np.dtype(dtype)}.hdr"
-                assert traced_peak(lambda: save_envi(rounded, hdr, interleave, dtype)) < tiles
+                hdr = write_envi_cube(tmp_path, rounded, interleave, dtype)
                 assert traced_peak(lambda: load_envi(hdr)) < cube_bytes + tiles
 
     def test_read_of_a_cube_below_one_block_holds_no_whole_block(self, tmp_path):
@@ -485,6 +455,14 @@ class TestSyntheticScene:
     def test_identical_spectra_rejected(self):
         with pytest.raises(ParameterError, match="identical"):
             self.spec(class_spectra=np.ones((3, 4)))
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_sigma", np.nan), ("noise_sigma", np.inf), ("region_scale", np.nan),
+        ("seed", -1), ("seed", 2.5),
+    ])
+    def test_spec_rejects_non_finite_scales_and_bad_seeds(self, key, value):
+        with pytest.raises(ParameterError, match=key):
+            self.spec(**{key: value})
 
 
 class TestNormalize:

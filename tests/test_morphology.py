@@ -51,9 +51,9 @@ class TestStructuringElements:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            StructuringElement(np.array([[1, 0]]), 1)  # missing origin
+            StructuringElement(np.array([[1, 0]]))  # missing origin
         with pytest.raises(ParameterError):
-            StructuringElement(np.array([[0, 0], [1, 0]]), 1)  # asymmetric
+            StructuringElement(np.array([[0, 0], [1, 0]]))  # asymmetric
 
     @pytest.mark.parametrize("factory", [disk, square])
     @pytest.mark.parametrize("radius", [1.5, 2.0, True, -1])

@@ -143,6 +143,11 @@ class TestExactKernel:
         with pytest.raises(ShapeError):
             exact_gaussian_kernel(np.zeros(2), np.zeros(3), 1.0)
 
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ParameterError, match="positive and finite"):
+            exact_gaussian_kernel(np.zeros(2), np.ones(2), bandwidth)
+
 
 class TestProperties:
     def test_uniform_error_decay(self):
