@@ -23,12 +23,12 @@ margin zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ParameterError, ShapeError, UndefinedInputError, check_integer
+from .errors import ParameterError, ShapeError, UndefinedInputError, check_integer, check_real
 from .rff import RandomFeatureMap, feature_matrix
 
 
@@ -71,8 +71,7 @@ def empirical_risk(values: np.ndarray, labels: np.ndarray, loss: LossSpec) -> fl
 
 def gaussian_gram(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
     """Gaussian RBF kernel matrix between two point sets."""
-    if not 0 < bandwidth < np.inf:
-        raise ParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
+    check_real(bandwidth, "bandwidth")
     d2 = cdist(np.atleast_2d(x), np.atleast_2d(y), "sqeuclidean")
     return np.exp(-0.5 * d2 / bandwidth**2)
 
@@ -81,10 +80,8 @@ def expected_kernel_to_gaussian(
     x: np.ndarray, mean: np.ndarray, sigma: float, bandwidth: float
 ) -> np.ndarray:
     """E_y k(x, y) for y ~ N(mean, sigma^2 I) under a Gaussian RBF kernel."""
-    if not 0 < bandwidth < np.inf:
-        raise ParameterError("bandwidth must be positive and finite")
-    if not 0 <= sigma < np.inf:
-        raise ParameterError("sigma must be >= 0 and finite")
+    check_real(bandwidth, "bandwidth")
+    check_real(sigma, "sigma", positive=False)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     mean = np.asarray(mean, dtype=np.float64)
     dim = x.shape[1]
@@ -96,10 +93,9 @@ def expected_kernel_to_gaussian(
 
 def expected_kernel_between_gaussians(sigma: float, bandwidth: float, dim: int) -> float:
     """E k(x, y) for independent x, y ~ N(m, sigma^2 I) (any common mean m)."""
-    if not 0 < bandwidth < np.inf:
-        raise ParameterError("bandwidth must be positive and finite")
-    if not 0 <= sigma < np.inf:
-        raise ParameterError("sigma must be >= 0 and finite")
+    check_integer(dim, "dim", 1)
+    check_real(bandwidth, "bandwidth")
+    check_real(sigma, "sigma", positive=False)
     return float((bandwidth**2 / (bandwidth**2 + 2 * sigma**2)) ** (dim / 2.0))
 
 
@@ -109,14 +105,11 @@ def embedding_deviation_gaussian(
     """RKHS distance between the empirical and population mean embeddings
     of an n-sample from N(0, p_sigma^2 I), computed with the Gaussian
     convolution closed forms for the population terms."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    if p_sigma < 0:
-        raise ParameterError(f"p_sigma must be >= 0, got {p_sigma}")
-    if k_sigma <= 0:
-        raise ParameterError(f"k_sigma must be positive, got {k_sigma}")
+    check_integer(n, "n", 1)
+    check_integer(dim, "dim", 1)
+    check_real(p_sigma, "p_sigma", positive=False)
+    check_real(k_sigma, "k_sigma")
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     x = rng.normal(0.0, p_sigma, size=(n, dim)) if p_sigma > 0 else np.zeros((n, dim))
     term_sample = float(gaussian_gram(x, x, k_sigma).mean())
@@ -136,8 +129,7 @@ def population_feature_embedding(
     mean = np.asarray(mean, dtype=np.float64)
     if mean.shape != (fmap.input_dim,):
         raise ShapeError(f"mean must be ({fmap.input_dim},), got {mean.shape}")
-    if sigma < 0:
-        raise ParameterError("sigma must be >= 0")
+    check_real(sigma, "sigma", positive=False)
     proj = fmap.frequencies @ mean
     atten = np.exp(-0.5 * sigma**2 * np.sum(fmap.frequencies**2, axis=1))
     scale = np.sqrt(1.0 / fmap.n_frequencies)
@@ -158,8 +150,8 @@ def rademacher_estimate(values: np.ndarray, draws: int = 2000, seed: int = 0) ->
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     if values.size == 0:
         raise UndefinedInputError("rademacher estimate needs a non-empty value matrix")
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
+    check_integer(draws, "draws", 1)
+    check_integer(seed, "seed", 0)
     m, n = values.shape
     sym = np.concatenate([values, -values], axis=0)
     rng = np.random.default_rng(seed)
@@ -177,8 +169,8 @@ def rkhs_ball_rademacher(gram: np.ndarray, draws: int = 2000, seed: int = 0) -> 
     gram = np.asarray(gram, dtype=np.float64)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or gram.shape[0] < 1:
         raise ShapeError(f"gram must be square and non-empty, got {gram.shape}")
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
+    check_integer(draws, "draws", 1)
+    check_integer(seed, "seed", 0)
     n = gram.shape[0]
     rng = np.random.default_rng(seed)
     signs = rng.choice([-1.0, 1.0], size=(draws, n))
@@ -215,11 +207,11 @@ class MetaSampleSpec:
         for key in ("n_groups", "group_size", "dim"):
             check_integer(getattr(self, key), key, 1)
         check_integer(self.seed, "seed", 0)
-        if not all(0 <= v < np.inf for v in (self.group_sigma, self.mean_spread,
-                                             self.center_scale)):
-            raise ParameterError("scales must be >= 0 and finite")
-        if not 0.0 <= self.label_flip <= 1.0:
-            raise ParameterError("label_flip must be in [0, 1]")
+        for key in ("group_sigma", "mean_spread", "center_scale"):
+            check_real(getattr(self, key), key, positive=False)
+        check_real(self.label_flip, "label_flip", positive=False)
+        if self.label_flip > 1.0:
+            raise ParameterError(f"label_flip must be in [0, 1], got {self.label_flip}")
 
 
 @dataclass(frozen=True)
@@ -242,7 +234,9 @@ class MetaSample:
 
 def draw_meta_sample(spec: MetaSampleSpec, seed: int | None = None) -> MetaSample:
     """Draw a meta-sample; ``seed`` overrides the spec seed when given."""
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    seed = spec.seed if seed is None else seed
+    check_integer(seed, "seed", 0)
+    rng = np.random.default_rng(seed)
     l, m, d = spec.n_groups, spec.group_size, spec.dim
     labels = np.where(np.arange(l) % 2 == 0, 1.0, -1.0)
     labels = rng.permutation(labels)
@@ -278,10 +272,13 @@ def sample_linear_predictors(
     dim: int, count: int, norm_low: float, norm_high: float, seed: int = 0
 ) -> np.ndarray:
     """Random directions with norms uniform in [norm_low, norm_high]."""
-    if count < 1 or dim < 1:
-        raise ParameterError("count and dim must be >= 1")
-    if not 0 <= norm_low <= norm_high:
-        raise ParameterError("need 0 <= norm_low <= norm_high")
+    check_integer(dim, "dim", 1)
+    check_integer(count, "count", 1)
+    check_real(norm_low, "norm_low", positive=False)
+    check_real(norm_high, "norm_high", positive=False)
+    if norm_low > norm_high:
+        raise ParameterError(f"need norm_low <= norm_high, got {norm_low} > {norm_high}")
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((count, dim))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
@@ -312,10 +309,11 @@ class BoundConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
+        check_real(self.delta, "delta")
+        if self.delta >= 1.0:
             raise ParameterError(f"delta must be in (0, 1), got {self.delta}")
-        if not 0 <= self.r_bound < np.inf:
-            raise ParameterError("r_bound must be >= 0 and finite")
+        for key in ("r_bound", "dictionary_norm"):
+            check_real(getattr(self, key), key, positive=False)
         if self.rhs_form not in ("statement", "proof"):
             raise ParameterError("rhs_form must be 'statement' or 'proof'")
         for key in ("rademacher_draws", "dictionary_size", "holdout_draws"):
@@ -339,15 +337,7 @@ class BoundReport:
         return self.rhs - self.lhs
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "components": self.components,
-            "nonvacuous": self.nonvacuous,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "slack": self.slack}
 
 
 def format_bound_report(report: BoundReport) -> str:
@@ -416,6 +406,8 @@ def check_embedding_gap_bound(
 def assemble_combined_rhs(components: dict, n_groups: int, delta: float) -> float:
     """Evaluate the combined bound's right-hand side from fixed component
     estimates at a given group count (used for monotonicity checks)."""
+    check_integer(n_groups, "n_groups", 1)
+    check_real(delta, "delta")
     log2d = math.log(2.0 / delta)
     return float(
         components["moment_term"]

@@ -38,6 +38,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     StageError,
+    check_integer,
     read_section,
 )
 from .evaluation import (
@@ -378,8 +379,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
     preds = {"count": 100, "norm_low": 50.0, "norm_high": 100.0, "combined_norm": 1.0,
              **cfg.get("predictors", {})}
     trials = cfg["trials"]
-    if trials < 1:
-        raise ParameterError(f"theory config key 'trials' must be >= 1, got {trials}")
+    check_integer(trials, "theory config key 'trials'", 1)
     loss = bounds.LossSpec(cfg["loss"])
     spec = bounds.MetaSampleSpec(
         **{"group_size": 16, **cfg.get("meta", {})}, **_pop(cfg, "seed")

@@ -20,7 +20,7 @@ from scipy.linalg.lapack import dpstrf
 from scipy.sparse import csc_matrix
 from scipy.spatial.distance import pdist
 
-from .errors import ContractViolation, ParameterError, ShapeError, check_integer
+from .errors import ContractViolation, ParameterError, ShapeError, check_integer, check_real
 from .hsi import (
     HyperspectralImage,
     PatchSpec,
@@ -76,9 +76,8 @@ class EmbeddingConfig:
 
     def __post_init__(self):
         for key in ("sigma", "beta"):
-            value = getattr(self, key)
-            if value is not None and not 0.0 < value < np.inf:
-                raise ParameterError(f"{key} must be positive and finite, got {value}")
+            if getattr(self, key) is not None:
+                check_real(getattr(self, key), key)
         check_integer(self.n_features, "n_features", 1)
         check_integer(self.seed, "seed", 0)
 
@@ -89,6 +88,8 @@ def median_heuristic(image: HyperspectralImage, sample_size: int = 1000, seed: i
     Deterministic per seed; falls back to 1.0 if the sampled spectra are
     all identical.
     """
+    check_integer(sample_size, "sample_size", 1)
+    check_integer(seed, "seed", 0)
     pixels = image.pixels()
     n = pixels.shape[0]
     rng = np.random.default_rng(seed)

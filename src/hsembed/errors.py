@@ -45,27 +45,38 @@ class NumericalError(HsembedError):
     """A numerical computation failed or produced non-finite values."""
 
 
+# int and float lead the isinstance tuples: they skip the slow ABC lookup
+def is_integer(value: object) -> bool:
+    """True for an integer; a bool is not one."""
+    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
+
+
 def is_finite_number(value: object) -> bool:
-    """True for a finite JSON number; a bool is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """True for a finite real number; a bool is not one."""
+    real = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool)
+    return real and math.isfinite(value)
 
 
 def check_integer(value, name: str, least: int) -> None:
     """ParameterError unless ``value`` is an integer (not a bool) >= ``least``."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+    if not is_integer(value) or value < least:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def check_real(value, name: str, positive: bool = True) -> None:
+    """ParameterError unless ``value`` is a finite number (not a bool) that
+    is > 0, or >= 0 when ``positive`` is false."""
+    if not (is_finite_number(value) and (value > 0 if positive else value >= 0)):
+        bound = "positive and finite" if positive else "finite and >= 0"
+        raise ParameterError(f"{name} must be {bound}, got {value!r}")
 
 
 # The kinds a config value may have: each names the noun of its message and its test.
 POSITIVE = ("null or a positive number", lambda v: v is None or (is_finite_number(v) and v > 0))
-SEED = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+SEED = ("a non-negative integer", lambda v: is_integer(v) and v >= 0)
 _KINDS = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
-    int: ("an integer", _is_int),
+    int: ("an integer", is_integer),
     float: ("a finite number", is_finite_number),
     str: ("a string", lambda v: isinstance(v, str)),
     list: ("a list", lambda v: isinstance(v, list)),

@@ -26,7 +26,6 @@ from .embedding import (
 from .errors import (
     ContractViolation,
     DegenerateDataError,
-    ParameterError,
     ShapeError,
     UndefinedInputError,
     check_integer,
@@ -56,8 +55,7 @@ def confusion_matrix(
     truth = np.asarray(truth).ravel()
     if predicted.shape != truth.shape:
         raise ShapeError(f"length mismatch: {predicted.shape} vs {truth.shape}")
-    if n_classes < 1:
-        raise ParameterError(f"n_classes must be >= 1, got {n_classes}")
+    check_integer(n_classes, "n_classes", 1)
     mask = truth > 0
     t = truth[mask]
     p = predicted[mask]

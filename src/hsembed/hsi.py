@@ -15,6 +15,7 @@ here too.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .errors import (
     ShapeError,
     TruncationError,
     check_integer,
+    check_real,
     is_finite_number,
     read_section,
 )
@@ -190,10 +192,8 @@ class SceneSpec:
                 f"scene spec key 'classes' must be at most the {self.height * self.width} "
                 f"pixels, got {self.classes}"
             )
-        if not 0 < self.region_scale < np.inf:
-            raise ParameterError("region_scale must be positive and finite")
-        if not 0 <= self.noise_sigma < np.inf:
-            raise ParameterError("noise_sigma must be >= 0 and finite")
+        check_real(self.region_scale, "scene spec key 'region_scale'")
+        check_real(self.noise_sigma, "scene spec key 'noise_sigma'", positive=False)
         check_integer(self.seed, "scene spec key 'seed'", 0)
         if self.class_spectra is None:
             rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x5CE7E]))
@@ -423,21 +423,18 @@ def read_label_grid(path: str | Path) -> np.ndarray:
             raise FormatError(f"{path}: raster labels are not integers")
         labels = values.astype(np.int64)
     else:
-        rows = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
+        at = [0]  # the line numpy stopped on: it pulls one line at a time
+        with path.open() as f, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: refused below
             try:
-                row = [int(tok) for tok in line.split(",")]
+                labels = np.loadtxt(
+                    (line for at[0], line in enumerate(f, start=1) if line.strip()),
+                    delimiter=",", dtype=np.int64, ndmin=2, comments=None,
+                )
             except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer label") from exc
-            rows.append(row)
-        if not rows:
+                raise FormatError(f"{path}:{at[0]}: not a row of integer labels: {exc}") from exc
+        if labels.size == 0:
             raise FormatError(f"{path}: empty label grid")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise FormatError(f"{path}: ragged rows in label grid")
-        labels = np.array(rows, dtype=np.int64)
     if labels.min() < 0:
         raise FormatError(f"{path}: negative label")
     return labels

@@ -264,7 +264,8 @@ def pca_reduce(image: HyperspectralImage, dims: int) -> PcaResult:
     """Project pixels onto the top ``dims`` eigenvectors of the spectral covariance,
     centring them a row block at a time in one buffer: no centred cube is made."""
     d_in = image.bands
-    if not 1 <= dims <= d_in:
+    check_integer(dims, "dims", 1)
+    if dims > d_in:
         raise ParameterError(f"dims must be in [1, {d_in}], got {dims}")
     x = image.pixels()
     n = x.shape[0]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, check_integer
+from .errors import ShapeError, check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ class RandomFeatureMap:
         freqs = np.ascontiguousarray(np.asarray(self.frequencies, dtype=np.float64))
         if freqs.ndim != 2 or min(freqs.shape) < 1:
             raise ShapeError(f"frequencies must be a (count, dim) matrix, got {freqs.shape}")
-        if not 0.0 < self.bandwidth < np.inf:
-            raise ParameterError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        check_real(self.bandwidth, "bandwidth")
         freqs.flags.writeable = False
         object.__setattr__(self, "frequencies", freqs)
 
@@ -71,8 +70,8 @@ def sample_frequencies(
     """Draw ``count`` spectral frequencies for a Gaussian RBF of the given bandwidth."""
     check_integer(input_dim, "input_dim", 1)
     check_integer(count, "count", 1)
-    if not 0.0 < bandwidth < np.inf:
-        raise ParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
+    check_real(bandwidth, "bandwidth")
+    check_integer(seed, "seed", 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     freqs = rng.standard_normal((count, input_dim)) / bandwidth
     return RandomFeatureMap(freqs, float(bandwidth))
@@ -113,8 +112,7 @@ def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
 
 def exact_gaussian_kernel(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
     """exp(-||x - y||^2 / (2 bandwidth^2))."""
-    if not 0.0 < bandwidth < np.inf:
-        raise ParameterError(f"bandwidth must be positive and finite, got {bandwidth}")
+    check_real(bandwidth, "bandwidth")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:

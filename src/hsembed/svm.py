@@ -32,6 +32,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     check_integer,
+    check_real,
 )
 
 KKT_TOLERANCE = 1e-4
@@ -193,10 +194,8 @@ def train_binary(
         raise ShapeError(f"labels must be ({n},), got {y.shape}")
     if not np.isfinite(x).all():
         raise NumericalError("features contain non-finite values")
-    if not 0.0 < c < np.inf:
-        raise ParameterError(f"C must be positive and finite, got {c}")
-    if not 0.0 <= tol < np.inf:
-        raise ParameterError(f"tol must be finite and >= 0, got {tol}")
+    check_real(c, "C")
+    check_real(tol, "tol", positive=False)
     signs = y.tolist()
     positive, negative = signs.count(1.0), signs.count(-1.0)
     if positive + negative != n:
@@ -365,8 +364,8 @@ class SvmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c is not None and not 0.0 < self.c < np.inf:
-            raise ParameterError(f"C must be positive and finite, got {self.c}")
+        if self.c is not None:
+            check_real(self.c, "C")
         check_integer(self.folds, "folds", 2)
         check_integer(self.seed, "seed", 0)
 
@@ -409,6 +408,7 @@ def cross_validate(
     if not np.isfinite(x).all():
         raise NumericalError("features contain non-finite values")
     check_integer(folds, "folds", 2)
+    check_integer(seed, "seed", 0)
     if np.unique(y).size < 2:
         raise DegenerateDataError("cross-validation needs at least two classes")
     grid = default_c_grid()

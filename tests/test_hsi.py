@@ -1,5 +1,7 @@
 """Cube data model, ENVI IO, ground truth, synthetic scenes, patch windows."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,30 @@ class TestGroundTruth:
         labels = np.array([[0, 3, 1], [2, 0, 1]])
         path = save_ground_truth(GroundTruthMap(labels), tmp_path / "rt.csv")
         np.testing.assert_array_equal(load_ground_truth(path, 2, 3).labels, labels)
+
+    def test_blank_lines_between_rows_are_skipped(self, tmp_path):
+        p = tmp_path / "gt.csv"
+        p.write_text("\n0,1\n\n  \n2,0\n\n")
+        np.testing.assert_array_equal(load_ground_truth(p, 2, 2).labels, [[0, 1], [2, 0]])
+
+    @pytest.mark.parametrize("text, line", [
+        ("0,1\n2,99999999999999999999\n", 2), ("0,1\n\n1.0,2\n", 3), ("0,1\n2\n", 2),
+        ("0,1,\n2,0,\n", 1), ("0,1\n#2,0\n", 2),
+    ])
+    def test_cell_that_is_not_an_int64_names_its_line(self, tmp_path, text, line):
+        p = tmp_path / "gt.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=f"gt.csv:{line}: "):
+            load_ground_truth(p, 2, 2)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", " \n\t\n"])
+    def test_empty_or_blank_file_is_refused_without_a_warning(self, tmp_path, text):
+        p = tmp_path / "gt.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="empty label grid"):
+                load_ground_truth(p, 2, 2)
 
 
 class TestSyntheticScene:
