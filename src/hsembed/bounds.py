@@ -255,7 +255,7 @@ def empirical_embeddings(fmap: RandomFeatureMap, meta: MetaSample) -> np.ndarray
     """Per-group empirical mean embeddings, rows of an (l, 2N) matrix."""
     flat = meta.samples.reshape(-1, meta.samples.shape[2])
     feats = feature_matrix(fmap, flat)
-    return feats.reshape(meta.n_groups, meta.group_size, -1).mean(axis=1)
+    return feats.reshape(meta.n_groups, meta.group_size, -1).mean(axis=1, dtype=np.float64)
 
 
 def population_embeddings(fmap: RandomFeatureMap, meta: MetaSample) -> np.ndarray:

@@ -117,18 +117,16 @@ def _random_features(
 ) -> np.ndarray:
     """Random features of pixels before any window mean.
 
-    Without positions, z(x) of each spectrum, scaled to unit norm first
-    when ``normalize`` is set. With positions (the convolutional
-    variant), |x| z([position/beta, unit spectrum/sigma]). The one place
-    that calls ``feature_matrix``.
+    Without positions, the float32 z(x) of each spectrum, scaled to unit
+    norm first when ``normalize`` is set. With positions (the
+    convolutional variant), |x| z([position/beta, unit spectrum/sigma]),
+    formed in float64. The one place that calls ``feature_matrix``.
     """
     if positions is None:
         return feature_matrix(fmap, unit_rows(spectra)[0] if normalize else spectra)
     unit, norms = unit_rows(spectra)
     augmented = np.concatenate([positions / beta, unit / sigma], axis=1)
-    feats = feature_matrix(fmap, augmented)
-    feats *= norms[:, None]
-    return feats
+    return feature_matrix(fmap, augmented) * norms[:, None]
 
 
 def mean_map_feature(fmap: RandomFeatureMap, patch: np.ndarray) -> PixelFeature:
@@ -137,7 +135,7 @@ def mean_map_feature(fmap: RandomFeatureMap, patch: np.ndarray) -> PixelFeature:
     if patch.shape[0] == 0:
         raise ContractViolation("patch must contain at least one spectrum")
     feats = _random_features(fmap, patch, normalize=False)
-    return PixelFeature(feats.mean(axis=0), "meanmap")
+    return PixelFeature(feats.mean(axis=0, dtype=np.float64), "meanmap")
 
 
 def conv_mean_map_feature(
@@ -314,9 +312,11 @@ class FeatureSpace:
             return self.profile.shape[1]
         return self.fmap.feature_dim
 
-    def pixel_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Features of flat pixel indices before the window mean: spectra, profile
-        rows, z of unit (or raw) spectra, or (convmeanmap) |x| z of [position, spectrum]."""
+    def pixel_rows(self, idx: np.ndarray | slice) -> np.ndarray:
+        """Features of flat pixel indices (an index array, or a slice of
+        contiguous pixels, read without a copy) before the window mean:
+        spectra, profile rows, float32 z of unit (or raw) spectra, or
+        (convmeanmap) |x| z of [position, spectrum]."""
         if self.method == "mp":
             return self.profile[idx]
         spectra = self.image.pixels()[idx]
@@ -324,6 +324,8 @@ class FeatureSpace:
             return spectra
         if self.method != "convmeanmap":
             return _random_features(self.fmap, spectra, self.normalize)
+        if isinstance(idx, slice):
+            idx = np.arange(*idx.indices(self.image.height * self.image.width))
         positions = np.stack(np.divmod(idx, self.image.width), axis=1).astype(np.float64)
         return _random_features(self.fmap, spectra, True, positions, self.beta, self.sigma)
 
@@ -340,23 +342,28 @@ class FeatureSpace:
         counts = csc_matrix((np.ones(windows.size), (owners, where)), shape=(idx.size, members.size))
         rows = np.zeros((idx.size, self.row_dim))
         for a, b in row_blocks(members.size, max(self.row_dim, self.image.bands)):
-            rows += counts[:, a:b] @ self.pixel_rows(members[a:b])
+            rows += counts[:, a:b] @ self.pixel_rows(members[a:b])  # float64 sums
         rows /= windows.shape[1]
         return rows
 
     def kernel_rows(self, idx: np.ndarray, means: np.ndarray) -> np.ndarray:
         """Fusion's training rows of flat pixel indices and their ``patch_means`` M:
         R with R R' = (P P') * (M M'), their fused rows' Gram (P: profile rows),
-        from LAPACK's rank-revealing pivoted Cholesky, one column per pivot."""
-        gram = self.profile[idx] @ self.profile[idx].T
-        gram *= means @ means.T
+        from LAPACK's rank-revealing pivoted Cholesky, one column per pivot. A
+        pixel is factored once, at its first position; a repeat gets its row."""
+        _, first, again = np.unique(idx, return_index=True, return_inverse=True)
+        keep = np.sort(first)
+        gram = self.profile[idx[keep]] @ self.profile[idx[keep]].T
+        gram *= means[keep] @ means[keep].T
         factor, pivots, rank, _ = dpstrf(gram, lower=1)
-        return np.tril(factor)[np.argsort(pivots), :rank]
+        return np.tril(factor)[np.argsort(pivots)[np.searchsorted(keep, first[again])], :rank]
 
     def scores(self, weights, support: tuple | None = None):
         """Every pixel's table row times the (row_dim, K) weights, in one pass of row
         bands of about one block: yields (first flat pixel, (rows, K) scores) per
         band. Each row is embedded once, in blocks sized by their widest array.
+        The float32 z of ``rff`` and ``meanmap`` meet the weights, cast once, in
+        float32; the products are widened to float64 before the window mean.
 
         Fusion scores in the dual and never builds a fused row. ``support`` is
         the (flat indices, patch means) of the training pixels of all runs, run
@@ -373,15 +380,18 @@ class FeatureSpace:
         k = int(ends[-1, 1]) if fused else weights.shape[1]
         width = self.row_dim if fused else k
         spectra = 0 if self.method == "mp" else self.image.bands
+        weights32 = None if fused else weights.astype(np.float32)
 
         def image_rows(a, b):
-            idx = np.arange(a * w, b * w)
-            if fused:
-                return self.pixel_rows(idx).reshape(b - a, w, width)
-            rows = np.empty((idx.size, k))
-            for c, d in row_blocks(idx.size, max(self.row_dim, k, spectra)):
-                np.matmul(self.pixel_rows(idx[c:d]), weights, out=rows[c:d])
-            return rows.reshape(b - a, w, k)
+            # float64 rows: the band's z (fusion) or its scores, widened; a
+            # float32 z meets the weights in float32, other rows in float64
+            rows = np.empty(((b - a) * w, width))
+            for c, d in row_blocks(len(rows), max(self.row_dim, k, spectra)):
+                pixels = self.pixel_rows(slice(a * w + c, a * w + d))
+                if not fused:
+                    pixels = pixels @ (weights32 if pixels.dtype == np.float32 else weights)
+                rows[c:d] = pixels
+            return rows.reshape(b - a, w, width)
 
         # a fusion band also holds its (rows, T) Gram block
         band = block_rows(w * max(width, k, len(support[0]) if fused else 0))
@@ -467,7 +477,7 @@ def build_feature_table(
     if space is None:
         space = prepare_features(image, method, config, mp_config)
     h, w = image.height, image.width
-    stack = space.pixel_rows(np.arange(h * w)).reshape(h, w, -1)
+    stack = space.pixel_rows(slice(0, h * w)).astype(np.float64).reshape(h, w, -1)
     ((_, means),) = _window_means(lambda a, b: stack[a:b], h, w, stack.shape[2], space.patch, h)
     values = means.reshape(h * w, -1)
     if space.dual:

@@ -30,6 +30,7 @@ from .errors import (
     check_integer,
     check_real,
     is_finite_number,
+    is_integer,
     read_section,
 )
 
@@ -556,11 +557,13 @@ def patch_window(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resolved (rows, cols) of the side^2 patch members of one pixel, in
     row-major order: its ``patch_indices``. Each returned pair is an actual
-    pixel of the image (possibly repeated); a pixel outside the image is a
-    ParameterError."""
+    pixel of the image (possibly repeated); a position that is not an integer
+    or lies outside the image is a ParameterError."""
+    if not (is_integer(row) and is_integer(col)):
+        raise ParameterError(f"pixel position must be integers, got ({row!r}, {col!r})")
     if not (0 <= row < height and 0 <= col < width):
         raise ParameterError(f"pixel ({row}, {col}) is outside the {height} x {width} image")
-    return np.divmod(patch_indices([row * width + col], spec, height, width)[0], width)
+    return np.divmod(patch_indices([int(row) * width + int(col)], spec, height, width)[0], width)
 
 
 def patch_indices(
@@ -568,9 +571,12 @@ def patch_indices(
 ) -> np.ndarray:
     """Flat indices of the patch members of each given flat pixel index, one
     row per pixel in row-major window order, borders resolved by
-    ``window_axis``: shape ``(len(flat), side^2)``. An index outside the
-    image is a ParameterError."""
-    flat = np.asarray(flat, dtype=np.int64)
+    ``window_axis``: shape ``(len(flat), side^2)``. An index that is not an
+    integer or lies outside the image is a ParameterError."""
+    flat = np.asarray(flat)
+    if flat.size and flat.dtype.kind not in "iu":
+        raise ParameterError(f"pixel indices must be integers, got dtype {flat.dtype}")
+    flat = flat.astype(np.int64)
     if np.any((flat < 0) | (flat >= height * width)):
         raise ParameterError(f"pixel indices must lie in [0, {height * width})")
     rows, cols = np.divmod(flat, width)

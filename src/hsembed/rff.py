@@ -14,17 +14,21 @@ from ``numpy.random.Generator(PCG64(seed))`` (row-major draw order,
 ziggurat normals), divided by the bandwidth. Rebuilding from
 (seed, count, dim, bandwidth) is bit-identical.
 
-The projection w.x is taken in float64 and reduced to [-pi, pi] in
-float64; cos and sin of the reduced angle are then taken in float32 and
-widened. That puts each entry within about 2e-7 / sqrt(N) of its float64
-value, far below the O(1/sqrt(N)) error of the random features
-themselves, at a quarter of the cost of float64 trig. The reduction
-needs no buffer of its own: its turns sit in the front of the result, as
-one contiguous block, until cos and sin overwrite them. Everything runs on
-the calling thread. The BLAS product gives a row's projection the same
-bytes whatever other rows share the call, and the trig is elementwise, so
-a feature row does not depend on how the caller splits its points into
-blocks (the tests check this at odd row splits).
+z is float32. The projection w.x and its reduction to [-pi, pi] run in
+float64; cos and sin of the reduced angle run in float32, and each entry
+is the float64 product of that value and sqrt(1/N) rounded once to
+float32: widened, the same bytes as a float64 result when sqrt(1/N) is a
+power of two (N a power of 4), and within half a float32 ulp of it
+otherwise. That puts each entry within about 2e-7 / sqrt(N) of its
+float64 value, far below the O(1/sqrt(N)) error of the random features
+themselves, at a quarter of the cost of float64 trig and half its
+memory. Whatever sums z itself (mean maps, training rows, window means)
+widens it and sums in float64; only its product with the weights of a
+trained model runs in float32. Everything runs on the calling thread.
+The BLAS product gives a row's projection the same bytes whatever other
+rows share the call, and the rest is elementwise, so a feature row does
+not depend on how the caller splits its points into blocks (the tests
+check this at odd row splits).
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, check_integer, check_real
+
+# float64 values of the reduction's scratch: one chunk of rows, 256 KiB, in cache
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -78,16 +85,18 @@ def sample_frequencies(
 
 
 def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
-    """Features of many points: rows of a ``(n, 2N)`` matrix.
+    """Features of many points: rows of a float32 ``(n, 2N)`` matrix.
 
-    The projection is one matrix product. It is reduced in place to
-    [-pi, pi] in float64; the turns meanwhile sit in the first n*N values
-    of the result, read as one contiguous (n, N) matrix, so every pass of
-    the reduction runs in memory order. cos and sin then overwrite that
-    scratch, in float32 straight into the float64 result, and the ufunc's
-    buffered casts narrow and widen them. All of it runs on the calling
-    thread, so the caller's ``np.errstate`` holds, and the bytes of a row
-    do not depend on the other rows of ``xs``.
+    The projection is one matrix product, written as float64 into the
+    result's own bytes (n*2N float32 values take the space of n*N float64
+    values): row i of the (n, N) float64 view is row i of the result.
+    Chunks of rows of ``_CHUNK`` values are then reduced to [-pi, pi] in
+    float64 scratch, narrowed to float32 once into their cos half, and
+    cos and sin are taken there and multiplied by sqrt(1/N) in float64,
+    rounded to float32 once, while the chunk is in cache. A call
+    allocates its result and one chunk of scratch. All of it runs on the
+    calling thread, so the caller's ``np.errstate`` holds, and the bytes
+    of a row do not depend on the other rows of ``xs``.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.ndim != 2:
@@ -96,17 +105,26 @@ def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"input dimension {xs.shape[1]} does not match map dimension {fmap.input_dim}"
         )
-    proj = xs @ fmap.frequencies.T
-    n, n_freq = proj.shape
-    out = np.empty((n, 2 * n_freq))
-    turns = out.reshape(-1)[: n * n_freq].reshape(n, n_freq)
-    np.multiply(proj, 1.0 / (2.0 * np.pi), out=turns)
-    np.rint(turns, out=turns)
-    turns *= 2.0 * np.pi
-    proj -= turns
-    np.cos(proj, out=out[:, :n_freq], dtype=np.float32)
-    np.sin(proj, out=out[:, n_freq:], dtype=np.float32)
-    out *= np.sqrt(1.0 / n_freq)
+    n, n_freq = xs.shape[0], fmap.n_frequencies
+    out = np.empty((n, 2 * n_freq), dtype=np.float32)
+    proj = out.view(np.float64)
+    np.matmul(xs, fmap.frequencies.T, out=proj)
+    scale = np.sqrt(1.0 / n_freq)
+    step = max(1, _CHUNK // n_freq)
+    turns = np.empty((min(step, n), n_freq))
+    for a in range(0, n, step):
+        p, t = proj[a : a + step], turns[: min(step, n - a)]
+        np.multiply(p, 1.0 / (2.0 * np.pi), out=t)
+        np.rint(t, out=t)
+        t *= 2.0 * np.pi
+        np.subtract(p, t, out=t)
+        # p is spent: its bytes take the narrowed angles, then cos and sin
+        rows = out[a : a + step]
+        cos, sin = rows[:, :n_freq], rows[:, n_freq:]
+        cos[...] = t
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
+        np.multiply(rows, scale, out=rows, dtype=np.float64)
     return out
 
 

@@ -239,6 +239,29 @@ def feature_matrix_reference(fmap, xs):
     return scale * np.concatenate([np.cos(proj), np.sin(proj)], axis=1)
 
 
+def feature_matrix_float64(fmap, xs):
+    """``hsembed.rff.feature_matrix`` with a float64 result: the same float64
+    projection and reduction mod 2pi, float32 cos and sin widened into the
+    result, and the sqrt(1/N) scale in float64. The turns sit in the front
+    n*N values of the result until cos and sin overwrite them.
+
+    ``feature_matrix`` rounds each entry of this form to float32 once, so
+    widened it gives these bytes whenever sqrt(1/N) is a power of two.
+    """
+    proj = np.atleast_2d(np.asarray(xs, dtype=np.float64)) @ fmap.frequencies.T
+    n, n_freq = proj.shape
+    out = np.empty((n, 2 * n_freq))
+    turns = out.reshape(-1)[: n * n_freq].reshape(n, n_freq)
+    np.multiply(proj, 1.0 / (2.0 * np.pi), out=turns)
+    np.rint(turns, out=turns)
+    turns *= 2.0 * np.pi
+    proj -= turns
+    np.cos(proj, out=out[:, :n_freq], dtype=np.float32)
+    np.sin(proj, out=out[:, n_freq:], dtype=np.float32)
+    out *= np.sqrt(1.0 / n_freq)
+    return out
+
+
 def sliding_window_mean_reference(stack, side, border):
     """Mean over side x side windows of an (H, W, K) stack, by whole-image
     summed-area tables over the replicated (clamp) or reflected (mirror)

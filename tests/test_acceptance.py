@@ -134,7 +134,8 @@ def test_criterion_03_double_sum_oracles():
             units.append(spectra / np.where(norms > 0, norms, 1.0))
         a = mean_map_feature(fmap_mm, units[0])
         b = mean_map_feature(fmap_mm, units[1])
-        za, zb = feature_matrix(fmap_mm, units[0]), feature_matrix(fmap_mm, units[1])
+        # z widened to float64, as the mean maps sum it
+        za, zb = (feature_matrix(fmap_mm, u).astype(np.float64) for u in units)
         brute = sum(float(za[i] @ zb[j]) for i in range(9) for j in range(9)) / 81.0
         worst_uniform = max(worst_uniform, abs(float(a.values @ b.values) - brute))
 
@@ -151,10 +152,10 @@ def test_criterion_03_double_sum_oracles():
                 uj = sj / nj if nj > 0 else sj
                 zi = feature_matrix(
                     fmap_cn, np.concatenate([pi / cfg.beta, ui / cfg.sigma])[None, :]
-                )[0]
+                )[0].astype(np.float64)
                 zj = feature_matrix(
                     fmap_cn, np.concatenate([pj / cfg.beta, uj / cfg.sigma])[None, :]
-                )[0]
+                )[0].astype(np.float64)
                 brute_w += ni * nj * float(zi @ zj)
         brute_w /= 81.0
         worst_weighted = max(worst_weighted, abs(float(ca.values @ cb.values) - brute_w))

@@ -348,7 +348,7 @@ class TestEmbeddingHelpers:
         meta = draw_meta_sample(MetaSampleSpec(n_groups=3, group_size=7, seed=30))
         table = empirical_embeddings(fmap, meta)
         for i in range(3):
-            expected = feature_matrix(fmap, meta.samples[i]).mean(axis=0)
+            expected = feature_matrix(fmap, meta.samples[i]).astype(np.float64).mean(axis=0)
             np.testing.assert_allclose(table[i], expected, atol=1e-12)
 
     def test_population_embeddings_shape(self):

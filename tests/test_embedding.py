@@ -52,7 +52,8 @@ class TestMeanMapFeature:
         rng = np.random.default_rng(2)
         p, q = rng.normal(size=(9, 6)), rng.normal(size=(9, 6))
         a, b = mean_map_feature(fmap6, p), mean_map_feature(fmap6, q)
-        zp, zq = feature_matrix(fmap6, p), feature_matrix(fmap6, q)
+        # z widened to float64, as the mean map sums it
+        zp, zq = (feature_matrix(fmap6, x).astype(np.float64) for x in (p, q))
         brute = sum(float(zp[i] @ zq[j]) for i in range(9) for j in range(9)) / 81.0
         assert float(a.values @ b.values) == pytest.approx(brute, abs=1e-10)
 
@@ -80,7 +81,8 @@ class TestMeanMapKernel:
         rng = np.random.default_rng(6)
         p, q = rng.normal(size=(4, 6)), rng.normal(size=(7, 6))
         a, b = mean_map_feature(fmap6, p), mean_map_feature(fmap6, q)
-        zp, zq = feature_matrix(fmap6, p), feature_matrix(fmap6, q)
+        # z widened to float64, as the mean map sums it
+        zp, zq = (feature_matrix(fmap6, x).astype(np.float64) for x in (p, q))
         brute = sum(float(zp[i] @ zq[j]) for i in range(4) for j in range(7)) / 28.0
         assert float(a.values @ b.values) == pytest.approx(brute, abs=1e-10)
 
@@ -154,7 +156,7 @@ class TestConvMeanMap:
         def parts(s, pos):
             norms = np.linalg.norm(s, axis=1)
             points = augment(pos, s / norms[:, None], cfg.beta, cfg.sigma)
-            return norms, feature_matrix(fmap, points)
+            return norms, feature_matrix(fmap, points).astype(np.float64)
 
         np_, zp = parts(p, pos_p)
         nq_, zq = parts(q, pos_q)

@@ -584,16 +584,39 @@ class TestPatchSpectra:
                 got = window_axis(n, PatchSpec(side, border))
                 np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("row, col", [(-1, 0), (0, -1), (4, 0), (0, 5), (1, -1)])
+    @pytest.mark.parametrize(
+        "row, col",
+        [(-1, 0), (0, -1), (4, 0), (0, 5), (1, -1),
+         (1.5, 0), (0, 2.0), (np.float64(1.0), 1), (True, 0), ("1", 0)],
+    )
     def test_pixel_outside_the_image_is_rejected_by_patch_window(self, row, col):
-        # (0, 5) and (1, -1) would have flat indices inside the 4 x 5 image
+        # (0, 5) and (1, -1) would have flat indices inside the 4 x 5 image;
+        # (1.5, 0) was read as pixel (1, 2), flat index 1.5 * 5 + 0 = 7.5
         with pytest.raises(ParameterError):
             patch_window(row, col, PatchSpec(3), 4, 5)
 
-    @pytest.mark.parametrize("flat", [-1, 20, 10**6])
+    @pytest.mark.parametrize("flat", [-1, 20, 10**6, 1.5, 2.0, np.float32(1.0)])
     def test_pixel_outside_the_image_is_rejected_by_patch_indices(self, flat):
+        # 1.5 was cast to pixel 1
         with pytest.raises(ParameterError):
             patch_indices([0, flat], PatchSpec(3), 4, 5)
+        with pytest.raises(ParameterError):
+            patch_indices(np.array([flat]), PatchSpec(3), 4, 5)
+
+    def test_boolean_indices_are_rejected_by_patch_indices(self):
+        with pytest.raises(ParameterError):
+            patch_indices(np.array([True, False]), PatchSpec(3), 4, 5)
+
+    @pytest.mark.parametrize("row, col", [(200, 7), (np.int32(200), np.int64(7)), (np.uint8(200), np.uint8(7))])
+    def test_integer_positions_of_any_type_are_read(self, row, col):
+        # a uint8 row times the width overflows uint8
+        want = patch_window(200, 7, PatchSpec(3), 300, 300)
+        got = patch_window(row, col, PatchSpec(3), 300, 300)
+        np.testing.assert_array_equal(np.stack(got), np.stack(want))
+        np.testing.assert_array_equal(want[0][4], 200)
+        for flat in ([60007], np.array([60007], dtype=np.int32), np.array([60007], dtype=np.uint32)):
+            got = patch_indices(flat, PatchSpec(3), 300, 300)
+            np.testing.assert_array_equal(got, patch_indices(np.array([60007]), PatchSpec(3), 300, 300))
 
 
 class TestInvariantsOnTypes:

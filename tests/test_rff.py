@@ -11,9 +11,15 @@ from hsembed import (
     exact_gaussian_kernel,
     feature_matrix,
     hsi,
+    rff,
     sample_frequencies,
 )
-from oracles import FLOAT32_TRIG_ENTRY, UNIT_NORM_ATOL, feature_matrix_reference
+from oracles import (
+    FLOAT32_TRIG_ENTRY,
+    UNIT_NORM_ATOL,
+    feature_matrix_float64,
+    feature_matrix_reference,
+)
 from tracing import traced_peak
 
 
@@ -283,35 +289,58 @@ class TestRowBlocks:
         assert np.isnan(got).all()
 
     def test_peak_is_projection_and_result(self):
-        # the in-place reduction adds no block-sized temporary: on a
-        # 2,048-row block (one 8 MB block of features at N=256) the
-        # peak is the (n, N) projection and the (n, 2N) result, with a
-        # small slack; a float64 copy of the projection would be 4 MB
+        # the projection lives in the result's bytes and the reduction in
+        # one chunk of scratch: on a 2,048-row block (one 8 MB block of
+        # features at N=256) the peak is the float32 (n, 2N) result and
+        # a 256 KiB chunk, with 192 KiB of slack for numpy's cast buffers
+        # (the float64 scaling buffers its float32 input and output, 8,192
+        # values each; measured 131 KiB); a separate projection would add
+        # 4 MB, a float64 result 4 MB more
         n, n_freq = 2048, 256
         fmap = sample_frequencies(103, n_freq, 1.0, seed=3)
         xs = np.random.default_rng(4).normal(size=(n, 103))
-        proj_and_out = 3 * n * n_freq * 8
+        out = n * 2 * n_freq * 4
+        chunk = rff._CHUNK // n_freq * n_freq * 8
         peak = traced_peak(lambda: feature_matrix(fmap, xs))
-        assert proj_and_out <= peak <= proj_and_out + (1 << 20)
+        assert out + chunk <= peak <= out + chunk + 3 * (1 << 16)
 
+    @pytest.mark.parametrize("chunk", [rff._CHUNK, 1000])
     @pytest.mark.parametrize("n_freq", [3, 256])
-    def test_bytes_equal_the_reduction_in_the_cos_half(self, n_freq):
-        # the reduction as first written, its turns kept in the strided cos
-        # half of the result; an odd row count, large and zero angles
+    def test_bytes_equal_the_reduction_in_the_cos_half(self, n_freq, chunk, monkeypatch):
+        # the float32 form in whole arrays: one reduction of the whole
+        # projection, one cast, cos and sin into a new matrix, the scale
+        # rounded once; an odd row count, one chunk or chunks that do not
+        # divide it, large and zero angles
+        monkeypatch.setattr(rff, "_CHUNK", chunk)
         fmap = sample_frequencies(17, n_freq, 0.5, seed=n_freq)
         xs = np.random.default_rng(10).normal(scale=6.0, size=(1001, 17))
         xs[3] = 0.0
         proj = xs @ fmap.frequencies.T
-        want = np.empty((len(xs), 2 * n_freq))
-        cos, sin = want[:, :n_freq], want[:, n_freq:]
-        np.multiply(proj, 1.0 / (2.0 * np.pi), out=cos)
-        np.rint(cos, out=cos)
-        cos *= 2.0 * np.pi
-        proj -= cos
-        np.cos(proj, out=cos, dtype=np.float32)
-        np.sin(proj, out=sin, dtype=np.float32)
-        want *= np.sqrt(1.0 / n_freq)
+        turns = np.rint(proj * (1.0 / (2.0 * np.pi))) * (2.0 * np.pi)
+        angles = (proj - turns).astype(np.float32)
+        want = np.concatenate([np.cos(angles), np.sin(angles)], axis=1)
+        want = (want.astype(np.float64) * np.sqrt(1.0 / n_freq)).astype(np.float32)
         assert feature_matrix(fmap, xs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_freq", [3, 64, 256, 512, 1024])
+    def test_float64_result_rounded_once(self, n_freq):
+        # each entry is the float64-result form's entry rounded to float32:
+        # widened, those bytes when sqrt(1/N) is a power of two (the
+        # benchmark's N = 64, 256 and 1024), else within half a float32 ulp
+        fmap = sample_frequencies(17, n_freq, 0.5, seed=n_freq)
+        xs = np.random.default_rng(11).normal(scale=6.0, size=(301, 17))
+        xs[3] = 0.0
+        got = feature_matrix(fmap, xs)
+        want = feature_matrix_float64(fmap, xs)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.astype(np.float32).tobytes()
+        widened = got.astype(np.float64)
+        if n_freq in (64, 256, 1024):
+            assert widened.tobytes() == want.tobytes()
+        else:
+            assert not np.array_equal(widened, want)
+            half_ulp = np.spacing(np.abs(want).astype(np.float32)).astype(np.float64) / 2
+            assert np.all(np.abs(widened - want) <= half_ulp)
 
     def test_three_dimensional_input_rejected(self):
         fmap = sample_frequencies(3, 8, 1.0, seed=0)
@@ -320,11 +349,12 @@ class TestRowBlocks:
 
 
 class TestFloat32Trig:
-    """The host's float32 cos and sin, fed float64 angles through
-    ``dtype=np.float32`` into float64 ``out`` as ``feature_matrix`` feeds
-    them, give each angle the same bytes wherever it sits: at odd start
-    offsets, across the ufunc's buffer edges and in strided rows. Row
-    blocks depend on that; a host whose SIMD path breaks it fails here."""
+    """The host's float32 cos and sin give each angle the same bytes
+    wherever it sits: at odd start offsets, across the ufunc's buffer edges
+    and in strided rows, fed float64 angles through ``dtype=np.float32``
+    into float64 ``out``, or float32 angles in the cos half of float32 rows
+    as ``feature_matrix`` feeds them. Row blocks depend on that; a host
+    whose SIMD path breaks it fails here."""
 
     @pytest.fixture(scope="class")
     def angles(self):
@@ -355,3 +385,18 @@ class TestFloat32Trig:
             out = np.empty((rows, 2 * cols))
             ufunc(wide_in[:, 5:], out=out[:, cols:], dtype=np.float32)
             assert out[:, cols:].tobytes() == want[: rows * cols].tobytes(), cols
+
+    @pytest.mark.parametrize("ufunc", [np.cos, np.sin])
+    def test_same_bytes_in_the_cos_half_of_float32_rows(self, angles, ufunc):
+        small = angles.astype(np.float32)
+        want = ufunc(small)
+        for start in (1, 3, 5, 7, 13, 31, 8191):
+            assert ufunc(small[start:]).tobytes() == want[start:].tobytes(), start
+        for cols in (1, 3, 7, 37, 103, 256):
+            rows = len(small) // cols
+            # cos in place, sin into the second half of each row
+            out = np.empty((rows, 2 * cols), dtype=np.float32)
+            out[:, :cols] = small[: rows * cols].reshape(rows, cols)
+            target = out[:, :cols] if ufunc is np.cos else out[:, cols:]
+            ufunc(out[:, :cols], out=target)
+            assert target.tobytes() == want[: rows * cols].tobytes(), cols

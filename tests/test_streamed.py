@@ -211,7 +211,18 @@ def test_streamed_decisions_equal_dense_table_decisions(case, method):
             got = banded_decisions(space, models)
             expected = np.hstack([decision_matrix(m, table.values) for m in models])
     assert space.meta == table.meta
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
+    atol = 1e-9
+    if method in ("rff", "meanmap"):
+        # z times the weights in float32: each weight rounds by u, and the
+        # 2N-term sum by gamma = 2N u / (1 - 2N u) of sum |z_j| |w_j|, with
+        # every |z_j| (and so every window mean of them) at most zeta
+        u = float(np.finfo(np.float32).eps) / 2
+        gamma = table.dim * u / (1 - table.dim * u)
+        zeta = np.sqrt(2.0 / table.dim) * (1 + u)
+        weights = np.concatenate([m.weights for m in models], axis=1)
+        atol += (gamma * (1 + u) + u) * zeta * np.abs(weights).sum(axis=0)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= atol)
 
 
 @settings(max_examples=150, deadline=None)
@@ -565,34 +576,42 @@ def test_streamed_commands_match_the_dense_path(wide_scene, command, outputs, tm
         assert dense.read_bytes() == streamed.read_bytes()
 
 
-# each argument pair is a pipeline config and the output directory of its evaluate
-EVALUATE_STREAMED = """
+# each argument triple is a command, a pipeline config and its output directory
+RUN_STREAMED = """
 import sys
 from unittest import mock
 from hsembed import cli, hsi
 
 with mock.patch.object(hsi, "_BLOCK", int(sys.argv[1])):
-    for config, out in zip(sys.argv[2::2], sys.argv[3::2]):
-        assert cli.main(["evaluate", "--config", config, "--output", out]) == 0
+    for command, config, out in zip(*[iter(sys.argv[2:])] * 3):
+        assert cli.main([command, "--config", config, "--output", out]) == 0
 """
 
 
 def test_metrics_do_not_depend_on_the_blas_thread_count(wide_scene, tmp_path):
-    configs = []
+    runs = []  # (command, config)
     for method in ("meanmap", "mp_x_meanmap"):
         config = json.loads((wide_scene / "pipeline.json").read_text())
         config.update(method=method, mp={"pca_dims": 2, "n_scales": 1})
-        configs.append(tmp_path / f"{method}.json")
-        configs[-1].write_text(json.dumps(config))
+        runs.append(("evaluate", tmp_path / f"{method}.json"))
+        runs[-1][1].write_text(json.dumps(config))
+    # classify scores every pixel through the float32 product of z and the weights
+    runs.append(("classify", runs[0][1]))
     src = str(Path(hsembed.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.getenv("PYTHONPATH")])))
     # bands of 16 image rows, so both methods stream and their products are large
     # enough for a second BLAS thread
-    argv = [sys.executable, "-c", EVALUATE_STREAMED, str(16 * 48 * 2 * N_FEATURES)]
+    argv = [sys.executable, "-c", RUN_STREAMED, str(16 * 48 * 2 * N_FEATURES)]
     for threads in ("1", "2"):
         env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        pairs = [str(arg) for path in configs for arg in (path, tmp_path / threads / path.stem)]
-        subprocess.run(argv + pairs, env=env, check=True, timeout=120)
-    for path in configs:
-        one, two = (tmp_path / t / path.stem / "metrics.json" for t in ("1", "2"))
-        assert one.read_bytes() == two.read_bytes()
+        triples = [
+            str(arg)
+            for command, path in runs
+            for arg in (command, path, tmp_path / threads / f"{command}-{path.stem}")
+        ]
+        subprocess.run(argv + triples, env=env, check=True, timeout=120)
+    for command, path in runs:
+        names = ["metrics.json"] + (["predictions.csv", "map.ppm"] if command == "classify" else [])
+        for name in names:
+            one, two = (tmp_path / t / f"{command}-{path.stem}" / name for t in ("1", "2"))
+            assert one.read_bytes() == two.read_bytes(), name
