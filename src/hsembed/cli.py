@@ -126,26 +126,16 @@ def render_map(
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    """Read back a binary P6 PPM as an (H, W, 3) uint8 array (for checks)."""
-    data = Path(path).read_bytes()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P6":
-        raise FormatError(f"{path}: not a P6 PPM")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=pos)
+    """Read back a map that ``render_map`` wrote, as an (H, W, 3) uint8 array
+    (for checks). Its header is ``P6``, ``<width> <height>`` and ``255``, one
+    line each; anything else raises FormatError."""
+    fields = Path(path).read_bytes().split(b"\n", 3)
+    size = fields[1].split(b" ") if len(fields) == 4 else []
+    if (fields[0] != b"P6" or len(size) != 2 or fields[2] != b"255"
+            or not all(v.isdigit() for v in size)):
+        raise FormatError(f"{path}: not a P6 PPM as render_map writes it")
+    width, height = int(size[0]), int(size[1])
+    pixels = np.frombuffer(fields[3], dtype=np.uint8, count=width * height * 3)
     return pixels.reshape(height, width, 3)
 
 

@@ -42,14 +42,11 @@ class PixelFeature:
     """The mean-map feature vector of one pixel's patch."""
 
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         if v.ndim != 1:
             raise ShapeError(f"feature values must be 1-D, got shape {v.shape}")
-        if self.kind not in ("meanmap", "convmeanmap"):
-            raise ParameterError(f"kind must be meanmap or convmeanmap, got {self.kind!r}")
         object.__setattr__(self, "values", v)
 
 
@@ -82,18 +79,17 @@ class EmbeddingConfig:
         check_integer(self.seed, "seed", 0)
 
 
-def median_heuristic(image: HyperspectralImage, sample_size: int = 1000, seed: int = 0) -> float:
-    """Median pairwise distance of randomly sampled unit-normalized spectra.
+def median_heuristic(image: HyperspectralImage, seed: int = 0) -> float:
+    """Median pairwise distance of the unit spectra of up to 1,000 random pixels.
 
     Deterministic per seed; falls back to 1.0 if the sampled spectra are
     all identical.
     """
-    check_integer(sample_size, "sample_size", 1)
     check_integer(seed, "seed", 0)
     pixels = image.pixels()
     n = pixels.shape[0]
     rng = np.random.default_rng(seed)
-    take = min(sample_size, n)
+    take = min(1000, n)
     idx = rng.choice(n, size=take, replace=False)
     sample = unit_rows(pixels[idx])[0]
     if take < 2:
@@ -135,7 +131,7 @@ def mean_map_feature(fmap: RandomFeatureMap, patch: np.ndarray) -> PixelFeature:
     if patch.shape[0] == 0:
         raise ContractViolation("patch must contain at least one spectrum")
     feats = _random_features(fmap, patch, normalize=False)
-    return PixelFeature(feats.mean(axis=0, dtype=np.float64), "meanmap")
+    return PixelFeature(feats.mean(axis=0, dtype=np.float64))
 
 
 def conv_mean_map_feature(
@@ -165,7 +161,7 @@ def conv_mean_map_feature(
             f"map dimension {fmap.input_dim} != bands + 2 = {spectra.shape[1] + 2}"
         )
     weighted = _random_features(fmap, spectra, True, positions, config.beta, config.sigma)
-    return PixelFeature(weighted.sum(axis=0) / spectra.shape[0], "convmeanmap")
+    return PixelFeature(weighted.sum(axis=0) / spectra.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +174,6 @@ class FeatureTable:
     """One feature row per pixel (row-major pixel order)."""
 
     values: np.ndarray
-    kind: str
     meta: dict
 
     def __post_init__(self):
@@ -347,16 +342,14 @@ class FeatureSpace:
         return rows
 
     def kernel_rows(self, idx: np.ndarray, means: np.ndarray) -> np.ndarray:
-        """Fusion's training rows of flat pixel indices and their ``patch_means`` M:
-        R with R R' = (P P') * (M M'), their fused rows' Gram (P: profile rows),
-        from LAPACK's rank-revealing pivoted Cholesky, one column per pivot. A
-        pixel is factored once, at its first position; a repeat gets its row."""
-        _, first, again = np.unique(idx, return_index=True, return_inverse=True)
-        keep = np.sort(first)
-        gram = self.profile[idx[keep]] @ self.profile[idx[keep]].T
-        gram *= means[keep] @ means[keep].T
+        """Fusion's training rows of distinct flat pixel indices and their
+        ``patch_means`` M: R with R R' = (P P') * (M M'), their fused rows' Gram
+        (P: profile rows), from LAPACK's rank-revealing pivoted Cholesky, one
+        column per pivot."""
+        gram = self.profile[idx] @ self.profile[idx].T
+        gram *= means @ means.T
         factor, pivots, rank, _ = dpstrf(gram, lower=1)
-        return np.tril(factor)[np.argsort(pivots)[np.searchsorted(keep, first[again])], :rank]
+        return np.tril(factor)[np.argsort(pivots), :rank]
 
     def scores(self, weights, support: tuple | None = None):
         """Every pixel's table row times the (row_dim, K) weights, in one pass of row
@@ -482,5 +475,4 @@ def build_feature_table(
     values = means.reshape(h * w, -1)
     if space.dual:
         values = _fuse(space.profile, values)
-    kind = "tensor" if method == "mp_x_meanmap" else method
-    return FeatureTable(values, kind, space.meta)
+    return FeatureTable(values, space.meta)

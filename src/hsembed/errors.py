@@ -79,7 +79,6 @@ _KINDS = {
     int: ("an integer", is_integer),
     float: ("a finite number", is_finite_number),
     str: ("a string", lambda v: isinstance(v, str)),
-    list: ("a list", lambda v: isinstance(v, list)),
     dict: ("an object", lambda v: isinstance(v, dict)),
 }
 
@@ -89,7 +88,7 @@ def read_section(obj: object, where: str, **kinds) -> dict:
     kind; an absent key is left out, so the dataclass it feeds keeps its default.
 
     A kind is ``bool``, ``int`` (a bool is not one), ``float`` (a finite
-    number, read as a float), ``str``, ``list``, ``dict`` (any object),
+    number, read as a float), ``str``, ``dict`` (any object),
     ``POSITIVE``, ``SEED``, a (noun, test) pair, or a dict of kinds: a nested
     section, read the same way as ``{where} {key!r}``. An unknown key or a
     value of the wrong kind raises ParameterError naming the key and value.

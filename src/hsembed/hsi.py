@@ -52,13 +52,13 @@ _BORDERS = ("clamp", "mirror")
 # values a bounded loop holds at once (8 MB of float64). It sizes the cube
 # IO and the synth's fill and centre distances here, and the feature blocks,
 # score bands, filter column groups and prediction blocks of the other
-# modules; the streamed pass holds about four blocks beside the cube. On the
-# PU-like bench (610 x 340 x 103, N=256, 2 cores) blocks of 32, 16, 8, 4, 2
-# and 1 MB ran in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at 378, 315, 278,
-# 261, 252 and 251 MB of RSS; on the IP-like grid (N=1024) 4 and 2 MB were
-# 0.2-0.4 s slower than 8 MB (single-thread cos and sin throughout). Taking
-# the cube tiles and centre distances from 32 to 8 MB as well cut the synth
-# peak from 266 to 242 MB (PU-like) and from 132 to 108 MB (IP-like).
+# modules; the streamed pass holds about three and a half blocks beside the
+# cube. On the PU-like bench (610 x 340 x 103, N=256, 2 cores) blocks of 32,
+# 16, 8, 4, 2 and 1 MB ran in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at 378,
+# 315, 278, 261, 252 and 251 MB of RSS; on the IP-like grid (N=1024) 4 and 2
+# MB were 0.2-0.4 s slower than 8 MB (single-thread cos and sin throughout).
+# Taking the cube tiles and centre distances from 32 to 8 MB as well cut the
+# synth peak from 266 to 242 MB (PU-like) and from 132 to 108 MB (IP-like).
 _BLOCK = 1 << 20
 
 
@@ -136,14 +136,6 @@ class GroundTruthMap:
             raise FormatError("labels must be non-negative")
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
 
     @property
     def n_classes(self) -> int:

@@ -46,10 +46,6 @@ class StructuringElement:
         offs.flags.writeable = False
         object.__setattr__(self, "offsets", offs)
 
-    @property
-    def size(self) -> int:
-        return self.offsets.shape[0]
-
 
 def disk(radius: int) -> StructuringElement:
     """Discrete disk: offsets with dr^2 + dc^2 <= radius^2."""

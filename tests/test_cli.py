@@ -121,6 +121,37 @@ class TestRender:
         palette = np.asarray(default_palette(3), dtype=np.uint8)
         np.testing.assert_array_equal(read_ppm(out), palette[labels])
 
+    def test_reread_of_payload_bytes_that_are_newlines(self, tmp_path):
+        # the header ends at its third newline; payload bytes of 10 stay pixels
+        out = tmp_path / "nl.ppm"
+        palette = [(10, 10, 10), (0, 10, 255)]
+        labels = np.array([[0, 1], [1, 0]])
+        render_map(labels, palette, out)
+        np.testing.assert_array_equal(read_ppm(out), np.asarray(palette, dtype=np.uint8)[labels])
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"",
+            b"P5\n1 1\n255\n",
+            b"P3\n1 1\n255\n",
+            b"P6\n# a comment\n1 1\n255\n",
+            b"P6 1 1 255\n",
+            b"P6\n1\n1\n255\n",
+            b"P6\n1  1\n255\n",
+            b"P6\n-1 1\n255\n",
+            b"P6\n1 1\n65535\n",
+            b"P6\r\n1 1\r\n255\r\n",
+        ],
+    )
+    def test_read_ppm_refuses_headers_render_map_does_not_write(self, tmp_path, header):
+        from hsembed import FormatError
+
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(header + b"\x00\x00\x00")
+        with pytest.raises(FormatError, match="not a P6 PPM as render_map writes it"):
+            read_ppm(bad)
+
 
 class TestClassify:
     def test_smoke_and_outputs(self, scene_config):

@@ -39,7 +39,6 @@ class TestMeanMapFeature:
         v = np.random.default_rng(0).normal(size=6)
         mm = mean_map_feature(fmap6, v[None, :])
         np.testing.assert_array_equal(mm.values, feature_matrix(fmap6, v[None, :])[0])
-        assert mm.kind == "meanmap"
 
     def test_repeated_spectrum_collapses(self, fmap6):
         v = np.random.default_rng(1).normal(size=6)
@@ -133,7 +132,6 @@ class TestConvMeanMap:
             fmap, np.zeros((4, 4)), np.zeros((4, 2)), self.config()
         )
         np.testing.assert_array_equal(out.values, 0.0)
-        assert out.kind == "convmeanmap"
 
     def test_single_unit_magnitude_pixel(self):
         fmap = sample_frequencies(5, 64, 1.0, seed=2)
@@ -252,7 +250,6 @@ class TestFeatureTable:
         mm = build_feature_table(image, "meanmap", cfg)
         rf = build_feature_table(image, "rff", cfg)
         np.testing.assert_allclose(mm.values, rf.values, atol=1e-12)
-        assert mm.kind == "meanmap"
 
     def test_meanmap_spot_check_against_patch_oracle(self, small_scene):
         image, _ = small_scene
@@ -301,7 +298,6 @@ class TestFeatureTable:
         mp_cfg = MorphoProfileConfig(pca_dims=2, n_scales=1, se_shape="disk")
         table = build_feature_table(image, "mp_x_meanmap", cfg, mp_cfg)
         assert table.dim == (2 * 3) * (2 * 16)
-        assert table.kind == "tensor"
         # no fused row is built by the commands, so no cap bounds them
         with pytest.raises(TypeError, match="tensor_cap"):
             EmbeddingConfig(patch=PatchSpec(3), n_features=16, seed=4, tensor_cap=100)

@@ -54,7 +54,6 @@ CALLS = {
     "embedding_deviation_gaussian seed -1":
         lambda: embedding_deviation_gaussian(3, 1.0, 1.0, 2, seed=-1),
     "median_heuristic seed -1": lambda: median_heuristic(IMAGE, seed=-1),
-    "median_heuristic sample_size 2.5": lambda: median_heuristic(IMAGE, sample_size=2.5),
     "BoundConfig dictionary_norm nan": lambda: BoundConfig(dictionary_norm=math.nan),
     "BoundConfig delta '0.1'": lambda: BoundConfig(delta="0.1"),
     "MetaSampleSpec label_flip '0.1'": lambda: MetaSampleSpec(label_flip="0.1"),

@@ -253,8 +253,10 @@ class TestProtocolSplit:
         train, test = protocol_split(gt, McProtocol(per_class=5, fixed_test=fixed), 0)
         np.testing.assert_array_equal(test, fixed)
         assert np.intersect1d(train, fixed).size == 0
+        assert np.unique(train).size == train.size  # distinct, as kernel_rows needs
         train, test = protocol_split(gt, McProtocol(per_class=5, eval_on_train=True), 0)
         np.testing.assert_array_equal(test, train)
+        assert np.unique(train).size == train.size
 
 
 class TestRunSplit:

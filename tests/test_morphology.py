@@ -43,11 +43,11 @@ class TestStructuringElements:
         }
 
     def test_disk_two_size(self):
-        assert disk(2).size == 13
+        assert len(disk(2).offsets) == 13
 
     def test_square_size(self):
-        assert square(1).size == 9
-        assert square(2).size == 25
+        assert len(square(1).offsets) == 9
+        assert len(square(2).offsets) == 25
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -62,8 +62,8 @@ class TestStructuringElements:
             factory(radius)
 
     def test_numpy_integer_radius(self):
-        assert disk(np.int64(2)).size == 13
-        assert square(np.int32(1)).size == 9
+        assert len(disk(np.int64(2)).offsets) == 13
+        assert len(square(np.int32(1)).offsets) == 9
 
 
 class TestErodeDilate:

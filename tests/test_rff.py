@@ -350,11 +350,9 @@ class TestRowBlocks:
 
 class TestFloat32Trig:
     """The host's float32 cos and sin give each angle the same bytes
-    wherever it sits: at odd start offsets, across the ufunc's buffer edges
-    and in strided rows, fed float64 angles through ``dtype=np.float32``
-    into float64 ``out``, or float32 angles in the cos half of float32 rows
-    as ``feature_matrix`` feeds them. Row blocks depend on that; a host
-    whose SIMD path breaks it fails here."""
+    wherever it sits: at odd start offsets and in the cos half of float32
+    rows of any width, as ``feature_matrix`` feeds them. Row blocks depend
+    on that; a host whose SIMD path breaks it fails here."""
 
     @pytest.fixture(scope="class")
     def angles(self):
@@ -364,27 +362,6 @@ class TestFloat32Trig:
         x = rng.uniform(-np.pi, np.pi, size=3 * 8192 + 7)
         x[:9] = [0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 1e-30, -1e-30, 3.0]
         return rng.permutation(x)
-
-    @pytest.mark.parametrize("ufunc", [np.cos, np.sin])
-    def test_same_bytes_at_odd_offsets(self, angles, ufunc):
-        want = ufunc(angles, dtype=np.float32).astype(np.float64)
-        for start in (1, 3, 5, 7, 13, 31, 8191):
-            got = np.empty(len(angles) - start)
-            ufunc(angles[start:], out=got, dtype=np.float32)
-            assert got.tobytes() == want[start:].tobytes(), start
-
-    @pytest.mark.parametrize("ufunc", [np.cos, np.sin])
-    def test_same_bytes_in_strided_rows(self, angles, ufunc):
-        want = ufunc(angles, dtype=np.float32).astype(np.float64)
-        for cols in (1, 3, 7, 37, 103, 256):
-            rows = len(angles) // cols
-            # input rows inside a wider matrix, output in the second half
-            # of each row of a (rows, 2 * cols) result
-            wide_in = np.zeros((rows, cols + 5))
-            wide_in[:, 5:] = angles[: rows * cols].reshape(rows, cols)
-            out = np.empty((rows, 2 * cols))
-            ufunc(wide_in[:, 5:], out=out[:, cols:], dtype=np.float32)
-            assert out[:, cols:].tobytes() == want[: rows * cols].tobytes(), cols
 
     @pytest.mark.parametrize("ufunc", [np.cos, np.sin])
     def test_same_bytes_in_the_cos_half_of_float32_rows(self, angles, ufunc):
