@@ -26,9 +26,9 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ParameterError, ShapeError, UndefinedInputError, check_integer, check_real
+from .hsi import squared_distances
 from .rff import RandomFeatureMap, feature_matrix
 
 
@@ -72,7 +72,11 @@ def empirical_risk(values: np.ndarray, labels: np.ndarray, loss: LossSpec) -> fl
 def gaussian_gram(x: np.ndarray, y: np.ndarray, bandwidth: float) -> np.ndarray:
     """Gaussian RBF kernel matrix between two point sets."""
     check_real(bandwidth, "bandwidth")
-    d2 = cdist(np.atleast_2d(x), np.atleast_2d(y), "sqeuclidean")
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if x.ndim != 2 or x.shape[1:] != y.shape[1:]:
+        raise ShapeError(f"point sets must be 2-D with equal dimension, got {x.shape} and {y.shape}")
+    d2 = squared_distances(x[:, None, :], y[None, :, :])
     return np.exp(-0.5 * d2 / bandwidth**2)
 
 

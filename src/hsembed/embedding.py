@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf
-from scipy.sparse import csc_matrix
-from scipy.spatial.distance import pdist
 
 from .errors import ContractViolation, ParameterError, ShapeError, check_integer, check_real
 from .hsi import (
@@ -27,6 +24,7 @@ from .hsi import (
     block_rows,
     patch_indices,
     row_blocks,
+    squared_distances,
     unit_rows,
     window_axis,
 )
@@ -36,6 +34,8 @@ from .rff import RandomFeatureMap, feature_matrix, sample_frequencies
 METHODS = ("raw", "rff", "meanmap", "convmeanmap", "mp", "mp_x_meanmap")
 # methods that take the configured patch; the others are windows of side 1
 WINDOWED = ("meanmap", "convmeanmap", "mp_x_meanmap")
+# pivots per panel of ``_pivoted_cholesky``
+_PANEL = 64
 
 @dataclass(frozen=True)
 class PixelFeature:
@@ -80,10 +80,21 @@ class EmbeddingConfig:
 
 
 def median_heuristic(image: HyperspectralImage, seed: int = 0) -> float:
-    """Median pairwise distance of the unit spectra of up to 1,000 random pixels.
+    """Median pairwise distance of the unit spectra of up to 1,000 random pixels,
+    equal bit for bit to ``np.median`` of scipy's ``pdist`` of them.
 
     Deterministic per seed; falls back to 1.0 if the sampled spectra are
-    all identical.
+    all identical. Only the pairs near the median are summed exactly: the
+    Gram form a = |x|^2 + |y|^2 - 2 x.y of each squared distance e, whose
+    error |a - e| is below delta = 8 (d + 4) eps max|x|^2 (twice a first-order
+    bound on both a's and e's rounding, with |x - y|^2 <= 4 max|x|^2), places
+    the middle rank(s) of e within delta of those of a. So every pair whose
+    a lies below the window of width 2 delta around them has e below the
+    median's e and every pair above it e above, and the median's e are the
+    middle of the window's exact e, summed coordinate by coordinate as
+    ``pdist`` sums them (``hsi.squared_distances``); the square root is
+    monotone, and the two middle distances are averaged as ``np.median``
+    does. Holds the n(n - 1) / 2 values of ``pdist``'s output and one block.
     """
     check_integer(seed, "seed", 0)
     pixels = image.pixels()
@@ -94,7 +105,37 @@ def median_heuristic(image: HyperspectralImage, seed: int = 0) -> float:
     sample = unit_rows(pixels[idx])[0]
     if take < 2:
         return 1.0
-    med = float(np.median(pdist(sample)))
+    norms = np.einsum("ij,ij->i", sample, sample)
+    delta = 8 * (sample.shape[1] + 4) * np.finfo(np.float64).eps * norms.max()
+    pairs = take * (take - 1) // 2
+    middle = [(pairs - 1) // 2, pairs // 2]  # np.median's rank(s)
+
+    def estimates():  # a of the pairs i < j, in blocks of rows i
+        for a, b in row_blocks(take, 4 * take):
+            est = sample[a:b] @ sample.T
+            est *= -2.0
+            est += norms[a:b, None]
+            est += norms
+            yield a, est, np.arange(take) > np.arange(a, b)[:, None]
+
+    values, at = np.empty(pairs), 0
+    for _, est, upper in estimates():
+        block = est[upper]
+        values[at : at + block.size] = block
+        at += block.size
+    values.partition(middle)
+    low, high = values[middle[0]] - 2 * delta, values[middle[1]] + 2 * delta
+    below, at = 0, 0  # pairs under the window; exact e of the window so far
+    for a, est, upper in estimates():
+        below += np.count_nonzero(upper & (est < low))
+        rows, cols = np.nonzero(upper & (est >= low) & (est <= high))
+        for c, d in row_blocks(rows.size, sample.shape[1]):
+            values[at + c : at + d] = squared_distances(sample[rows[c:d] + a], sample[cols[c:d]])
+        at += rows.size
+    ranks = [r - below for r in middle]
+    window = values[:at]
+    window.partition(ranks)
+    med = float(np.median(np.sqrt(window[ranks[0] : ranks[1] + 1])))
     return med if med > 0 else 1.0
 
 
@@ -190,19 +231,23 @@ class FeatureTable:
 def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, band: int):
     """Means over the patch windows of an (height, width, k) image, in bands
     of ``band`` image rows from top to bottom: yields (first row, (rows, width,
-    k) means) per band. ``rows_of(a, b)`` gives image rows a:b, each once and in
-    order; ``hsi.window_axis`` maps each padded row and column to the pixel it
-    reads, and a side-1 window yields those rows as they are. Sums are
-    summed-area prefix sums over column groups of one block. A band carries
-    on the last ``side`` padded rows of the prefix sums, already summed along
-    both axes, and the axis-0 sums of the last of them, so each padded row is
-    summed along axis 1 once and every sum is the same sequential sum as over
-    the whole image. A whole-image band is filtered in place, in the array
-    that ``rows_of`` gave."""
+    k) means) per band. ``rows_of(a, b, out)`` writes image rows a:b into the
+    float64 ``out``, each row once and in order; ``hsi.window_axis`` maps each
+    padded row and column to the pixel it reads, and a side-1 window yields
+    those rows as they are. Sums are summed-area prefix sums over column
+    groups of one block. A band carries on the last ``side`` padded rows of
+    the prefix sums, already summed along both axes, and the axis-0 sums of
+    the last of them, so each padded row is summed along axis 1 once and
+    every sum is the same sequential sum as over the whole image. A band's
+    means overwrite the rows it holds once no later band reads them; the
+    last band's held rows are given room for all its means."""
     side = patch.side
     if side == 1:
         for a in range(0, height, band):
-            yield a, rows_of(a, min(a + band, height))
+            rows = np.empty((min(a + band, height) - a, width, k))
+            rows_of(a, a + len(rows), rows)
+            yield a, rows
+            del rows
         return
     row_of, col_of = window_axis(height, patch), window_axis(width, patch)
     first_read = np.minimum.accumulate(row_of[::-1])[::-1]  # by padded rows p and on
@@ -214,13 +259,19 @@ def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, ba
     for a in range(0, height, band):
         b = min(a + band, height)
         new = row_of[fed : b + side - 1] - held_from
-        if new.max() >= held.shape[0]:
-            fresh = rows_of(held_from + held.shape[0], held_from + new.max() + 1)
-            held = np.concatenate([held, fresh]) if held.size else fresh
-            del fresh
         carried, fed = (side if fed else 1), b + side - 1
         # later bands read held rows from keep on; the means overwrite those before
-        keep = first_read[fed] - held_from if b < height else held.shape[0]
+        keep = first_read[fed] - held_from if b < height else b - a
+        read = new.max() + 1
+        # the last band's means overwrite its held rows, which are fewer
+        size = max(read, b - a) if b == height else read
+        if size > len(held):
+            grown = np.empty((size, width, k))
+            grown[: len(held)] = held
+            if read > len(held):
+                rows_of(held_from + len(held), held_from + read, grown[len(held) : read])
+            held = grown
+            del grown
         means = held[: b - a] if keep >= b - a else np.empty((b - a, width, k))
         for c in range(0, k, group):
             cols = slice(c, c + group)
@@ -248,6 +299,55 @@ def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, ba
             held, held_from = held[keep:].copy(), held_from + keep
         yield a, means
         del means, out  # neither the band nor a view of it is held while the next is made
+
+
+def _pivoted_cholesky(gram: np.ndarray) -> np.ndarray:
+    """R (n, rank) with R R' = gram for a symmetric positive semi-definite
+    gram, rows in input order, by LAPACK ``dpstrf``'s rule: the pivot is the
+    largest remaining diagonal (the first of equals), and the factor stops
+    at the first pivot that is not above n u max(diag gram), u = 2^-53 the
+    unit roundoff. Runs in place in ``gram``'s upper triangle, whose row j
+    becomes column j of the permuted factor: within a panel of
+    ``_PANEL`` pivots the next row is updated by the panel's rows so far,
+    and after it the trailing triangle by the whole panel, one block of rows
+    at a time. So it holds the Gram and the factor only. Not bit for bit
+    LAPACK's, whose blocking and summation order differ."""
+    n = len(gram)
+    top = gram.diagonal().max(initial=0.0)
+    if not top > 0:
+        return np.zeros((n, 0))
+    stop = n * np.finfo(np.float64).eps / 2 * top
+    perm, rank = np.arange(n), n
+    for j in range(0, n, _PANEL):
+        end = min(j + _PANEL, n)
+        dots = np.zeros(n)  # squares of this panel's rows so far, by column
+        for t in range(j, end):
+            if t > j:
+                dots[t:] += gram[t - 1, t:] ** 2
+            rest = gram.diagonal()[t:] - dots[t:]
+            p = t + int(np.argmax(rest))
+            pivot = rest[p - t]
+            if not pivot > stop:  # also NaN
+                rank = t
+                break
+            if p != t:  # swap t and p in the upper triangle
+                gram[p, p] = gram[t, t]
+                gram[:t, [t, p]] = gram[:t, [p, t]]
+                gram[[t, p], p + 1 :] = gram[[p, t], p + 1 :]
+                gram[t, t + 1 : p], gram[t + 1 : p, p] = gram[t + 1 : p, p], gram[t, t + 1 : p].copy()
+                dots[[t, p]], perm[[t, p]] = dots[[p, t]], perm[[p, t]]
+            gram[t, t] = pivot = np.sqrt(pivot)
+            if t > j:
+                gram[t, t + 1 :] -= gram[j:t, t] @ gram[j:t, t + 1 :]
+            gram[t, t + 1 :] /= pivot
+        if rank < n:
+            break
+        for a, b in row_blocks(n - end, max(n - end, 1)):
+            lead = gram[j:end, end + a :]
+            gram[end + a : end + b, end + a :] -= lead[:, : b - a].T @ lead
+    for i in range(1, rank):
+        gram[i, :i] = 0.0
+    return gram[:rank].T[np.argsort(perm)]
 
 
 def _minmax_scale_columns(table: np.ndarray) -> np.ndarray:
@@ -328,28 +428,47 @@ class FeatureSpace:
         """Means of the pixel rows over the patches of the given flat pixel
         indices: every method's training rows (fusion's before
         ``kernel_rows``). They embed the union of the patches once, in
-        blocks. A side-1 window gives 0 + 1.0 x / 1, the pixel row x itself
-        (up to the sign of a zero)."""
+        blocks. Block by block, each pixel's members in the block are summed
+        in ascending order, v z at a time (v: the member's multiplicity in
+        the window), from zero, and that sum is added to its row: the
+        arithmetic of the product of the sparse (pixels, members) count
+        matrix in CSC form with the block's rows, bit for bit. The pixels
+        step through their members in lockstep, those with the most first,
+        so step k adds to a prefix of them. A side-1 window gives
+        (0 + 1.0 x) / 1, the pixel row x itself (up to the sign of a zero)."""
         idx = np.asarray(idx, dtype=np.int64)
         windows = patch_indices(idx, self.patch, self.image.height, self.image.width)
         members, where = np.unique(windows.ravel(), return_inverse=True)
-        owners = np.repeat(np.arange(idx.size), windows.shape[1])
-        counts = csc_matrix((np.ones(windows.size), (owners, where)), shape=(idx.size, members.size))
+        member = np.sort(where.reshape(windows.shape), axis=1)
+        # one key per distinct (pixel, member), ascending: pixel major
+        starts = np.arange(idx.size) * members.size
+        key = (member + starts[:, None]).ravel()
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        counts = np.diff(first, append=key.size).astype(np.float64)  # v
+        member, key = member.ravel()[first], key[first]
         rows = np.zeros((idx.size, self.row_dim))
         for a, b in row_blocks(members.size, max(self.row_dim, self.image.bands)):
-            rows += counts[:, a:b] @ self.pixel_rows(members[a:b])  # float64 sums
+            z = self.pixel_rows(members[a:b])
+            lo, end = np.searchsorted(key, starts + a), np.searchsorted(key, starts + b)
+            order = np.argsort(lo - end, kind="stable")  # most members in the block first
+            lo, steps = lo[order], (end - lo)[order]
+            sums = np.zeros_like(rows)
+            for k in range(steps.max(initial=0)):
+                m = np.count_nonzero(steps > k)
+                at = lo[:m] + k
+                sums[:m] += z[member[at] - a] * counts[at, None]
+            rows[order] += sums
         rows /= windows.shape[1]
         return rows
 
     def kernel_rows(self, idx: np.ndarray, means: np.ndarray) -> np.ndarray:
         """Fusion's training rows of distinct flat pixel indices and their
         ``patch_means`` M: R with R R' = (P P') * (M M'), their fused rows' Gram
-        (P: profile rows), from LAPACK's rank-revealing pivoted Cholesky, one
-        column per pivot."""
+        (P: profile rows), as ``_pivoted_cholesky`` factors it, one column per
+        pivot."""
         gram = self.profile[idx] @ self.profile[idx].T
         gram *= means @ means.T
-        factor, pivots, rank, _ = dpstrf(gram, lower=1)
-        return np.tril(factor)[np.argsort(pivots), :rank]
+        return _pivoted_cholesky(gram)
 
     def scores(self, weights, support: tuple | None = None):
         """Every pixel's table row times the (row_dim, K) weights, in one pass of row
@@ -375,16 +494,15 @@ class FeatureSpace:
         spectra = 0 if self.method == "mp" else self.image.bands
         weights32 = None if fused else weights.astype(np.float32)
 
-        def image_rows(a, b):
+        def image_rows(a, b, out):
             # float64 rows: the band's z (fusion) or its scores, widened; a
             # float32 z meets the weights in float32, other rows in float64
-            rows = np.empty(((b - a) * w, width))
+            rows = out.reshape(-1, width)  # a view: out is contiguous
             for c, d in row_blocks(len(rows), max(self.row_dim, k, spectra)):
                 pixels = self.pixel_rows(slice(a * w + c, a * w + d))
                 if not fused:
                     pixels = pixels @ (weights32 if pixels.dtype == np.float32 else weights)
                 rows[c:d] = pixels
-            return rows.reshape(b - a, w, width)
 
         # a fusion band also holds its (rows, T) Gram block
         band = block_rows(w * max(width, k, len(support[0]) if fused else 0))
@@ -462,7 +580,7 @@ def build_feature_table(
     """The dense reference: one feature row per pixel for the requested
     method (raw spectra, random features, mean maps, convolutional mean
     maps, morphological profiles or their fusion with mean maps). The
-    window mean is the banded box filter run as one band, in place. The
+    window mean is the banded box filter run as one band. The
     commands build this table only when it fits in one block (see
     ``evaluation.predict_runs``), from the ``space`` they already resolved
     for these arguments. Deterministic for a fixed config seed.
@@ -470,8 +588,11 @@ def build_feature_table(
     if space is None:
         space = prepare_features(image, method, config, mp_config)
     h, w = image.height, image.width
-    stack = space.pixel_rows(slice(0, h * w)).astype(np.float64).reshape(h, w, -1)
-    ((_, means),) = _window_means(lambda a, b: stack[a:b], h, w, stack.shape[2], space.patch, h)
+
+    def rows_of(a, b, out):
+        out[...] = space.pixel_rows(slice(a * w, b * w)).reshape(out.shape)
+
+    ((_, means),) = _window_means(rows_of, h, w, space.row_dim, space.patch, h)
     values = means.reshape(h * w, -1)
     if space.dual:
         values = _fuse(space.profile, values)

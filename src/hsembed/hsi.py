@@ -20,6 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+# loaded with the package: numpy loads them lazily, at a command's first
+# random draw and first np.unique (which reads np.ma)
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .errors import (
     SEED,
@@ -52,7 +56,7 @@ _BORDERS = ("clamp", "mirror")
 # values a bounded loop holds at once (8 MB of float64). It sizes the cube
 # IO and the synth's fill and centre distances here, and the feature blocks,
 # score bands, filter column groups and prediction blocks of the other
-# modules; the streamed pass holds about three and a half blocks beside the
+# modules; the streamed pass holds about three and a quarter blocks beside the
 # cube. On the PU-like bench (610 x 340 x 103, N=256, 2 cores) blocks of 32,
 # 16, 8, 4, 2 and 1 MB ran in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at 378,
 # 315, 278, 261, 252 and 251 MB of RSS; on the IP-like grid (N=1024) 4 and 2
@@ -515,6 +519,16 @@ def unit_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled to unit Euclidean norm (zero rows stay zero), and the norms."""
     norms = np.linalg.norm(rows, axis=1)
     return rows / np.where(norms > 0, norms, 1.0)[:, None], norms
+
+
+def squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the (..., d) rows of x and y, which
+    broadcast against each other, summed one coordinate at a time from the
+    first: the sequential sum of scipy's ``cdist`` and ``pdist``, bit for bit."""
+    d2 = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+    for k in range(x.shape[-1]):
+        d2 += (x[..., k] - y[..., k]) ** 2
+    return d2
 
 
 def normalize_spectra(image: HyperspectralImage) -> HyperspectralImage:
