@@ -83,12 +83,13 @@ def median_heuristic(image: HyperspectralImage, seed: int = 0) -> float:
     """Median pairwise distance of the unit spectra of up to 1,000 random pixels,
     equal bit for bit to ``np.median`` of scipy's ``pdist`` of them.
 
-    Deterministic per seed; falls back to 1.0 if the sampled spectra are
-    all identical. Only the pairs near the median are summed exactly: the
-    Gram form a = |x|^2 + |y|^2 - 2 x.y of each squared distance e, whose
-    error |a - e| is below delta = 8 (d + 4) eps max|x|^2 (twice a first-order
-    bound on both a's and e's rounding, with |x - y|^2 <= 4 max|x|^2), places
-    the middle rank(s) of e within delta of those of a. So every pair whose
+    Deterministic per seed; falls back to 1.0 if the sampled unit spectra
+    are all identical, before any distance is summed. Only the pairs near
+    the median are summed exactly: the Gram form a = |x|^2 + |y|^2 - 2 x.y
+    of each squared distance e, whose error |a - e| is below delta =
+    8 (d + 4) eps max|x|^2 (twice a first-order bound on both a's and e's
+    rounding, with |x - y|^2 <= 4 max|x|^2), places the middle rank(s) of e
+    within delta of those of a. So every pair whose
     a lies below the window of width 2 delta around them has e below the
     median's e and every pair above it e above, and the median's e are the
     middle of the window's exact e, summed coordinate by coordinate as
@@ -103,7 +104,7 @@ def median_heuristic(image: HyperspectralImage, seed: int = 0) -> float:
     take = min(1000, n)
     idx = rng.choice(n, size=take, replace=False)
     sample = unit_rows(pixels[idx])[0]
-    if take < 2:
+    if (sample == sample[0]).all():  # every distance is 0, and so the median
         return 1.0
     norms = np.einsum("ij,ij->i", sample, sample)
     delta = 8 * (sample.shape[1] + 4) * np.finfo(np.float64).eps * norms.max()
@@ -234,13 +235,14 @@ def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, ba
     k) means) per band. ``rows_of(a, b, out)`` writes image rows a:b into the
     float64 ``out``, each row once and in order; ``hsi.window_axis`` maps each
     padded row and column to the pixel it reads, and a side-1 window yields
-    those rows as they are. Sums are summed-area prefix sums over column
-    groups of one block. A band carries on the last ``side`` padded rows of
-    the prefix sums, already summed along both axes, and the axis-0 sums of
-    the last of them, so each padded row is summed along axis 1 once and
-    every sum is the same sequential sum as over the whole image. A band's
-    means overwrite the rows it holds once no later band reads them; the
-    last band's held rows are given room for all its means."""
+    those rows as they are. Other sides walk the padded rows once, top to
+    bottom, keeping the running axis-0 sum of the rows so far and a ring of
+    the last side + 1 summed-area prefix rows (the running sum summed along
+    axis 1): each prefix row completes the means of the image row side rows
+    above it, in a band's own means array. So each padded row is summed along
+    axis 1 once, and every sum is the same sequential sum as over the whole
+    image. A band holds the image rows its padded rows read, and keeps those
+    that later bands read."""
     side = patch.side
     if side == 1:
         for a in range(0, height, band):
@@ -250,53 +252,35 @@ def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, ba
             del rows
         return
     row_of, col_of = window_axis(height, patch), window_axis(width, patch)
-    first_read = np.minimum.accumulate(row_of[::-1])[::-1]  # by padded rows p and on
-    group = max(1, min(k, block_rows((band + side) * (width + side))))
-    scratch = np.zeros((band + side, width + side, group))
-    carry = np.empty((side, width + side, k))  # the last side rows of the prefix sums
-    carry_down = np.empty((width + side, k))  # the last of them, summed along axis 0 only
-    held, held_from, fed = np.empty((0, width, k)), 0, 0  # scored rows kept; padded rows fed
+    # the first image row that padded rows p and on read; past the last, none
+    first_read = np.minimum.accumulate(np.append(row_of, height)[::-1])[::-1]
+    # prefix row q at q % (side + 1): column j sums padded rows < q and columns < j
+    ring = np.zeros((side + 1, width + side, k))
+    held, held_from = np.empty((0, width, k)), 0  # image rows read and kept, from held_from
     for a in range(0, height, band):
         b = min(a + band, height)
-        new = row_of[fed : b + side - 1] - held_from
-        carried, fed = (side if fed else 1), b + side - 1
-        # later bands read held rows from keep on; the means overwrite those before
-        keep = first_read[fed] - held_from if b < height else b - a
-        read = new.max() + 1
-        # the last band's means overwrite its held rows, which are fewer
-        size = max(read, b - a) if b == height else read
-        if size > len(held):
-            grown = np.empty((size, width, k))
+        padded = range(a + side - 1 if a else 0, b + side - 1)  # each p adds prefix row p + 1
+        read = row_of[padded.start : padded.stop].max() + 1 - held_from
+        if read > len(held):
+            grown = np.empty((read, width, k))
             grown[: len(held)] = held
-            if read > len(held):
-                rows_of(held_from + len(held), held_from + read, grown[len(held) : read])
+            rows_of(held_from + len(held), held_from + read, grown[len(held) :])
             held = grown
             del grown
-        means = held[: b - a] if keep >= b - a else np.empty((b - a, width, k))
-        for c in range(0, k, group):
-            cols = slice(c, c + group)
-            s = scratch[: b - a + side, :, : min(group, k - c)]
-            if carried > 1:
-                s[: carried - 1] = carry[:-1, :, cols]
-                s[carried - 1] = carry_down[:, cols]
-            else:
-                s[0] = 0.0
-            for i, r in enumerate(new, carried):
-                s[i, 1:] = held[r, col_of, cols]
-            down = s[max(1, carried - 1) :, 1:]  # from the last carried row on
-            np.cumsum(down, axis=0, out=down)
-            carry_down[:, cols] = s[-1]
-            np.cumsum(s[carried:, 1:], axis=1, out=s[carried:, 1:])
-            if carried > 1:
-                s[carried - 1] = carry[-1, :, cols]
-            carry[:, :, cols] = s[-side:]
-            out = means[:, :, cols]
-            np.subtract(s[side:, side:], s[:-side, side:], out=out)
-            out -= s[side:, :-side]
-            out += s[:-side, :-side]
+        means = np.empty((b - a, width, k))
+        for p in padded:
+            row = held[row_of[p] - held_from, col_of]
+            down = np.add(down, row, out=row) if p else row
+            prefix, top = ring[(p + 1) % (side + 1)], ring[(p + 1 - side) % (side + 1)]
+            np.cumsum(down[None], axis=1, out=prefix[None, 1:])
+            if p + 1 >= side:
+                out = means[p + 1 - side - a]
+                np.subtract(prefix[side:], top[side:], out=out)
+                out -= prefix[:-side]
+                out += top[:-side]
         means /= side * side
-        if b < height:
-            held, held_from = held[keep:].copy(), held_from + keep
+        keep = first_read[b + side - 1] - held_from
+        held, held_from = held[keep:].copy(), held_from + keep
         yield a, means
         del means, out  # neither the band nor a view of it is held while the next is made
 
@@ -580,20 +564,23 @@ def build_feature_table(
     """The dense reference: one feature row per pixel for the requested
     method (raw spectra, random features, mean maps, convolutional mean
     maps, morphological profiles or their fusion with mean maps). The
-    window mean is the banded box filter run as one band. The
+    window mean is the banded box filter, in bands of about one block
+    written into the table, so besides the table it holds a few blocks. The
     commands build this table only when it fits in one block (see
     ``evaluation.predict_runs``), from the ``space`` they already resolved
     for these arguments. Deterministic for a fixed config seed.
     """
     if space is None:
         space = prepare_features(image, method, config, mp_config)
-    h, w = image.height, image.width
+    h, w, dim = image.height, image.width, space.row_dim
 
     def rows_of(a, b, out):
         out[...] = space.pixel_rows(slice(a * w, b * w)).reshape(out.shape)
 
-    ((_, means),) = _window_means(rows_of, h, w, space.row_dim, space.patch, h)
-    values = means.reshape(h * w, -1)
+    values = np.empty((h * w, dim))
+    for a, means in _window_means(rows_of, h, w, dim, space.patch, block_rows(w * dim)):
+        values[a * w : (a + len(means)) * w] = means.reshape(-1, dim)
+        del means
     if space.dual:
         values = _fuse(space.profile, values)
     return FeatureTable(values, space.meta)

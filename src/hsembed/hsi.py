@@ -55,12 +55,12 @@ _BORDERS = ("clamp", "mirror")
 
 # values a bounded loop holds at once (8 MB of float64). It sizes the cube
 # IO and the synth's fill and centre distances here, and the feature blocks,
-# score bands, filter column groups and prediction blocks of the other
-# modules; the streamed pass holds about three and a quarter blocks beside the
-# cube. On the PU-like bench (610 x 340 x 103, N=256, 2 cores) blocks of 32,
-# 16, 8, 4, 2 and 1 MB ran in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at 378,
-# 315, 278, 261, 252 and 251 MB of RSS; on the IP-like grid (N=1024) 4 and 2
-# MB were 0.2-0.4 s slower than 8 MB (single-thread cos and sin throughout).
+# score bands and prediction blocks of the other modules; the streamed pass
+# holds about two and a half blocks beside the cube. On the PU-like bench
+# (610 x 340 x 103, N=256, 2 cores) blocks of 32, 16, 8, 4, 2 and 1 MB ran
+# in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at 378, 315, 278, 261, 252 and 251
+# MB of RSS; on the IP-like grid (N=1024) 4 and 2 MB were 0.2-0.4 s slower
+# than 8 MB (single-thread cos and sin throughout).
 # Taking the cube tiles and centre distances from 32 to 8 MB as well cut the
 # synth peak from 266 to 242 MB (PU-like) and from 132 to 108 MB (IP-like).
 _BLOCK = 1 << 20
@@ -298,10 +298,10 @@ def load_envi(header_path: str | Path) -> HyperspectralImage:
     of about ``_BLOCK`` values over all bands (see ``row_blocks``), each
     into one raw buffer: a bil or bip block is one contiguous run of the
     file, a bsq block one run per band, that band's rows of the block. The
-    buffer is checked to be finite for a float payload, then copied, cast
-    and transposed, into its rows of the one float64 cube, so the cube is
-    written in memory order. Besides the cube, the read holds about one
-    block.
+    buffer is copied, cast and transposed, into its rows of the one float64
+    cube, so the cube is written in memory order; ``HyperspectralImage``'s
+    one finiteness scan of the cube then rejects a non-finite payload value
+    as a FormatError. Besides the cube, the read holds about one block.
     """
     header_path = Path(header_path)
     if not header_path.is_file():
@@ -358,10 +358,11 @@ def load_envi(header_path: str | Path) -> HyperspectralImage:
                     raise TruncationError(f"{data_path}: payload ended early")
             dims = (b - a, samples, bands)
             values = raw[: len(starts) * run].view(dtype).reshape([dims[i] for i in axes])
-            if dtype.kind == "f" and not np.isfinite(values).all():
-                raise FormatError(f"{data_path}: payload contains non-finite values")
             cube[a:b] = values.transpose(np.argsort(axes))
-    return HyperspectralImage(cube)
+    try:
+        return HyperspectralImage(cube)  # which scans the cube for non-finite values
+    except ParameterError as exc:
+        raise FormatError(f"{data_path}: payload contains non-finite values") from exc
 
 
 def save_envi(image: HyperspectralImage, header_path: str | Path) -> Path:
@@ -589,4 +590,4 @@ def patch_indices(
     offsets = np.arange(spec.side)
     r = window_axis(height, spec)[rows[:, None] + offsets]
     c = window_axis(width, spec)[cols[:, None] + offsets]
-    return (r[:, :, None] * width + c[:, None, :]).reshape(rows.size, -1)
+    return (r[:, :, None] * width + c[:, None, :]).reshape(rows.size, spec.side * spec.side)

@@ -617,6 +617,8 @@ class TestPatchSpectra:
         for flat in ([60007], np.array([60007], dtype=np.int32), np.array([60007], dtype=np.uint32)):
             got = patch_indices(flat, PatchSpec(3), 300, 300)
             np.testing.assert_array_equal(got, patch_indices(np.array([60007]), PatchSpec(3), 300, 300))
+        for empty in ([], np.array([], dtype=np.uint8)):  # no pixels, no windows
+            assert patch_indices(empty, PatchSpec(3), 300, 300).shape == (0, 9)
 
 
 class TestInvariantsOnTypes:

@@ -74,12 +74,15 @@ MEDIAN_CASES = {
 def test_median_heuristic_is_the_pdist_median_bit_for_bit(case, block):
     shape, distinct = MEDIAN_CASES[case]
     image = scene(shape, distinct)
+    exact = mock.Mock(wraps=hsi.squared_distances)
     for seed in (0, 1, 2):
-        with mock.patch.object(hsi, "_BLOCK", block):
+        with mock.patch.object(hsi, "_BLOCK", block), \
+                mock.patch.object(embedding, "squared_distances", exact):
             got = median_heuristic(image, seed)
         assert same_bits(got, pdist_median(image, seed))
-    if distinct == 1:
+    if distinct == 1:  # the fallback, before any distance is summed
         assert got == 1.0
+        assert exact.call_count == 0
 
 
 def test_median_heuristic_orders_near_ties_by_their_exact_distances():
@@ -126,10 +129,11 @@ def test_patch_means_are_the_csc_product_bit_for_bit(method, border, side, block
     space = prepare_features(image, method, config, MP)
     corners = np.array([0, w - 1, (h - 1) * w, h * w - 1])
     others = rng.choice(np.setdiff1d(np.arange(h * w), corners), 30, replace=False)
-    idx = np.concatenate([corners, others])
-    with mock.patch.object(hsi, "_BLOCK", block):
-        got, expected = space.patch_means(idx), csc_patch_means(space, idx)
-    assert same_bits(got, expected)
+    for idx in (np.concatenate([corners, others]), np.array([], dtype=np.int64)):
+        with mock.patch.object(hsi, "_BLOCK", block):
+            got, expected = space.patch_means(idx), csc_patch_means(space, idx)
+        assert got.shape == (idx.size, space.row_dim)
+        assert same_bits(got, expected)
     if method in WINDOWED:  # some corner window holds a pixel more than once
         windows = patch_indices(corners, space.patch, h, w)
         assert max(np.unique(window, return_counts=True)[1].max() for window in windows) > 1

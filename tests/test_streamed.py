@@ -335,11 +335,26 @@ def test_peak_stays_below_the_dense_table(wide_scene, command, method, tmp_path)
     assert dense >= table_bytes
 
 
+def test_dense_table_holds_the_table_and_a_few_blocks():
+    # a 145 x 145 meanmap table of 512-wide rows (82.1 MiB), built in bands
+    # of one block (14 rows): besides it the filter holds the image rows of a
+    # band (1 block; the first band's 21, with its border rows, 1.5), the
+    # band's means (1) and the ring of side + 1 prefix rows (16 x 160 x 512
+    # values, 1.25 blocks), and while rows are read their float32 features
+    # and spectra. Measured: 115.4 MiB (the table and 4.16 blocks of 8 MiB,
+    # in the first band's read); run as one band, whose means were a second
+    # table, it peaked at 173.9 MiB
+    image = HyperspectralImage(np.random.default_rng(0).random((145, 145, 200)) + 0.05)
+    config = EmbeddingConfig(patch=PatchSpec(15), n_features=256, sigma=1.0)
+    peak = traced_peak(lambda: build_feature_table(image, "meanmap", config))
+    assert peak <= 145 * 145 * 512 * 8 + 5 * hsi._BLOCK * 8
+
+
 def test_fusion_peaks_below_cube_profile_and_a_few_blocks(tmp_path):
     # evaluate holds the cube (25 blocks here) and the profile; the rest is
-    # the scoring pass's first band (its z, the filter's scratch and carried
-    # prefix sums), the per-pixel labels and class ids, and the ENVI read.
-    # Measured 11.5 blocks above cube + profile; a centred copy of the cube
+    # the scoring pass's first band (its z, its means and the ring of prefix
+    # rows), the per-pixel labels and class ids, and the ENVI read.
+    # Measured 10.3 blocks above cube + profile; a centred copy of the cube
     # in the PCA read 26.3, and the 240 fused training rows (1.5 MB, 768
     # wide) 24.4, against the bound of 16
     spec = {"height": 64, "width": 64, "bands": 100, "classes": 3,
@@ -481,16 +496,19 @@ def test_peak_of_many_runs_stays_below_their_score_image():
     assert peak < score_bytes
 
 
-def test_scoring_pass_peaks_within_three_and_a_quarter_score_blocks():
-    # the README's float32 accounting of the streamed pass, in blocks: the
-    # band's scores (1), the filter's scratch (1), one float32 feature block
-    # (1/2) with its projection in its bytes, beside it a chunk of reduction
-    # scratch (1/16 here) and then its float32 scores (120 / 256 here); the
-    # carried rows, the class ids and the rest fit 1 MiB. The pass peaks
-    # while a band is embedded: every band, the last too, writes its means
-    # over the rows it holds, so no vote holds a means block of its own.
-    # Measured: 12.97 MiB (3.24 blocks of 4 MiB) against the bound of 13.25
-    # MiB, so a new temporary of a tenth of a block fails, even in ``image_rows``
+def test_scoring_pass_peaks_within_two_and_two_fifths_score_blocks():
+    # the README's float32 accounting of the streamed pass, in blocks. It
+    # peaks while a band's means are made: the image rows the band holds (1),
+    # its means (1), the ring of side + 1 prefix rows (1/8 here), the running
+    # axis-0 row and the row added to it (1/16 here) and the pass's own state
+    # (labels, class ids, weights: 1/6). While a band's rows are read it
+    # holds less: those rows (1), one float32 feature block (1/2) with its
+    # projection in its bytes, beside it a chunk of reduction scratch (1/16
+    # here) and then its float32 scores (120 / 256 here). No band, the last
+    # one too, holds its rows while it is voted.
+    # Measured: 9.36 MiB (2.34 blocks of 4 MiB) against the bound of 9.6
+    # MiB, so a new temporary of a sixteenth of a block fails, even in
+    # ``image_rows``
     rng = np.random.default_rng(8)
     h = w = 132
     image = HyperspectralImage(rng.random((h, w, 10)) + 0.05)
@@ -518,16 +536,16 @@ def test_scoring_pass_peaks_within_three_and_a_quarter_score_blocks():
         )
     assert len(bands) >= 4
     # the cube was allocated before the call, so the trace leaves it out
-    assert peak <= 13 * block * 2 + (1 << 18)  # 3.25 blocks of 8-byte values
+    assert peak <= 2.4 * block * 8  # 2.4 blocks of 8-byte values
 
 
 def test_feature_blocks_are_sized_by_the_spectra_when_they_are_wider():
     # N = 32 on a 200-band cube: a feature block's spectra, not its 64-wide
     # features, are its widest array. With blocks of one block's spectra the
     # pass holds two of them (the spectra and their unit rows, or the squares
-    # that their norms sum), and under one more block of the band's scores,
-    # the filter's scratch, the features, their projection and numpy's
-    # 64 KiB ufunc buffers: measured 4.05 blocks; sized by the features, the
+    # that their norms sum), beside the band's rows of scores, the features,
+    # their projection and numpy's 64 KiB ufunc buffers: measured 2.25
+    # blocks; sized by the features, the
     # spectra were 200 / 64 blocks each, and the pass peaked at 9.5 blocks
     rng = np.random.default_rng(11)
     image = HyperspectralImage(rng.random((64, 64, 200)) + 0.05)
