@@ -428,6 +428,8 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     with _stage("render"):
+        if args.classes is not None:
+            check_integer(args.classes, "--classes", 0)
         labels = read_label_grid(args.labels)
         n = args.classes if args.classes is not None else int(labels.max())
         palette = default_palette(n)

@@ -362,8 +362,9 @@ class FeatureSpace:
     min-max-scaled profile row. The window mean is linear, so ``scores``
     window-means the pixel rows' scores (fusion: the z) in bands, never
     building a whole-image table, score image or mean map. Every method
-    trains on ``patch_means``; fusion builds no fused row: it trains on
-    ``kernel_rows`` of them and scores through its factored kernel.
+    trains on ``patch_means``, summed one window row at a time; fusion
+    builds no fused row: it trains on ``kernel_rows`` of them and scores
+    through its factored kernel.
     """
 
     image: HyperspectralImage
@@ -411,38 +412,31 @@ class FeatureSpace:
     def patch_means(self, idx: np.ndarray) -> np.ndarray:
         """Means of the pixel rows over the patches of the given flat pixel
         indices: every method's training rows (fusion's before
-        ``kernel_rows``). They embed the union of the patches once, in
-        blocks. Block by block, each pixel's members in the block are summed
-        in ascending order, v z at a time (v: the member's multiplicity in
-        the window), from zero, and that sum is added to its row: the
-        arithmetic of the product of the sparse (pixels, members) count
-        matrix in CSC form with the block's rows, bit for bit. The pixels
-        step through their members in lockstep, those with the most first,
-        so step k adds to a prefix of them. A side-1 window gives
-        (0 + 1.0 x) / 1, the pixel row x itself (up to the sign of a zero)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        windows = patch_indices(idx, self.patch, self.image.height, self.image.width)
-        members, where = np.unique(windows.ravel(), return_inverse=True)
-        member = np.sort(where.reshape(windows.shape), axis=1)
-        # one key per distinct (pixel, member), ascending: pixel major
-        starts = np.arange(idx.size) * members.size
-        key = (member + starts[:, None]).ravel()
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        counts = np.diff(first, append=key.size).astype(np.float64)  # v
-        member, key = member.ravel()[first], key[first]
-        rows = np.zeros((idx.size, self.row_dim))
-        for a, b in row_blocks(members.size, max(self.row_dim, self.image.bands)):
-            z = self.pixel_rows(members[a:b])
-            lo, end = np.searchsorted(key, starts + a), np.searchsorted(key, starts + b)
-            order = np.argsort(lo - end, kind="stable")  # most members in the block first
-            lo, steps = lo[order], (end - lo)[order]
-            sums = np.zeros_like(rows)
-            for k in range(steps.max(initial=0)):
-                m = np.count_nonzero(steps > k)
-                at = lo[:m] + k
-                sums[:m] += z[member[at] - a] * counts[at, None]
-            rows[order] += sums
-        rows /= windows.shape[1]
+        ``kernel_rows``). The image rows that the windows touch are taken
+        from top to bottom, and each pixel of their union is embedded once,
+        with its image row. On image row r, each window row that reads r is
+        summed member by member in window order, in float64 from zero; a
+        pixel's sums on r (several when a border repeats r) are added in
+        window order and then to its row, and the rows are divided by
+        side^2 at the end. So a row does not depend on the other indices or
+        on the block size. A side-1 window gives (0 + x) / 1, the pixel row
+        x itself (up to the sign of a zero). Besides the rows it holds one
+        image row's pixel rows and one sum per window row on that image
+        row."""
+        side, width = self.patch.side, self.image.width
+        windows = patch_indices(idx, self.patch, self.image.height, width).reshape(-1, side, side)
+        image_row = windows[:, :, 0] // width
+        rows = np.zeros((len(windows), self.row_dim))
+        for r in np.unique(image_row):
+            t, i = np.nonzero(image_row == r)  # pixel major
+            members, where = np.unique(windows[t, i], return_inverse=True)
+            z, where = self.pixel_rows(members), where.reshape(t.size, side)
+            sums = np.zeros((t.size, self.row_dim))
+            for k in range(side):
+                sums += z[where[:, k]]
+            first = np.flatnonzero(np.diff(t, prepend=-1))
+            rows[t[first]] += np.add.reduceat(sums, first)
+        rows /= side * side
         return rows
 
     def kernel_rows(self, idx: np.ndarray, means: np.ndarray) -> np.ndarray:

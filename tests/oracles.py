@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 
+from hsembed.hsi import patch_indices
 from hsembed.morphology import dilate, disk, erode, pca_reduce, square
 
 
@@ -289,6 +290,32 @@ def sliding_window_mean_reference(stack, side, border):
         )
     stack /= side * side
     return stack
+
+
+def patch_means_reference(space, idx):
+    """Training rows of ``FeatureSpace.patch_means`` by plain loops over one
+    whole-image array of pixel rows: per pixel, per image row its window
+    reads, ascending (the window rows that repeat it together, in window
+    order), each window row is summed member by member in float64 from
+    zero, those sums are added up in window order and then to the row, and
+    the rows are divided by side^2 at the end. ``patch_means`` must match it
+    bit for bit."""
+    h, w, side = space.image.height, space.image.width, space.patch.side
+    pixel_rows = space.pixel_rows(np.arange(h * w))
+    windows = patch_indices(idx, space.patch, h, w).reshape(-1, side, side)
+    rows = np.zeros((len(windows), space.row_dim))
+    for t, window in enumerate(windows):
+        image_rows = window[:, 0] // w
+        for r in sorted(set(image_rows)):
+            on_r = None
+            for members in window[image_rows == r]:
+                total = np.zeros(space.row_dim)
+                for m in members:
+                    total += pixel_rows[m]
+                on_r = total if on_r is None else on_r + total
+            rows[t] += on_r
+    rows /= side * side
+    return rows
 
 
 def synthetic_scene_reference(spec):

@@ -101,6 +101,14 @@ class TestRender:
         assert main(["render", "--labels", str(labels), "--output", str(out)]) == 0
         assert read_ppm(out).shape == (2, 2, 3)
 
+    def test_render_refuses_a_negative_class_count(self, tmp_path, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0,0\n0,0\n")
+        out = tmp_path / "render.ppm"
+        assert main(["render", "--labels", str(labels), "--output", str(out), "--classes", "-3"]) == 1
+        assert "--classes must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_render_non_integer_cell_names_the_line(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
         labels.write_text("0,1\n2,x\n")

@@ -1,6 +1,7 @@
 """The numpy forms of what scipy used to compute, against scipy itself, which
 is a test dependency only: the median heuristic against ``np.median`` of
-``pdist``, the patch means against the CSC product of the window counts,
+``pdist``, the patch means against the CSC product of the window counts
+(to a rounding bound; bit for bit against their plain-loop reference),
 the pivoted Cholesky factor against LAPACK ``dpstrf``'s rank and the
 Gaussian Gram against ``cdist``. No command imports scipy.
 """
@@ -22,11 +23,13 @@ import hsembed
 from hsembed import EmbeddingConfig, HyperspectralImage, MorphoProfileConfig, PatchSpec
 from hsembed import embedding, hsi, prepare_features
 from hsembed.bounds import gaussian_gram
-from hsembed.embedding import WINDOWED, median_heuristic
+from hsembed.embedding import METHODS, WINDOWED, median_heuristic
 from hsembed.errors import ShapeError
 from hsembed.hsi import patch_indices, row_blocks, unit_rows
+from oracles import patch_means_reference
 
 MP = MorphoProfileConfig(pca_dims=2, n_scales=1)
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def same_bits(a, b) -> bool:
@@ -120,20 +123,33 @@ def csc_patch_means(space, idx):
 @pytest.mark.parametrize("block", [1 << 20, 333, 1001])  # odd blocks split the members unevenly
 @pytest.mark.parametrize("side", [2, 3, 5])
 @pytest.mark.parametrize("border", ["clamp", "mirror"])
-@pytest.mark.parametrize("method", ["meanmap", "convmeanmap", "mp_x_meanmap", "raw"])
-def test_patch_means_are_the_csc_product_bit_for_bit(method, border, side, block):
+@pytest.mark.parametrize("method", METHODS)
+def test_patch_means_are_the_reference_sums_and_the_csc_product_to_rounding(
+    method, border, side, block
+):
     rng = np.random.default_rng(side)
     h, w = 9, 11
     image = HyperspectralImage(rng.random((h, w, 6)) + 0.05)
     config = EmbeddingConfig(patch=PatchSpec(side, border), n_features=8, sigma=0.7)
     space = prepare_features(image, method, config, MP)
+    magnitudes = np.abs(space.pixel_rows(np.arange(h * w)).astype(np.float64))
     corners = np.array([0, w - 1, (h - 1) * w, h * w - 1])
     others = rng.choice(np.setdiff1d(np.arange(h * w), corners), 30, replace=False)
     for idx in (np.concatenate([corners, others]), np.array([], dtype=np.int64)):
         with mock.patch.object(hsi, "_BLOCK", block):
-            got, expected = space.patch_means(idx), csc_patch_means(space, idx)
+            got, csc = space.patch_means(idx), csc_patch_means(space, idx)
         assert got.shape == (idx.size, space.row_dim)
-        assert same_bits(got, expected)
+        assert same_bits(got, patch_means_reference(space, idx))
+        # both sum the window's n = side^2 rows z (with their repeats) from
+        # zero in some order, and the CSC form rounds each v z once more:
+        # each sum is within gamma_(n+1) sum |z| of the exact one (Higham,
+        # "Accuracy and Stability of Numerical Algorithms", 2002, 4.2), and
+        # the division by n rounds once more, so the means differ by at
+        # most 2 gamma_(n+2) times the window mean of |z|
+        windows = patch_indices(idx, space.patch, h, w)
+        n = windows.shape[1]
+        gamma = (n + 2) * UNIT_ROUNDOFF / (1 - (n + 2) * UNIT_ROUNDOFF)
+        assert np.all(np.abs(got - csc) <= 2 * gamma * magnitudes[windows].mean(axis=1))
     if method in WINDOWED:  # some corner window holds a pixel more than once
         windows = patch_indices(corners, space.patch, h, w)
         assert max(np.unique(window, return_counts=True)[1].max() for window in windows) > 1

@@ -39,6 +39,7 @@ from hsembed import (
 from hsembed import cli, embedding, evaluation, hsi
 from hsembed.embedding import METHODS, WINDOWED, _fuse, _minmax_scale_columns
 from hsembed.evaluation import train_and_predict
+from hsembed.hsi import patch_indices
 from hsembed.morphology import morphological_profile
 from hsembed.svm import SvmConfig, decision_matrix, train_multiclass
 from oracles import sliding_window_mean_reference
@@ -116,24 +117,23 @@ def banded_decisions(space, models):
 @st.composite
 def filter_cases(draw):
     """An (H, W, K) stack (sometimes scaled by 1e3), a side (possibly larger
-    than the image), a border, a band height (1, side - 1, side, H or any)
-    and a block that splits the columns into groups."""
+    than the image), a border and a band height (1, side - 1, side, H or
+    any)."""
     h = draw(st.integers(1, 16))
     w = draw(st.integers(1, 16))
     k = draw(st.integers(1, 5))
     side = draw(st.integers(1, 12))
     border = draw(st.sampled_from(["clamp", "mirror"]))
     band = draw(st.sampled_from([1, max(1, side - 1), side, h]) | st.integers(1, h))
-    block = draw(st.integers(1, 4000))
     scale = draw(st.sampled_from([1.0, 1e3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    return rng.normal(size=(h, w, k)) * scale, side, border, min(band, h), block
+    return rng.normal(size=(h, w, k)) * scale, side, border, min(band, h)
 
 
 @settings(max_examples=300, deadline=None)
 @given(filter_cases())
 def test_banded_window_means_equal_the_whole_image_filter_bit_for_bit(case):
-    stack, side, border, band, block = case
+    stack, side, border, band = case
     h, w, k = stack.shape
     asked = []
 
@@ -141,8 +141,7 @@ def test_banded_window_means_equal_the_whole_image_filter_bit_for_bit(case):
         asked.append((a, b))
         out[...] = stack[a:b]
 
-    with mock.patch.object(hsi, "_BLOCK", block):
-        bands = list(embedding._window_means(rows_of, h, w, k, PatchSpec(side, border), band))
+    bands = list(embedding._window_means(rows_of, h, w, k, PatchSpec(side, border), band))
     assert [first for first, _ in bands] == list(range(0, h, band))
     got = np.concatenate([means for _, means in bands])
     expected = sliding_window_mean_reference(stack.copy(), side, border)
@@ -173,7 +172,7 @@ def test_banded_window_means_sum_each_padded_row_along_axis_1_once(side, border,
         summed.clear()
         bands = embedding._window_means(rows_of, h, w, k, PatchSpec(side, border), band)
         assert np.concatenate([means for _, means in bands]).tobytes() == expected
-        # one column group: the h + side - 1 padded rows, each summed once
+        # whatever the band: the h + side - 1 padded rows, each summed once
         assert sum(summed) == h + side - 1
 
 
@@ -427,8 +426,11 @@ def test_scoring_embeds_each_pixel_once_whatever_the_run_count(method, monkeypat
     for n_runs in (1, 10):
         labels, train_sets = many_runs(rng, h, w, n_runs)
         embedded.clear()
-        space.patch_means(np.concatenate(train_sets))
+        train = np.concatenate(train_sets)
+        space.patch_means(train)
         training = sum(embedded)
+        # each pixel of the union of the training windows, once
+        assert training == np.unique(patch_indices(train, space.patch, h, w)).size
         embedded.clear()
         train_and_predict(space, labels, train_sets, 3, SvmConfig(c=8.0))
         assert sum(embedded) - training == h * w
