@@ -22,6 +22,7 @@ from .hsi import (
     HyperspectralImage,
     PatchSpec,
     block_rows,
+    equal_blocks,
     patch_indices,
     row_blocks,
     squared_distances,
@@ -242,7 +243,8 @@ def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, ba
     above it, in a band's own means array. So each padded row is summed along
     axis 1 once, and every sum is the same sequential sum as over the whole
     image. A band holds the image rows its padded rows read, and keeps those
-    that later bands read."""
+    that later bands read; the caller sizes the bands (``FeatureSpace.scores``
+    keeps a band's new rows and its means within the size of the ring)."""
     side = patch.side
     if side == 1:
         for a in range(0, height, band):
@@ -414,23 +416,36 @@ class FeatureSpace:
         indices: every method's training rows (fusion's before
         ``kernel_rows``). The image rows that the windows touch are taken
         from top to bottom, and each pixel of their union is embedded once,
-        with its image row. On image row r, each window row that reads r is
-        summed member by member in window order, in float64 from zero; a
-        pixel's sums on r (several when a border repeats r) are added in
-        window order and then to its row, and the rows are divided by
-        side^2 at the end. So a row does not depend on the other indices or
-        on the block size. A side-1 window gives (0 + x) / 1, the pixel row
-        x itself (up to the sign of a zero). Besides the rows it holds one
-        image row's pixel rows and one sum per window row on that image
-        row."""
+        in one call with those of as many consecutive image rows as make at
+        most one image row of pixels (``width``). On image row r, each window
+        row that reads r is summed member by member in window order, in
+        float64 from zero; a pixel's sums on r (several when a border
+        repeats r) are added in window order and then to its row, and the
+        rows are divided by side^2 at the end. So a row does not depend on
+        the other indices or on the block size. A side-1 window gives
+        (0 + x) / 1, the pixel row x itself (up to the sign of a zero).
+        Besides the rows it holds a mask of the image's pixels, the union's
+        indices, one image row of pixel rows and one sum per window row on
+        one image row."""
         side, width = self.patch.side, self.image.width
         windows = patch_indices(idx, self.patch, self.image.height, width).reshape(-1, side, side)
         image_row = windows[:, :, 0] // width
         rows = np.zeros((len(windows), self.row_dim))
+        touched = np.zeros(self.image.height * width, dtype=bool)
+        touched[windows.ravel()] = True
+        # the union, image row after image row: a mask, not a sort of every
+        # member, whose copies raised paper row 3's peak RSS by 10 MB
+        members = np.flatnonzero(touched)
+        counts = touched.reshape(-1, width).sum(axis=1)
+        ends = np.cumsum(counts)  # of each image row's members
+        starts = ends - counts
+        stop = 0
         for r in np.unique(image_row):
+            if r >= stop:  # embed the members of this and the next image rows, up to width
+                stop = np.searchsorted(ends, starts[r] + width, side="right")
+                z, z_from = self.pixel_rows(members[starts[r] : ends[stop - 1]]), starts[r]
             t, i = np.nonzero(image_row == r)  # pixel major
-            members, where = np.unique(windows[t, i], return_inverse=True)
-            z, where = self.pixel_rows(members), where.reshape(t.size, side)
+            where = np.searchsorted(members, windows[t, i]) - z_from
             sums = np.zeros((t.size, self.row_dim))
             for k in range(side):
                 sums += z[where[:, k]]
@@ -450,10 +465,14 @@ class FeatureSpace:
 
     def scores(self, weights, support: tuple | None = None):
         """Every pixel's table row times the (row_dim, K) weights, in one pass of row
-        bands of about one block: yields (first flat pixel, (rows, K) scores) per
-        band. Each row is embedded once, in blocks sized by their widest array.
-        The float32 z of ``rff`` and ``meanmap`` meet the weights, cast once, in
-        float32; the products are widened to float64 before the window mean.
+        bands: yields (first flat pixel, (rows, K) scores) per band. A band is at
+        most one block of its widest array and, for a patch of side s > 1, at
+        most (s + 1) (W + s) / (2 W) image rows, so the new rows it reads and its
+        means take no more than the filter's ring of s + 1 prefix rows (8 rows
+        at s = 15 on both bench widths). Each row is embedded once, in equal
+        blocks of at most one block of their widest array. The float32 z of
+        ``rff`` and ``meanmap`` meet the weights, cast once, in float32; the
+        products are widened to float64 before the window mean.
 
         Fusion scores in the dual and never builds a fused row. ``support`` is
         the (flat indices, patch means) of the training pixels of all runs, run
@@ -461,7 +480,10 @@ class FeatureSpace:
         coefficients A_r (``svm.dual_coefficients``). A fused row's inner
         product factors, <p (x) m, p' (x) m'> = <p, p'> <m, m'>, so run r's K_r
         columns of a band are ((P P_r') * (M M_r')) A_r, with P the band's
-        profile rows and M the window means of its z."""
+        profile rows and M the window means of its z. A band is formed and
+        yielded in equal sub-blocks (``hsi.equal_blocks``), whose Gram rows,
+        the product multiplied into them and scores fill at most one block
+        together."""
         h, w, fused = self.image.height, self.image.width, self.dual
         if fused and support is None:
             raise ContractViolation("fusion scores need the training pixels as support")
@@ -476,26 +498,37 @@ class FeatureSpace:
             # float64 rows: the band's z (fusion) or its scores, widened; a
             # float32 z meets the weights in float32, other rows in float64
             rows = out.reshape(-1, width)  # a view: out is contiguous
-            for c, d in row_blocks(len(rows), max(self.row_dim, k, spectra)):
+            for c, d in equal_blocks(len(rows), max(self.row_dim, k, spectra)):
                 pixels = self.pixel_rows(slice(a * w + c, a * w + d))
                 if not fused:
                     pixels = pixels @ (weights32 if pixels.dtype == np.float32 else weights)
                 rows[c:d] = pixels
 
-        # a fusion band also holds its (rows, T) Gram block
-        band = block_rows(w * max(width, k, len(support[0]) if fused else 0))
+        if fused:
+            train_idx, train_means = support
+            train_profile = self.profile[train_idx].T
+        # one block of the widest array (fusion: of its Gram rows), then the ring rule
+        band = block_rows(w * max(width, k, len(train_idx) if fused else 0))
+        side = self.patch.side
+        if side > 1:
+            band = min(band, max(1, (side + 1) * (w + side) // (2 * w)))
         for a, means in _window_means(image_rows, h, w, width, self.patch, band):
-            scores = means = means.reshape(-1, width)
-            if fused:
-                train_idx, train_means = support
-                gram = self.profile[a * w : a * w + len(means)] @ self.profile[train_idx].T
-                gram *= means @ train_means.T
-                scores = np.empty((len(means), k))
-                for a_r, (t, c) in zip(weights, ends):
-                    np.matmul(gram[:, t - len(a_r) : t], a_r, out=scores[:, c - a_r.shape[1] : c])
-                del gram
-            yield a * w, scores
-            del means, scores  # not held while the next band is made
+            means = means.reshape(-1, width)
+            if not fused:
+                yield a * w, means
+            else:
+                # a sub-block's Gram rows, the product multiplied into them and
+                # its scores fill at most one block together
+                for c, d in equal_blocks(len(means), 2 * len(train_idx) + k):
+                    gram = self.profile[a * w + c : a * w + d] @ train_profile
+                    gram *= means[c:d] @ train_means.T
+                    scores = np.empty((d - c, k))
+                    for a_r, (t, e) in zip(weights, ends):
+                        np.matmul(gram[:, t - len(a_r) : t], a_r, out=scores[:, e - a_r.shape[1] : e])
+                    del gram
+                    yield a * w + c, scores
+                    del scores  # not held while the next sub-block is made
+            del means  # not held while the next band is made
 
 
 def prepare_features(

@@ -55,8 +55,11 @@ _BORDERS = ("clamp", "mirror")
 
 # values a bounded loop holds at once (8 MB of float64). It sizes the cube
 # IO and the synth's fill and centre distances here, and the feature blocks,
-# score bands and prediction blocks of the other modules; the streamed pass
-# holds about two and a half blocks beside the cube. On the PU-like bench
+# score bands and prediction blocks of the other modules. A score band is at
+# most one block, and for a patch wider than one pixel no more rows than fit
+# in the size of the box filter's ring of prefix rows, so the streamed pass
+# holds at most about two and a half blocks beside the cube (README,
+# "Memory"). On the PU-like bench
 # (610 x 340 x 103, N=256, 2 cores) blocks of 32, 16, 8, 4, 2 and 1 MB ran
 # in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at 378, 315, 278, 261, 252 and 251
 # MB of RSS; on the IP-like grid (N=1024) 4 and 2 MB were 0.2-0.4 s slower
@@ -77,6 +80,16 @@ def row_blocks(n: int, width: int):
     step = block_rows(width)
     for a in range(0, n, step):
         yield a, min(a + step, n)
+
+
+def equal_blocks(n: int, width: int):
+    """(first, end) of as many consecutive blocks as ``row_blocks`` makes of
+    ``n`` rows of ``width`` values, but of sizes that differ by at most one
+    row. So no block is a single row while a block holds more, and no block
+    is larger than ``row_blocks``' largest."""
+    parts = -(-n // block_rows(width))
+    for j in range(parts):
+        yield n * j // parts, n * (j + 1) // parts
 
 
 @dataclass(frozen=True)

@@ -311,19 +311,20 @@ def decision_matrix(model: SvmModel, features: np.ndarray) -> np.ndarray:
 
 def vote(model: SvmModel, decisions: np.ndarray) -> np.ndarray:
     """Majority-vote class ids from (rows, pairs) decision values; ties go
-    to the smallest class id."""
+    to the smallest class id. A pair's win is a vote for its first class,
+    a loss one for its second. So with +1 at each pair's first class and -1
+    at its second, a row's votes are its wins times that (pairs, classes)
+    matrix plus the count of pairs whose second class each class is: sums
+    of integers below 2^24, exact in float32 in any order."""
     class_index = {cls: k for k, cls in enumerate(model.classes)}
-    # one contiguous row per pair and per class: decisions may be a column
-    # slice of a wider score array
-    wins = np.ascontiguousarray((decisions >= 0).T)
-    votes = np.zeros((len(model.classes), decisions.shape[0]), dtype=np.int64)
-    for p, (a, b) in enumerate(model.pairs):
-        votes[class_index[a]] += wins[p]
-        votes[class_index[b]] += ~wins[p]
+    first, second = np.array([[class_index[a], class_index[b]] for a, b in model.pairs]).T
+    pair = np.arange(len(model.pairs))
+    shift = np.zeros((len(model.pairs), len(model.classes)), dtype=np.float32)
+    shift[pair, first], shift[pair, second] = 1, -1
+    votes = (decisions >= 0).astype(np.float32) @ shift
+    votes += np.bincount(second, minlength=len(model.classes))
     # argmax takes the first maximum, i.e. the smallest class id
-    winners = np.argmax(votes, axis=0)
-    classes = np.asarray(model.classes)
-    return classes[winners]
+    return np.asarray(model.classes)[np.argmax(votes, axis=1)]
 
 
 def predict_table(model: SvmModel, features: np.ndarray) -> np.ndarray:
@@ -445,9 +446,14 @@ def cross_validate(
                 max_kkt = max(max_kkt, diag.kkt_violation)
                 separators[k].append(sep)
         x_val, y_val = rows[val][countable], y[val][countable]
+        # every C's validation decisions, voted in one call
+        decisions = np.empty((len(x_val), len(grid), len(pairs)))
         for k, seps in enumerate(separators):
             model = SvmModel(tuple(classes), pairs, seps, rows.shape[1])
-            accs[k].append(float(np.mean(predict_table(model, x_val) == y_val)))
+            decisions[:, k] = decision_matrix(model, x_val)
+        preds = vote(model, decisions.reshape(-1, len(pairs))).reshape(-1, len(grid))
+        for k, hits in enumerate((preds == y_val[:, None]).T):
+            accs[k].append(float(np.mean(hits)))
 
     if not problems:
         raise DegenerateDataError(

@@ -180,6 +180,20 @@ def train_binary_reference(features, labels, c, tol, start=None):
     return BinarySeparator(w[:-1].copy(), float(w[-1]), float(c), diag)
 
 
+def vote_reference(model, decisions):
+    """``hsembed.svm.vote`` by one loop over the pairs: each pair adds a vote
+    to its first class where its decision is >= 0 and to its second class
+    elsewhere, and the first class of most votes, in ``model.classes``
+    order, wins."""
+    column = {cls: k for k, cls in enumerate(model.classes)}
+    votes = np.zeros((len(decisions), len(model.classes)), dtype=np.int64)
+    for p, (a, b) in enumerate(model.pairs):
+        wins = decisions[:, p] >= 0
+        votes[wins, column[a]] += 1
+        votes[~wins, column[b]] += 1
+    return np.asarray(model.classes)[np.argmax(votes, axis=1)]
+
+
 def cross_validate_reference(features, labels, folds=5, seed=0):
     """The C-outer, cold grid search on the original rows.
 
@@ -188,7 +202,7 @@ def cross_validate_reference(features, labels, folds=5, seed=0):
     are predicted from those rows. Folds and the skipping rules are those
     of ``hsembed.svm.cross_validate``. Returns (grid, best_c).
     """
-    from hsembed.svm import _stratified_folds, default_c_grid, predict_table, train_multiclass
+    from hsembed.svm import _stratified_folds, decision_matrix, default_c_grid, train_multiclass
 
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -209,7 +223,7 @@ def cross_validate_reference(features, labels, folds=5, seed=0):
             countable = np.array([int(v) in present for v in y[val]])
             if not countable.any():
                 continue
-            preds = predict_table(model, x[val][countable])
+            preds = vote_reference(model, decision_matrix(model, x[val][countable]))
             accs.append(float(np.mean(preds == y[val][countable])))
         mean_acc = float(np.mean(accs)) if accs else 0.0
         results.append((float(c), mean_acc))

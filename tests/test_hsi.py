@@ -24,8 +24,10 @@ from hsembed import (
 import hsembed.hsi
 from hsembed.hsi import (
     _nearest_centre,
+    equal_blocks,
     patch_indices,
     patch_window,
+    row_blocks,
     scene_spec_from_json,
     window_axis,
 )
@@ -489,6 +491,18 @@ class TestSyntheticScene:
     def test_spec_rejects_non_finite_scales_and_bad_seeds(self, key, value):
         with pytest.raises(ParameterError, match=key):
             self.spec(**{key: value})
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 17, 100])
+@pytest.mark.parametrize("block", [1, 2, 3, 8, 1000])
+def test_equal_blocks_are_as_many_as_row_blocks_and_differ_by_a_row_at_most(n, block, monkeypatch):
+    monkeypatch.setattr(hsembed.hsi, "_BLOCK", block)
+    blocks = list(equal_blocks(n, 2))
+    sizes = [b - a for a, b in blocks]
+    assert len(blocks) == len(list(row_blocks(n, 2)))
+    assert [a for a, _ in blocks] == list(np.cumsum([0, *sizes])[:-1]) and sum(sizes) == n
+    if n:
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= max(1, block // 2)
 
 
 class TestNormalize:

@@ -265,6 +265,70 @@ def test_fused_decisions_equal_explicit_tensor_rows(case):
         next(space.scores(coefs))
 
 
+@pytest.mark.parametrize("border", ["clamp", "mirror"])
+@pytest.mark.parametrize("side", [2, 3, 15])
+@pytest.mark.parametrize("method", WINDOWED)
+def test_scores_do_not_depend_on_the_band_bit_for_bit(method, side, border, monkeypatch):
+    # bands of the filter's ring rule, of one block of their widest array
+    # (the widest a band may be), of one image row and, at a block of 60
+    # values, of small feature blocks and fusion sub-blocks of a few pixels
+    rng = np.random.default_rng(side)
+    h, w = 21, 17
+    image = HyperspectralImage(rng.random((h, w, BANDS)) + 0.05)
+    config = EmbeddingConfig(patch=PatchSpec(side, border), n_features=6, sigma=0.8, beta=2.5)
+    space = prepare_features(image, method, config, MP)
+    if space.dual:
+        support, weights = random_dual(space, rng)
+        k, widest = sum(a.shape[1] for a in weights), max(space.row_dim, len(support[0]))
+    else:
+        support, weights = None, rng.normal(size=(space.row_dim, 5))
+        k = widest = 5
+    window_means, bands = embedding._window_means, []
+
+    def scores(band=None):
+        def fixed(rows_of, height, width, k, patch, rule):
+            bands.append(rule)
+            return window_means(rows_of, height, width, k, patch, band or rule)
+
+        monkeypatch.setattr(embedding, "_window_means", fixed)
+        return banded_scores(space, weights, support).tobytes()
+
+    expected = scores()
+    one_block = hsi.block_rows(w * max(widest, k))
+    assert bands[-1] <= one_block
+    assert scores(one_block) == expected
+    assert scores(1) == expected
+    monkeypatch.setattr(hsi, "_BLOCK", 60)
+    assert scores() == expected
+    if space.dual:  # the bands come in sub-blocks
+        assert sum(1 for _ in space.scores(weights, support)) > -(-h // bands[-1])
+
+
+@pytest.mark.parametrize(
+    "w, pairs, band",
+    [(145, 2400, 3), (145, 120, 8), (340, 36, 8)],
+    ids=["paper-row-4", "ip-grid", "pu-classify"],
+)
+def test_score_bands_are_never_wider_than_one_block(w, pairs, band, monkeypatch):
+    # at s = 15 the ring rule gives 8 image rows on both scene widths; 20
+    # runs of 120 class pairs (paper row 4) fill one block with 3
+    rng = np.random.default_rng(pairs)
+    image = HyperspectralImage(rng.random((4, w, BANDS)) + 0.05)
+    config = EmbeddingConfig(patch=PatchSpec(15), n_features=6, sigma=0.8)
+    space = prepare_features(image, "meanmap", config)
+    window_means, bands = embedding._window_means, []
+
+    def recorded(*args):
+        bands.append(args[-1])
+        return window_means(*args)
+
+    monkeypatch.setattr(embedding, "_window_means", recorded)
+    for _ in space.scores(rng.normal(size=(12, pairs))):
+        pass
+    assert bands == [band]
+    assert band <= hsi.block_rows(w * pairs)
+
+
 def test_kernel_rows_of_a_repeated_pixel_drop_its_rank():
     rng = np.random.default_rng(9)
     image = HyperspectralImage(rng.random((7, 6, BANDS)) + 0.05)
@@ -498,19 +562,19 @@ def test_peak_of_many_runs_stays_below_their_score_image():
     assert peak < score_bytes
 
 
-def test_scoring_pass_peaks_within_two_and_two_fifths_score_blocks():
-    # the README's float32 accounting of the streamed pass, in blocks. It
-    # peaks while a band's means are made: the image rows the band holds (1),
-    # its means (1), the ring of side + 1 prefix rows (1/8 here), the running
-    # axis-0 row and the row added to it (1/16 here) and the pass's own state
-    # (labels, class ids, weights: 1/6). While a band's rows are read it
-    # holds less: those rows (1), one float32 feature block (1/2) with its
-    # projection in its bytes, beside it a chunk of reduction scratch (1/16
-    # here) and then its float32 scores (120 / 256 here). No band, the last
-    # one too, holds its rows while it is voted.
-    # Measured: 9.36 MiB (2.34 blocks of 4 MiB) against the bound of 9.6
-    # MiB, so a new temporary of a sixteenth of a block fails, even in
-    # ``image_rows``
+def test_scoring_pass_peaks_within_about_half_a_score_block():
+    # the README's float32 accounting of the streamed pass, in blocks. Bands
+    # are 2 image rows here, by the ring rule at side 3 (one block would be
+    # 33 rows). The pass peaks while a band's rows are read: the ring of
+    # side + 1 prefix rows (1/8), the pass's own state (weights, class ids,
+    # coefficients: about 1/10), the image rows the band holds (1/16), the
+    # running axis-0 row (1/32), and the read's float32 z of 264 pixels and
+    # its chunk of reduction scratch (1/32 each). No band, the last one too,
+    # holds its rows while it is voted.
+    # Measured: 2.01 MB (0.48 blocks of 4 MiB; 2.34 blocks with bands of one
+    # block) against the bound of 0.52 blocks, so a new temporary of a
+    # sixteenth of a block held across a read or while a band's means are
+    # made fails
     rng = np.random.default_rng(8)
     h = w = 132
     image = HyperspectralImage(rng.random((h, w, 10)) + 0.05)
@@ -530,7 +594,7 @@ def test_scoring_pass_peaks_within_two_and_two_fifths_score_blocks():
             yield first, means
             del means  # the filter's own rule: no band is held while the next is made
 
-    # 120 class pairs: bands of 33 image rows, feature blocks of 4,096 pixels
+    # 120 class pairs: bands of 2 image rows, read 264 pixels at a time
     with mock.patch.object(hsi, "_BLOCK", block), \
             mock.patch.object(embedding, "_window_means", counted):
         peak = traced_peak(
@@ -538,7 +602,7 @@ def test_scoring_pass_peaks_within_two_and_two_fifths_score_blocks():
         )
     assert len(bands) >= 4
     # the cube was allocated before the call, so the trace leaves it out
-    assert peak <= 2.4 * block * 8  # 2.4 blocks of 8-byte values
+    assert peak <= 0.52 * block * 8  # 0.52 blocks of 8-byte values
 
 
 def test_feature_blocks_are_sized_by_the_spectra_when_they_are_wider():

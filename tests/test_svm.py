@@ -22,7 +22,12 @@ from hsembed import (
     train_multiclass,
 )
 from hsembed.svm import SvmConfig, SvmModel, decision_matrix, dual_coefficients
-from oracles import box_qp_brute_force, cross_validate_reference, train_binary_reference
+from oracles import (
+    box_qp_brute_force,
+    cross_validate_reference,
+    train_binary_reference,
+    vote_reference,
+)
 
 
 def decision_values(sep, x):
@@ -241,6 +246,30 @@ class TestPredict:
                 votes[a if d >= 0 else b] += 1
             best = max(sorted(votes), key=lambda c: votes[c])
             assert preds[i] == best
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 300])
+    @pytest.mark.parametrize("n_classes", [2, 3, 16])
+    def test_vote_is_the_per_pair_loop(self, n_classes, n_rows):
+        rng = np.random.default_rng(n_classes * 1000 + n_rows)
+        classes = tuple(sorted(rng.choice(np.arange(1, 40), n_classes, replace=False).tolist()))
+        pairs = list(combinations(classes, 2))
+        model = SvmModel(classes, pairs, [], 1)
+        decisions = rng.normal(size=(n_rows, len(pairs)))
+        # exact zeros of both signs, which vote for the pair's first class
+        decisions[rng.random(decisions.shape) < 0.1] = 0.0
+        decisions[rng.random(decisions.shape) < 0.05] = -0.0
+        if n_rows:
+            # ties: class i beats class j > i when j - i is odd, so the
+            # classes at even positions (and, at 3 classes, all) tie on top
+            odd = np.array([(j - i) % 2 for i, j in combinations(range(n_classes), 2)])
+            decisions[: n_rows // 3] = np.where(odd == 1, 1.0, -1.0)
+            decisions[0] = 0.0  # every pair to its first class
+        got = hsembed.svm.vote(model, decisions)
+        np.testing.assert_array_equal(got, vote_reference(model, decisions))
+        assert got.shape == (n_rows,)
+        # a column slice of a wider array votes as its copy
+        wide = np.hstack([decisions, rng.normal(size=(n_rows, 2))])
+        np.testing.assert_array_equal(hsembed.svm.vote(model, wide[:, : len(pairs)]), got)
 
     def test_dim_mismatch(self):
         x, y = make_blobs(5, [(1, 0), (-1, 0)], 0.1, 13)
