@@ -63,6 +63,7 @@ from .hsi import (
     normalize_spectra,
     save_envi,
     save_ground_truth,
+    write_synthetic_scene,
 )
 from .morphology import (
     MorphoProfileConfig,

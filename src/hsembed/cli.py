@@ -59,9 +59,10 @@ from .hsi import (
     load_envi,
     load_ground_truth,
     read_label_grid,
-    save_envi,
+    save_envi,  # noqa: F401  (unused here; benchmark tracing wraps this name)
     save_ground_truth,
     scene_spec_from_json,
+    write_synthetic_scene,
 )
 from .morphology import MorphoProfileConfig
 from .rff import sample_frequencies
@@ -317,8 +318,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = _output_dir(args.output)
     with _stage("synth"):
         spec = scene_spec_from_json(obj)
-        image, gt = generate_synthetic_scene(spec)
-        header = save_envi(image, out / "scene.hdr")
+        header, gt = write_synthetic_scene(spec, out / "scene.hdr")
         save_ground_truth(gt, out / "gt.csv")
     print(f"wrote {header}, {header.with_suffix('.img')}, {out / 'gt.csv'}")
     return 0

@@ -243,8 +243,10 @@ def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, ba
     above it, in a band's own means array. So each padded row is summed along
     axis 1 once, and every sum is the same sequential sum as over the whole
     image. A band holds the image rows its padded rows read, and keeps those
-    that later bands read; the caller sizes the bands (``FeatureSpace.scores``
-    keeps a band's new rows and its means within the size of the ring)."""
+    that later bands read, at the front of one buffer of the most rows any
+    band holds, allocated once; the caller sizes the bands
+    (``FeatureSpace.scores`` keeps a band's new rows and its means within the
+    size of the ring)."""
     side = patch.side
     if side == 1:
         for a in range(0, height, band):
@@ -258,17 +260,18 @@ def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, ba
     first_read = np.minimum.accumulate(np.append(row_of, height)[::-1])[::-1]
     # prefix row q at q % (side + 1): column j sums padded rows < q and columns < j
     ring = np.zeros((side + 1, width + side, k))
-    held, held_from = np.empty((0, width, k)), 0  # image rows read and kept, from held_from
-    for a in range(0, height, band):
-        b = min(a + band, height)
-        padded = range(a + side - 1 if a else 0, b + side - 1)  # each p adds prefix row p + 1
-        read = row_of[padded.start : padded.stop].max() + 1 - held_from
-        if read > len(held):
-            grown = np.empty((read, width, k))
-            grown[: len(held)] = held
-            rows_of(held_from + len(held), held_from + read, grown[len(held) :])
-            held = grown
-            del grown
+    # each band's padded rows (each p adds prefix row p + 1); a band holds the
+    # image rows from the first that they and the padded rows after them read
+    starts = range(0, height, band)
+    bands = [range(a + side - 1 if a else 0, min(a + band, height) + side - 1) for a in starts]
+    reads = [row_of[p.start : p.stop].max() + 1 - first_read[p.start] for p in bands]
+    held, n_held = np.empty((max(reads), width, k)), 0
+    flat = held.reshape(-1)
+    for a, padded, read in zip(starts, bands, reads):
+        b, held_from = min(a + band, height), first_read[padded.start]
+        if read > n_held:
+            rows_of(held_from + n_held, held_from + read, held[n_held:read])
+            n_held = read
         means = np.empty((b - a, width, k))
         for p in padded:
             row = held[row_of[p] - held_from, col_of]
@@ -281,8 +284,11 @@ def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, ba
                 out -= prefix[:-side]
                 out += top[:-side]
         means /= side * side
-        keep = first_read[b + side - 1] - held_from
-        held, held_from = held[keep:].copy(), held_from + keep
+        # move the rows later bands read to the front: a 1-D copy to lower
+        # addresses, which numpy makes in place
+        drop = min(first_read[b + side - 1] - held_from, n_held)
+        n_held -= drop
+        flat[: n_held * width * k] = flat[drop * width * k : (drop + n_held) * width * k]
         yield a, means
         del means, out  # neither the band nor a view of it is held while the next is made
 

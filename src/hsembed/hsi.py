@@ -8,9 +8,10 @@ interleave, data type and byte order that real scenes arrive in; the writer
 writes the one format the synthetic scenes need, bsq little-endian float64.
 The reader and writer, the scene generator and the image's own finiteness
 check move a cube through memory in row blocks of about ``_BLOCK`` values
-(see ``row_blocks``), so none of them holds a second cube. The feature,
-scoring and prediction loops of the other modules take their blocks from
-here too.
+(see ``row_blocks``), so none of them holds a second cube, and
+``write_synthetic_scene`` writes each block of a scene as it is drawn, so
+it holds no cube at all. The feature, scoring and prediction loops of the
+other modules take their blocks from here too.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ _BORDERS = ("clamp", "mirror")
 # MB of RSS; on the IP-like grid (N=1024) 4 and 2 MB were 0.2-0.4 s slower
 # than 8 MB (single-thread cos and sin throughout).
 # Taking the cube tiles and centre distances from 32 to 8 MB as well cut the
-# synth peak from 266 to 242 MB (PU-like) and from 132 to 108 MB (IP-like).
+# synth peak from 266 to 242 MB (PU-like) and from 132 to 108 MB (IP-like);
+# writing each block as it is drawn, with no cube, takes it to about 60 MB
+# on both.
 _BLOCK = 1 << 20
 
 
@@ -214,6 +217,8 @@ class SceneSpec:
                 f"scene spec key 'class_spectra' must be ({self.classes}, {self.bands}) "
                 f"values, got shape {spectra.shape}"
             )
+        if not np.isfinite(spectra).all():
+            raise ParameterError("scene spec key 'class_spectra' must hold finite values")
         for i in range(self.classes):
             for j in range(i + 1, self.classes):
                 if np.array_equal(spectra[i], spectra[j]):
@@ -380,32 +385,46 @@ def load_envi(header_path: str | Path) -> HyperspectralImage:
 
 def save_envi(image: HyperspectralImage, header_path: str | Path) -> Path:
     """Write ``image`` as an ENVI header + binary pair, bsq little-endian
-    float64; returns the header path.
+    float64; returns the header path. The data file sits next to the header
+    with an ``.img`` extension; see ``_write_bsq``."""
+    blocks = ((a, image.data[a:b]) for a, b in row_blocks(image.height, image.width * image.bands))
+    return _write_bsq(blocks, image.data.shape, header_path)
 
-    The data file sits next to the header with an ``.img`` extension. It is
-    written in file order, band by band, each band plane in row blocks (see
-    ``row_blocks``), so the write never seeks and holds about one converted
-    block besides the cube. The reader takes row blocks over all bands
-    instead (see ``load_envi``), so that it fills the cube in memory order;
-    a writer tiled that way needs a transposed copy of each block, and on
-    the PU-like scene it measured no faster and raised the synth peak from
-    242 to 250 MB.
+
+def _write_bsq(blocks, shape: tuple[int, int, int], header_path: str | Path) -> Path:
+    """Write the (height, width, bands) float64 cube that ``blocks`` yields
+    as (first row, rows) row blocks as an ENVI bsq little-endian float64
+    pair; returns the header path (``.hdr`` is appended if missing).
+
+    Each block goes to its bsq offsets as it comes, one run per band: rows
+    a ... of band j start at value (j height + a) width of the file. So the
+    write holds one band's rows of one block besides what ``blocks`` holds,
+    and the bytes do not depend on the block size. The data file is written
+    under a ``.part`` name and renamed when whole, and the header after it:
+    a block that raises leaves neither file, nor a partial one.
     """
     header_path = Path(header_path)
     if header_path.suffix != ".hdr":
         header_path = header_path.with_suffix(header_path.suffix + ".hdr")
     data_path = header_path.with_suffix(".img")
-
-    with open(data_path, "wb") as f:
-        for j in range(image.bands):
-            for a, b in row_blocks(image.height, image.width):
-                np.ascontiguousarray(image.data[a:b, :, j], "<f8").tofile(f)
+    part = data_path.with_name(data_path.name + ".part")
+    height, width, bands = shape
+    try:
+        with open(part, "wb") as f:
+            for a, rows in blocks:
+                for j in range(bands):
+                    f.seek((j * height + a) * width * 8)
+                    f.write(np.ascontiguousarray(rows[:, :, j], "<f8"))
+        part.replace(data_path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
     lines = [
         "ENVI",
-        f"samples = {image.width}",
-        f"lines = {image.height}",
-        f"bands = {image.bands}",
+        f"samples = {width}",
+        f"lines = {height}",
+        f"bands = {bands}",
         "header offset = 0",
         "data type = 5",
         "interleave = bsq",
@@ -473,31 +492,38 @@ def save_ground_truth(gt: GroundTruthMap, path: str | Path) -> Path:
 # Synthetic scenes
 # ---------------------------------------------------------------------------
 
+def _distance_dtype(height: int, width: int) -> np.dtype:
+    """int32 when every squared pixel distance of a height x width image,
+    at most (height - 1)^2 + (width - 1)^2, fits in it (any side up to
+    32,768), else int64."""
+    return np.dtype(np.int32 if (height - 1) ** 2 + (width - 1) ** 2 < 2**31 else np.int64)
+
+
 def _nearest_centre(
     height: int, width: int, center_rows: np.ndarray, center_cols: np.ndarray
 ) -> np.ndarray:
     """(height, width) index of the nearest centre in squared pixel distance.
 
-    Computed in row blocks so the distance scratch stays bounded; ties
-    resolve to the lowest centre index.
+    Computed in row blocks, in ``_distance_dtype``, so the distance scratch
+    stays bounded; ties resolve to the lowest centre index.
     """
-    col_d2 = (np.arange(width)[:, None] - center_cols[None, :]) ** 2
+    dtype = _distance_dtype(height, width)
+    col_d2 = (np.arange(width, dtype=dtype)[:, None] - center_cols.astype(dtype)) ** 2
+    center_rows = center_rows.astype(dtype)
     nearest = np.empty((height, width), dtype=np.int64)
     for a, b in row_blocks(height, col_d2.size):
-        d2 = ((np.arange(a, b)[:, None] - center_rows[None, :]) ** 2)[:, None, :] + col_d2[None]
+        d2 = ((np.arange(a, b, dtype=dtype)[:, None] - center_rows) ** 2)[:, None, :] + col_d2
         nearest[a:b] = np.argmin(d2, axis=2)
     return nearest
 
 
-def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, GroundTruthMap]:
-    """Deterministically generate a labeled scene from ``spec``.
+def _scene_classes(spec: SceneSpec) -> tuple[np.ndarray, np.random.Generator]:
+    """The (height, width) class index (label - 1) of each pixel of the
+    scene, and the scene's generator, whose next draw is the first block's
+    noise.
 
-    Region centres are sampled without replacement, each Voronoi cell gets
-    one class (every class owns at least one cell), and pixel spectra are
-    the class endmember plus N(0, noise_sigma^2) noise per band. The cube
-    is filled a row block at a time: the endmembers, then that block's noise
-    draw added in place. The draws follow one another in the generator's
-    stream, so the cube does not depend on the block size. A region scale
+    Region centres are sampled without replacement and each Voronoi cell
+    gets one class (every class owns at least one cell). A region scale
     below 1 or above the pixel count gives the same scene as those bounds.
     """
     n_pixels = spec.height * spec.width
@@ -505,24 +531,61 @@ def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, Groun
     scale = min(max(spec.region_scale, 1.0), n_pixels)
     n_regions = int(np.clip(round(n_pixels / scale**2), spec.classes, n_pixels))
     centers = rng.choice(n_pixels, size=n_regions, replace=False)
-    center_rows = centers // spec.width
-    center_cols = centers % spec.width
     region_class = np.concatenate(
         [
             rng.permutation(spec.classes),
             rng.integers(0, spec.classes, size=n_regions - spec.classes),
         ]
     )
+    nearest = _nearest_centre(spec.height, spec.width, *np.divmod(centers, spec.width))
+    return region_class[nearest], rng
 
-    nearest = _nearest_centre(spec.height, spec.width, center_rows, center_cols)
-    labels = region_class[nearest] + 1
 
-    cube = np.empty((spec.height, spec.width, spec.bands))
-    for a, b in row_blocks(spec.height, spec.width * spec.bands):
-        cube[a:b] = spec.class_spectra[labels[a:b] - 1]
+def _scene_blocks(spec: SceneSpec, classes: np.ndarray, rng, cube: np.ndarray | None = None):
+    """Yield (first row, rows) of the scene's cube, a row block at a time
+    from the top: the block's endmembers, then its N(0, noise_sigma^2) draw
+    added in place. The draws follow one another in ``rng``'s stream, so the
+    cube does not depend on the block size. The rows are filled into
+    ``cube`` when one is given, else into one buffer that every block
+    reuses. A block holding a non-finite value (noise past the float range)
+    is a ParameterError."""
+    h, w, d = spec.height, spec.width, spec.bands
+    buffer = np.empty((min(h, block_rows(w * d)), w, d)) if cube is None else None
+    for a, b in row_blocks(h, w * d):
+        rows = cube[a:b] if buffer is None else buffer[: b - a]
+        # "clip" takes straight into rows; "raise" would buffer its output
+        np.take(spec.class_spectra, classes[a:b], axis=0, out=rows, mode="clip")
         if spec.noise_sigma > 0:
-            cube[a:b] += rng.normal(0.0, spec.noise_sigma, size=(b - a, spec.width, spec.bands))
-    return HyperspectralImage(cube), GroundTruthMap(labels)
+            rows += rng.normal(0.0, spec.noise_sigma, size=rows.shape)
+        if not np.isfinite(rows).all():
+            raise ParameterError(
+                f"scene spec key 'noise_sigma' {spec.noise_sigma!r} draws non-finite values"
+            )
+        yield a, rows
+
+
+def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, GroundTruthMap]:
+    """Deterministically generate a labeled scene from ``spec``: a Voronoi
+    partition of seeded region centres (see ``_scene_classes``), pixel
+    spectra the class endmember plus N(0, noise_sigma^2) noise per band,
+    the cube filled a row block at a time (see ``_scene_blocks``)."""
+    classes, rng = _scene_classes(spec)
+    cube = np.empty((spec.height, spec.width, spec.bands))
+    for _ in _scene_blocks(spec, classes, rng, cube):
+        pass
+    return HyperspectralImage(cube), GroundTruthMap(classes + 1)
+
+
+def write_synthetic_scene(spec: SceneSpec, header_path: str | Path) -> tuple[Path, GroundTruthMap]:
+    """Write the cube of ``generate_synthetic_scene(spec)`` as ``save_envi``
+    does, byte for byte, and return the header path and the scene's ground
+    truth. Each row block is written as it is drawn, so the write holds the
+    label maps and about two blocks, never the cube; a block with a
+    non-finite value leaves no file (see ``_write_bsq``)."""
+    classes, rng = _scene_classes(spec)
+    shape = (spec.height, spec.width, spec.bands)
+    header = _write_bsq(_scene_blocks(spec, classes, rng), shape, header_path)
+    return header, GroundTruthMap(classes + 1)
 
 
 # ---------------------------------------------------------------------------

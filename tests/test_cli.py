@@ -18,6 +18,8 @@ from hsembed.cli import (
 )
 from hsembed.errors import read_section
 from hsembed.hsi import SCENE_KEYS, scene_spec_from_json
+from oracles import synthetic_scene_reference
+from tracing import traced_peak
 
 
 def settings(path, *flags):
@@ -322,6 +324,52 @@ class TestSynth:
         assert (image.height, image.width, image.bands) == (8, 9, 4)
         gt = load_ground_truth(out / "gt.csv", 8, 9)
         assert gt.n_classes == 2
+
+    # blocks of 8 MB (the whole scene), 4,096 values (14 rows) and 7 (one row)
+    @pytest.mark.parametrize("block", [1 << 20, 4096, 7])
+    def test_scene_is_the_oracle_s_as_bsq_float64(self, tmp_path, monkeypatch, block):
+        from hsembed import hsi
+
+        monkeypatch.setattr(hsi, "_BLOCK", block)
+        spec = {"height": 31, "width": 12, "bands": 24, "classes": 4,
+                "region_scale": 3.0, "noise_sigma": 0.2, "seed": 6}
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "scene_out"
+        assert main(["synth", "--config", str(cfg), "--output", str(out)]) == 0
+        cube, labels = synthetic_scene_reference(scene_spec_from_json(spec))
+        assert (out / "scene.img").read_bytes() == cube.transpose(2, 0, 1).astype("<f8").tobytes()
+        np.testing.assert_array_equal(np.loadtxt(out / "gt.csv", delimiter=",", dtype=int), labels)
+        assert sorted(p.name for p in out.iterdir()) == ["gt.csv", "scene.hdr", "scene.img"]
+
+    def test_synth_holds_the_labels_and_a_few_blocks_not_the_cube(self, tmp_path, monkeypatch):
+        # blocks of 4,096 values (32 KB) against a 960 KB cube of 30 blocks.
+        # Besides the block being drawn and its noise draw, synth holds the
+        # (60, 50) label maps and the CSV text, 24 KB (3/4 block) each.
+        # Measured: 4.0 blocks after a first call has made the imports that
+        # a command makes once (33.1 blocks when the cube was held)
+        from hsembed import hsi
+
+        monkeypatch.setattr(hsi, "_BLOCK", 4096)
+        spec = {"height": 60, "width": 50, "bands": 40, "classes": 3,
+                "noise_sigma": 0.1, "seed": 1}
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "scene_out"
+        argv = ["synth", "--config", str(cfg), "--output", str(out)]
+        assert main(argv) == 0
+        assert traced_peak(lambda: main(argv)) < 6 * 4096 * 8
+        assert (out / "scene.img").stat().st_size == 60 * 50 * 40 * 8
+
+    def test_overflowing_noise_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        spec = {"height": 8, "width": 9, "bands": 4, "classes": 2, "noise_sigma": 1e308}
+        cfg = tmp_path / "scene.json"
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "scene_out"
+        assert main(["synth", "--config", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "'noise_sigma'" in err and "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     # a scale below 1 means one region per pixel, one above the 72 pixels
     # as few regions as classes; past the float range these used to fail

@@ -20,9 +20,11 @@ from hsembed import (
     normalize_spectra,
     save_envi,
     save_ground_truth,
+    write_synthetic_scene,
 )
 import hsembed.hsi
 from hsembed.hsi import (
+    _distance_dtype,
     _nearest_centre,
     equal_blocks,
     patch_indices,
@@ -35,9 +37,8 @@ from oracles import synthetic_scene_reference
 from tracing import traced_peak
 
 # ENVI data type codes, and a cube shape that with TILE values per tile splits
-# the reader's blocks (every interleave) into row tiles of 2 rows, and the
-# writer's band planes into row tiles of 5, each ending in a ragged last tile
-# of 1 row
+# the reader's blocks (every interleave) and the writer's into row tiles of
+# 2 rows, ending in a ragged last tile of 1 row
 ENVI_DTYPES = [(np.uint8, 1), (np.int16, 2), (np.int32, 3), (np.float32, 4),
                (np.float64, 5), (np.uint16, 12), (np.uint32, 13)]
 TILED_SHAPE = (11, 3, 2)
@@ -431,6 +432,44 @@ class TestSyntheticScene:
             for c in range(5):
                 d2 = [(r - a) ** 2 + (c - b) ** 2 for a, b in zip(rows, cols)]
                 assert got[r, c] == d2.index(min(d2))
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((1, 1), np.int32), ((610, 340), np.int32), ((32768, 32768), np.int32),
+        ((32768, 32769), np.int32), ((32769, 32769), np.int64), ((1, 46341), np.int32),
+        ((1, 46342), np.int64), ((46342, 1), np.int64), ((10**6, 3), np.int64),
+    ])
+    def test_distances_are_int32_while_every_one_fits(self, shape, dtype):
+        # the largest squared distance, (h - 1)^2 + (w - 1)^2, against 2^31:
+        # 2 x 32767^2 and 46340^2 fit, 2 x 32768^2 = 2^31 and 46341^2 do not
+        assert _distance_dtype(*shape) == dtype
+        h, w = shape
+        assert ((h - 1) ** 2 + (w - 1) ** 2 <= np.iinfo(np.int32).max) == (dtype == np.int32)
+
+    @pytest.mark.parametrize("distances", ["int32", "int64"])
+    def test_labels_are_the_oracle_s_in_either_distance_type(self, monkeypatch, distances):
+        # 61 x 37 pixels in 564 regions (scale 2), with distance blocks of
+        # 3 rows; the oracle sums whole-image int64 distances
+        monkeypatch.setattr(hsembed.hsi, "_BLOCK", 3 * 37 * 564)
+        monkeypatch.setattr(hsembed.hsi, "_distance_dtype", lambda h, w: np.dtype(distances))
+        spec = self.spec(height=61, width=37, region_scale=2.0, seed=13)
+        _, gt = generate_synthetic_scene(spec)
+        np.testing.assert_array_equal(gt.labels, synthetic_scene_reference(spec)[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spectra_are_refused_at_construction(self, bad):
+        spectra = np.eye(3, 4) + 0.1
+        spectra[2, 1] = bad
+        with pytest.raises(ParameterError, match="'class_spectra'"):
+            self.spec(class_spectra=spectra)
+
+    def test_overflowing_noise_writes_nothing(self, tmp_path):
+        # noise of sigma 1e308 passes the float range in some block
+        spec = self.spec(noise_sigma=1e308)
+        with pytest.raises(ParameterError, match="'noise_sigma'"):
+            write_synthetic_scene(spec, tmp_path / "scene.hdr")
+        with pytest.raises(ParameterError, match="'noise_sigma'"):
+            generate_synthetic_scene(spec)
+        assert list(tmp_path.iterdir()) == []
 
     def test_noise_degrades_nearest_endmember_accuracy(self):
         # oracle: nearest-endmember classification on both scenes

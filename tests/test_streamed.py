@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -180,16 +181,19 @@ def test_banded_window_means_sum_each_padded_row_along_axis_1_once(side, border,
 def test_banded_window_means_hold_no_earlier_band_while_the_next_is_made(band):
     h, w, k, side = 13, 7, 3, 3
     stack = np.random.default_rng(band).normal(size=(h, w, k))
-    given = []  # weak references to the arrays the filter had filled
+    given, yielded = [], []  # the arrays the filter filled; weak references to its means
 
     def rows_of(a, b, out):
-        assert all(ref() is None for ref in given)
+        assert all(ref() is None for ref in yielded)
         out[...] = stack[a:b]
-        given.append(weakref.ref(out if out.base is None else out.base))
+        given.append(out if out.base is None else out.base)
 
     for _, means in embedding._window_means(rows_of, h, w, k, PatchSpec(side), band):
+        yielded.append(weakref.ref(means))
         del means
     assert len(given) > 1 or band == h
+    # every read fills the one buffer of held rows, allocated once per pass
+    assert all(array is given[0] for array in given)
 
 
 @settings(max_examples=150, deadline=None)
@@ -567,14 +571,16 @@ def test_scoring_pass_peaks_within_about_half_a_score_block():
     # are 2 image rows here, by the ring rule at side 3 (one block would be
     # 33 rows). The pass peaks while a band's rows are read: the ring of
     # side + 1 prefix rows (1/8), the pass's own state (weights, class ids,
-    # coefficients: about 1/10), the image rows the band holds (1/16), the
-    # running axis-0 row (1/32), and the read's float32 z of 264 pixels and
-    # its chunk of reduction scratch (1/32 each). No band, the last one too,
-    # holds its rows while it is voted.
-    # Measured: 2.01 MB (0.48 blocks of 4 MiB; 2.34 blocks with bands of one
-    # block) against the bound of 0.52 blocks, so a new temporary of a
-    # sixteenth of a block held across a read or while a band's means are
-    # made fails
+    # coefficients: about 1/10), the buffer of the image rows a band holds
+    # (3 rows, 3/32), the running axis-0 row (1/32), and the read's float32 z
+    # of 264 pixels and its chunk of reduction scratch (1/32 each). The vote,
+    # from a band's yield to the next band, holds the buffer, the ring and
+    # the band's means, and no more than a read.
+    # Measured: 2.03 MB up to a yield and 2.02 MB from a yield to the next
+    # band (0.48 blocks of 4 MiB each), against the bounds of 0.52 and 0.50
+    # blocks. So a new temporary of a sixteenth of a block held across a
+    # read or while a band's means are made fails the first, and one held
+    # across the yield in FeatureSpace.scores (0.54 blocks) the second
     rng = np.random.default_rng(8)
     h = w = 132
     image = HyperspectralImage(rng.random((h, w, 10)) + 0.05)
@@ -585,24 +591,31 @@ def test_scoring_pass_peaks_within_about_half_a_score_block():
     config = EmbeddingConfig(patch=PatchSpec(SIDE), n_features=N_FEATURES, sigma=1.0)
     space = prepare_features(image, "meanmap", config)
     block = 1 << 19
-    bands = []
+    bands, votes, peaks = [], [], []
     window_means = embedding._window_means
 
     def counted(*args):
         for first, means in window_means(*args):
             bands.append(first)
+            # the peak up to the yield, then the peak from the yield to the
+            # next band on its own: the band's vote
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
             yield first, means
+            votes.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
             del means  # the filter's own rule: no band is held while the next is made
 
     # 120 class pairs: bands of 2 image rows, read 264 pixels at a time
     with mock.patch.object(hsi, "_BLOCK", block), \
             mock.patch.object(embedding, "_window_means", counted):
-        peak = traced_peak(
+        peaks.append(traced_peak(
             lambda: train_and_predict(space, labels, [train], 16, SvmConfig(c=8.0))
-        )
+        ))
     assert len(bands) >= 4
     # the cube was allocated before the call, so the trace leaves it out
-    assert peak <= 0.52 * block * 8  # 0.52 blocks of 8-byte values
+    assert max(peaks) <= 0.52 * block * 8  # 0.52 blocks of 8-byte values
+    assert max(votes) <= 0.50 * block * 8
 
 
 def test_feature_blocks_are_sized_by_the_spectra_when_they_are_wider():
