@@ -22,7 +22,6 @@ from .hsi import (
     HyperspectralImage,
     PatchSpec,
     block_rows,
-    equal_blocks,
     patch_indices,
     row_blocks,
     squared_distances,
@@ -301,9 +300,10 @@ def _pivoted_cholesky(gram: np.ndarray) -> np.ndarray:
     unit roundoff. Runs in place in ``gram``'s upper triangle, whose row j
     becomes column j of the permuted factor: within a panel of
     ``_PANEL`` pivots the next row is updated by the panel's rows so far,
-    and after it the trailing triangle by the whole panel, one block of rows
-    at a time. So it holds the Gram and the factor only. Not bit for bit
-    LAPACK's, whose blocking and summation order differ."""
+    and after it the trailing triangle by the whole panel, ``_PANEL`` rows
+    at a time. So it holds the Gram, the factor and a product of ``_PANEL``
+    rows only, and its bytes do not depend on ``hsi._BLOCK``. Not bit for
+    bit LAPACK's, whose blocking and summation order differ."""
     n = len(gram)
     top = gram.diagonal().max(initial=0.0)
     if not top > 0:
@@ -334,9 +334,9 @@ def _pivoted_cholesky(gram: np.ndarray) -> np.ndarray:
             gram[t, t + 1 :] /= pivot
         if rank < n:
             break
-        for a, b in row_blocks(n - end, max(n - end, 1)):
-            lead = gram[j:end, end + a :]
-            gram[end + a : end + b, end + a :] -= lead[:, : b - a].T @ lead
+        for a in range(end, n, _PANEL):
+            lead = gram[j:end, a:]
+            gram[a : a + _PANEL, a:] -= lead[:, :_PANEL].T @ lead
     for i in range(1, rank):
         gram[i, :i] = 0.0
     return gram[:rank].T[np.argsort(perm)]
@@ -475,8 +475,8 @@ class FeatureSpace:
         most one block of its widest array and, for a patch of side s > 1, at
         most (s + 1) (W + s) / (2 W) image rows, so the new rows it reads and its
         means take no more than the filter's ring of s + 1 prefix rows (8 rows
-        at s = 15 on both bench widths). Each row is embedded once, in equal
-        blocks of at most one block of their widest array. The float32 z of
+        at s = 15 on both bench widths). Each row is embedded once, in the
+        ``hsi.row_blocks`` of one block of their widest array. The float32 z of
         ``rff`` and ``meanmap`` meet the weights, cast once, in float32; the
         products are widened to float64 before the window mean.
 
@@ -487,9 +487,8 @@ class FeatureSpace:
         product factors, <p (x) m, p' (x) m'> = <p, p'> <m, m'>, so run r's K_r
         columns of a band are ((P P_r') * (M M_r')) A_r, with P the band's
         profile rows and M the window means of its z. A band is formed and
-        yielded in equal sub-blocks (``hsi.equal_blocks``), whose Gram rows,
-        the product multiplied into them and scores fill at most one block
-        together."""
+        yielded in ``hsi.row_blocks``, whose Gram rows, the product
+        multiplied into them and scores fill at most one block together."""
         h, w, fused = self.image.height, self.image.width, self.dual
         if fused and support is None:
             raise ContractViolation("fusion scores need the training pixels as support")
@@ -504,7 +503,7 @@ class FeatureSpace:
             # float64 rows: the band's z (fusion) or its scores, widened; a
             # float32 z meets the weights in float32, other rows in float64
             rows = out.reshape(-1, width)  # a view: out is contiguous
-            for c, d in equal_blocks(len(rows), max(self.row_dim, k, spectra)):
+            for c, d in row_blocks(len(rows), max(self.row_dim, k, spectra)):
                 pixels = self.pixel_rows(slice(a * w + c, a * w + d))
                 if not fused:
                     pixels = pixels @ (weights32 if pixels.dtype == np.float32 else weights)
@@ -525,7 +524,7 @@ class FeatureSpace:
             else:
                 # a sub-block's Gram rows, the product multiplied into them and
                 # its scores fill at most one block together
-                for c, d in equal_blocks(len(means), 2 * len(train_idx) + k):
+                for c, d in row_blocks(len(means), 2 * len(train_idx) + k):
                     gram = self.profile[a * w + c : a * w + d] @ train_profile
                     gram *= means[c:d] @ train_means.T
                     scores = np.empty((d - c, k))

@@ -56,19 +56,13 @@ _BORDERS = ("clamp", "mirror")
 
 # values a bounded loop holds at once (8 MB of float64). It sizes the cube
 # IO and the synth's fill and centre distances here, and the feature blocks,
-# score bands and prediction blocks of the other modules. A score band is at
-# most one block, and for a patch wider than one pixel no more rows than fit
-# in the size of the box filter's ring of prefix rows, so the streamed pass
-# holds at most about two and a half blocks beside the cube (README,
-# "Memory"). On the PU-like bench
-# (610 x 340 x 103, N=256, 2 cores) blocks of 32, 16, 8, 4, 2 and 1 MB ran
-# in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at 378, 315, 278, 261, 252 and 251
-# MB of RSS; on the IP-like grid (N=1024) 4 and 2 MB were 0.2-0.4 s slower
-# than 8 MB (single-thread cos and sin throughout).
-# Taking the cube tiles and centre distances from 32 to 8 MB as well cut the
-# synth peak from 266 to 242 MB (PU-like) and from 132 to 108 MB (IP-like);
-# writing each block as it is drawn, with no cube, takes it to about 60 MB
-# on both.
+# score bands and prediction blocks of the other modules; a score band is
+# also held to the box filter's ring of prefix rows (README, "Memory"). 8 MB
+# because on the PU-like bench (610 x 340 x 103, N=256, 2 cores) blocks of
+# 32, 16, 8, 4, 2 and 1 MB ran in 2.8-3.3, 2.1-2.5 and then 1.8-2.4 s, at
+# 378, 315, 278, 261, 252 and 251 MB of RSS, and on the IP-like grid
+# (N=1024) 4 and 2 MB were 0.2-0.4 s slower than 8 MB (single-thread cos
+# and sin throughout).
 _BLOCK = 1 << 20
 
 
@@ -78,18 +72,9 @@ def block_rows(width: int) -> int:
 
 
 def row_blocks(n: int, width: int):
-    """(first, end) of consecutive blocks of ``block_rows(width)`` rows out
-    of ``n`` rows of ``width`` values each."""
-    step = block_rows(width)
-    for a in range(0, n, step):
-        yield a, min(a + step, n)
-
-
-def equal_blocks(n: int, width: int):
-    """(first, end) of as many consecutive blocks as ``row_blocks`` makes of
-    ``n`` rows of ``width`` values, but of sizes that differ by at most one
-    row. So no block is a single row while a block holds more, and no block
-    is larger than ``row_blocks``' largest."""
+    """(first, end) of consecutive blocks of ``n`` rows of ``width`` values
+    each: as few blocks as hold at most ``block_rows(width)`` rows, of
+    sizes that differ by at most one row."""
     parts = -(-n // block_rows(width))
     for j in range(parts):
         yield n * j // parts, n * (j + 1) // parts
@@ -541,18 +526,17 @@ def _scene_classes(spec: SceneSpec) -> tuple[np.ndarray, np.random.Generator]:
     return region_class[nearest], rng
 
 
-def _scene_blocks(spec: SceneSpec, classes: np.ndarray, rng, cube: np.ndarray | None = None):
+def _scene_blocks(spec: SceneSpec, classes: np.ndarray, rng):
     """Yield (first row, rows) of the scene's cube, a row block at a time
     from the top: the block's endmembers, then its N(0, noise_sigma^2) draw
     added in place. The draws follow one another in ``rng``'s stream, so the
-    cube does not depend on the block size. The rows are filled into
-    ``cube`` when one is given, else into one buffer that every block
-    reuses. A block holding a non-finite value (noise past the float range)
-    is a ParameterError."""
+    cube does not depend on the block size. Every block is filled into one
+    buffer, valid until the next block. A block holding a non-finite value
+    (noise past the float range) is a ParameterError."""
     h, w, d = spec.height, spec.width, spec.bands
-    buffer = np.empty((min(h, block_rows(w * d)), w, d)) if cube is None else None
+    buffer = np.empty((min(h, block_rows(w * d)), w, d))
     for a, b in row_blocks(h, w * d):
-        rows = cube[a:b] if buffer is None else buffer[: b - a]
+        rows = buffer[: b - a]
         # "clip" takes straight into rows; "raise" would buffer its output
         np.take(spec.class_spectra, classes[a:b], axis=0, out=rows, mode="clip")
         if spec.noise_sigma > 0:
@@ -571,8 +555,8 @@ def generate_synthetic_scene(spec: SceneSpec) -> tuple[HyperspectralImage, Groun
     the cube filled a row block at a time (see ``_scene_blocks``)."""
     classes, rng = _scene_classes(spec)
     cube = np.empty((spec.height, spec.width, spec.bands))
-    for _ in _scene_blocks(spec, classes, rng, cube):
-        pass
+    for a, rows in _scene_blocks(spec, classes, rng):
+        cube[a : a + len(rows)] = rows
     return HyperspectralImage(cube), GroundTruthMap(classes + 1)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericalError, ParameterError, ShapeError, check_integer
-from .hsi import HyperspectralImage, block_rows, row_blocks
+from .hsi import HyperspectralImage
 
 
 @dataclass(frozen=True)
@@ -257,29 +257,32 @@ class PcaResult:
 
 
 def pca_reduce(image: HyperspectralImage, dims: int) -> PcaResult:
-    """Project pixels onto the top ``dims`` eigenvectors of the spectral covariance,
-    centring them a row block at a time in one buffer: no centred cube is made."""
+    """Project pixels onto the top ``dims`` eigenvectors of the spectral covariance.
+
+    The pixels are centred one image row at a time, into one buffer of one
+    image row: the covariance is summed image row by image row, and the
+    scores are projected the same way. So no centred cube is made, and the
+    sums split where the image's rows do, whatever the block size."""
     d_in = image.bands
     check_integer(dims, "dims", 1)
     if dims > d_in:
         raise ParameterError(f"dims must be in [1, {d_in}], got {dims}")
     x = image.pixels()
-    n = x.shape[0]
     mean = x.mean(axis=0)
-    centred = np.empty((min(n, block_rows(d_in)), d_in))
+    centred = np.empty((image.width, d_in))
     cov = np.zeros((d_in, d_in))
-    for a, b in row_blocks(n, d_in):
-        xc = np.subtract(x[a:b], mean, out=centred[: b - a])
+    for row in image.data:
+        xc = np.subtract(row, mean, out=centred)
         cov += xc.T @ xc
-    cov /= max(n - 1, 1)
+    cov /= max(len(x) - 1, 1)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:dims]
     evals, comps = evals[order], evecs[:, order].T.copy()
     comps *= np.sign(comps[np.arange(dims), np.abs(comps).argmax(axis=1)])[:, None]
-    scores = np.empty((n, dims))
-    for a, b in row_blocks(n, d_in):
-        np.matmul(np.subtract(x[a:b], mean, out=centred[: b - a]), comps.T, out=scores[a:b])
-    return PcaResult(scores.T.reshape(dims, image.height, image.width), evals, comps, mean)
+    scores = np.empty((image.height, image.width, dims))
+    for row, out in zip(image.data, scores):
+        np.matmul(np.subtract(row, mean, out=centred), comps.T, out=out)
+    return PcaResult(scores.transpose(2, 0, 1), evals, comps, mean)
 
 
 # ---------------------------------------------------------------------------

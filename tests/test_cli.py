@@ -16,6 +16,7 @@ from hsembed.cli import (
     read_ppm,
     render_map,
 )
+from hsembed.embedding import METHODS
 from hsembed.errors import read_section
 from hsembed.hsi import SCENE_KEYS, scene_spec_from_json
 from oracles import synthetic_scene_reference
@@ -277,20 +278,17 @@ class TestBlock:
     # pixels, 1 value bands of one row and feature blocks of one pixel, so
     # the streamed pass runs in many bands; the synth step fills the cube
     # and takes its centre distances in blocks of as few rows
-    @pytest.mark.parametrize("block", [1 << 22, 4096, 256, 1])
-    @pytest.mark.parametrize("method", ["meanmap", "convmeanmap"])
-    @pytest.mark.parametrize(
-        "command, files",
-        [("classify", ("predictions.csv", "map.ppm", "metrics.json")),
-         ("evaluate", ("metrics.json", "table.txt"))],
-    )
-    def test_outputs_byte_identical_for_any_block(
-        self, scene_config, monkeypatch, tmp_path, method, command, files, block
-    ):
+    BLOCKS = [1 << 22, 4096, 256, 1]
+    COMMANDS = [("classify", ("predictions.csv", "map.ppm", "metrics.json")),
+                ("evaluate", ("metrics.json", "table.txt"))]
+
+    @staticmethod
+    def check(scene_config, monkeypatch, tmp_path, method, command, files, block, noise_sigma):
         from hsembed import hsi
 
         _, out, cfg = scene_config
         cfg["method"] = method
+        cfg["data"]["synthetic"]["noise_sigma"] = noise_sigma
         config = tmp_path / f"{method}.json"
         config.write_text(json.dumps(cfg))
         spec = tmp_path / "scene.json"
@@ -309,6 +307,24 @@ class TestBlock:
             )
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("command, files", COMMANDS)
+    def test_outputs_byte_identical_for_any_block(
+        self, scene_config, monkeypatch, tmp_path, method, command, files, block
+    ):
+        self.check(scene_config, monkeypatch, tmp_path, method, command, files, block, 0.1)
+
+    # three distinct spectra: the profile's PCA keeps two bands of rounding,
+    # which its min-max scaling stretches over [0, 1]
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("command, files", COMMANDS)
+    def test_noise_free_outputs_byte_identical_for_any_block(
+        self, scene_config, monkeypatch, tmp_path, method, command, files, block
+    ):
+        self.check(scene_config, monkeypatch, tmp_path, method, command, files, block, 0.0)
+
 
 class TestSynth:
     def test_writes_scene_and_round_trips(self, tmp_path):
@@ -325,7 +341,7 @@ class TestSynth:
         gt = load_ground_truth(out / "gt.csv", 8, 9)
         assert gt.n_classes == 2
 
-    # blocks of 8 MB (the whole scene), 4,096 values (14 rows) and 7 (one row)
+    # blocks of 8 MB (the whole scene), 4,096 values (10 or 11 rows) and 7 (one row)
     @pytest.mark.parametrize("block", [1 << 20, 4096, 7])
     def test_scene_is_the_oracle_s_as_bsq_float64(self, tmp_path, monkeypatch, block):
         from hsembed import hsi

@@ -26,7 +26,7 @@ import hsembed.hsi
 from hsembed.hsi import (
     _distance_dtype,
     _nearest_centre,
-    equal_blocks,
+    block_rows,
     patch_indices,
     patch_window,
     row_blocks,
@@ -37,8 +37,8 @@ from oracles import synthetic_scene_reference
 from tracing import traced_peak
 
 # ENVI data type codes, and a cube shape that with TILE values per tile splits
-# the reader's blocks (every interleave) and the writer's into row tiles of
-# 2 rows, ending in a ragged last tile of 1 row
+# the reader's blocks (every interleave) and the writer's into six row tiles,
+# a first one of 1 row and five of 2 rows
 ENVI_DTYPES = [(np.uint8, 1), (np.int16, 2), (np.int32, 3), (np.float32, 4),
                (np.float64, 5), (np.uint16, 12), (np.uint32, 13)]
 TILED_SHAPE = (11, 3, 2)
@@ -250,8 +250,9 @@ class TestEnviIO:
     def test_tiled_read_after_a_header_offset(
         self, tmp_path, monkeypatch, interleave, dtype, byte_order
     ):
-        # 2-row blocks of an (11, 3, 4) cube after 13 filler bytes: six
-        # blocks, the last of 1 row, each read in one run per band for bsq
+        # blocks of at most 2 rows of an (11, 3, 4) cube after 13 filler
+        # bytes: six blocks, the first of 1 row, each read in one run per
+        # band for bsq
         monkeypatch.setattr(hsembed.hsi, "_BLOCK", 2 * 3 * 4)
         rng = np.random.default_rng(np.dtype(dtype).itemsize + byte_order)
         if np.dtype(dtype).kind == "f":
@@ -269,7 +270,7 @@ class TestEnviIO:
     def test_non_finite_value_in_band_0_of_a_middle_block(
         self, tmp_path, monkeypatch, interleave, dtype
     ):
-        # rows 4-5 are the third of the six 2-row blocks
+        # rows 5-6 are the fourth of the six blocks (rows 0, 1-2, 3-4, ...)
         monkeypatch.setattr(hsembed.hsi, "_BLOCK", TILE)
         cube = np.ones(TILED_SHAPE)
         cube[5, 1, 0] = np.nan
@@ -403,7 +404,7 @@ class TestSyntheticScene:
 
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.3])
     def test_tiled_scene_equals_the_one_shot_scene(self, monkeypatch, noise_sigma):
-        # tiles of 3 rows and a ragged last tile of 2
+        # five tiles of 2 or 3 rows
         monkeypatch.setattr(hsembed.hsi, "_BLOCK", 3 * 10 * 4)
         spec = self.spec(height=14, noise_sigma=noise_sigma)
         image, gt = generate_synthetic_scene(spec)
@@ -448,7 +449,7 @@ class TestSyntheticScene:
     @pytest.mark.parametrize("distances", ["int32", "int64"])
     def test_labels_are_the_oracle_s_in_either_distance_type(self, monkeypatch, distances):
         # 61 x 37 pixels in 564 regions (scale 2), with distance blocks of
-        # 3 rows; the oracle sums whole-image int64 distances
+        # 2 or 3 rows; the oracle sums whole-image int64 distances
         monkeypatch.setattr(hsembed.hsi, "_BLOCK", 3 * 37 * 564)
         monkeypatch.setattr(hsembed.hsi, "_distance_dtype", lambda h, w: np.dtype(distances))
         spec = self.spec(height=61, width=37, region_scale=2.0, seed=13)
@@ -534,11 +535,11 @@ class TestSyntheticScene:
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 17, 100])
 @pytest.mark.parametrize("block", [1, 2, 3, 8, 1000])
-def test_equal_blocks_are_as_many_as_row_blocks_and_differ_by_a_row_at_most(n, block, monkeypatch):
+def test_row_blocks_are_as_few_as_fit_and_differ_by_a_row_at_most(n, block, monkeypatch):
     monkeypatch.setattr(hsembed.hsi, "_BLOCK", block)
-    blocks = list(equal_blocks(n, 2))
+    blocks = list(row_blocks(n, 2))
     sizes = [b - a for a, b in blocks]
-    assert len(blocks) == len(list(row_blocks(n, 2)))
+    assert len(blocks) == -(-n // block_rows(2))
     assert [a for a, _ in blocks] == list(np.cumsum([0, *sizes])[:-1]) and sum(sizes) == n
     if n:
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= max(1, block // 2)

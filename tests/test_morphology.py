@@ -274,13 +274,19 @@ class TestPca:
     @pytest.mark.parametrize("block", [3, 1 << 20])
     def test_components_past_the_rank_score_only_rounding(self, block):
         # three pixels span two directions. The third component's direction
-        # is rounding, so it follows the order in which the covariance is
-        # summed, that is the row blocks; its scores stay at rounding level,
-        # and the components within the rank do not move
+        # is rounding, which follows the order in which the covariance is
+        # summed: image row by image row, whatever the block, so its bytes
+        # are those of blocks of one value. Its scores stay at rounding
+        # level, and the components within the rank do not move
         rng = np.random.default_rng(18)
         image = HyperspectralImage(rng.normal(size=(1, 3, 5)))
-        with mock.patch.object(hsi, "_BLOCK", block):
-            result = pca_reduce(image, 3)
+        results = []
+        for size in (block, 1):
+            with mock.patch.object(hsi, "_BLOCK", size):
+                results.append(pca_reduce(image, 3))
+        result = results[0]
+        for field in ("bands", "eigenvalues", "components", "mean"):
+            assert getattr(result, field).tobytes() == getattr(results[1], field).tobytes()
         x = image.pixels()
         xc = x - x.mean(axis=0)
         evals, evecs = np.linalg.eigh(xc.T @ xc / 2)
@@ -291,17 +297,16 @@ class TestPca:
         np.testing.assert_allclose(result.bands[:2], bands, rtol=0, atol=1e-12)
         assert np.abs(result.bands[2]).max() <= 1e-12
 
-    def test_peak_is_about_one_block_above_the_scores(self):
+    def test_peak_is_about_one_image_row_above_the_scores(self):
         h, w, d, dims = 64, 64, 80, 4
         image = HyperspectralImage(np.random.default_rng(17).normal(size=(h, w, d)))
-        block = 1 << 14  # the cube is 20 blocks
-        with mock.patch.object(hsi, "_BLOCK", block):
-            peak = traced_peak(lambda: pca_reduce(image, dims))
-        # the scores, one block of centred rows, a few d x d matrices and
-        # numpy's 64 KiB ufunc buffer (8,192 values) for the broadcast mean;
-        # measured 437 kB against this bound of 532 kB, so a second block
-        # or a centred cube (2.6 MB) fails
-        assert peak <= h * w * dims * 8 + block * 8 + 4 * d * d * 8 + (1 << 16)
+        peak = traced_peak(lambda: pca_reduce(image, dims))
+        # at the default block, which holds the whole cube: the scores, one
+        # image row of centred pixels, a few d x d matrices and numpy's
+        # 64 KiB ufunc buffer (8,192 values); measured 322 kB against this
+        # bound of 442 kB, so a block of centred pixels (here a centred
+        # cube, 2.6 MB) fails
+        assert peak <= h * w * dims * 8 + w * d * 8 + 4 * d * d * 8 + (1 << 16)
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(15)

@@ -226,13 +226,12 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n_freq", [256, 512, 1024])
     def test_score_block_rows_bit_identical_to_one_block(self, n_freq):
-        # the feature blocks the commands take at the default block:
-        # 2,048, 1,024 and 512 rows, so 3,000 rows span 2 to 6 blocks
-        step = hsi.block_rows(2 * n_freq)
+        # the feature blocks the commands take at the default block: at
+        # most 2,048, 1,024 and 512 rows, so 3,000 rows span 2 to 6 blocks
         fmap = sample_frequencies(50, n_freq, 1.0, seed=6)
         xs = np.random.default_rng(7).normal(size=(3000, 50))
-        assert step < len(xs)
-        blocks = [feature_matrix(fmap, xs[i:i + step]) for i in range(0, len(xs), step)]
+        assert hsi.block_rows(2 * n_freq) < len(xs)
+        blocks = [feature_matrix(fmap, xs[a:b]) for a, b in hsi.row_blocks(len(xs), 2 * n_freq)]
         assert np.vstack(blocks).tobytes() == feature_matrix(fmap, xs).tobytes()
 
     @pytest.mark.parametrize("rows", [1, 127, 2048, 8192])

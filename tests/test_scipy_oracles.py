@@ -185,7 +185,7 @@ GRAMS = {
 @pytest.mark.parametrize("case", GRAMS)
 def test_pivoted_cholesky_factors_the_gram_at_the_rank_of_dpstrf(case, panel):
     gram = GRAMS[case](np.random.default_rng(len(case)))
-    with mock.patch.object(embedding, "_PANEL", panel), mock.patch.object(hsi, "_BLOCK", 1 << 10):
+    with mock.patch.object(embedding, "_PANEL", panel):
         rows = embedding._pivoted_cholesky(gram.copy())
     assert rows.shape == (len(gram), dpstrf(gram, lower=1)[2])
     assert np.abs(rows @ rows.T - gram).max() <= 1e-12 * np.abs(gram).max()

@@ -21,7 +21,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -35,6 +35,7 @@ from hsembed import (
     PatchSpec,
     SvmModel,
     build_feature_table,
+    pca_reduce,
     prepare_features,
 )
 from hsembed import cli, embedding, evaluation, hsi
@@ -68,18 +69,6 @@ def streamed_cases(draw):
         patch=PatchSpec(side, border), n_features=6, seed=seed, sigma=0.8, beta=2.5
     )
     return HyperspectralImage(cube), config, block, rng
-
-
-def pca_is_well_posed(image, dims=MP.pca_dims):
-    """Whether the top ``dims`` variances of the centred pixels stand clear of
-    rounding, of each other and of the next one. Otherwise the profile's PCA
-    keeps a direction of rounding-level variance, or one of a tie, that
-    min-max scaling blows up to O(1): such profile columns depend on the
-    order the covariance is summed in, which follows the row blocks."""
-    x = image.pixels()
-    var = np.linalg.svd(x - x.mean(axis=0), compute_uv=False) ** 2
-    var = np.concatenate([var, np.zeros(dims + 1)])[: dims + 1]
-    return bool(np.all(-np.diff(var) > 1e-6 * var[0]))
 
 
 def random_model(dim, rng, n_classes=3):
@@ -200,7 +189,6 @@ def test_banded_window_means_hold_no_earlier_band_while_the_next_is_made(band):
 @given(streamed_cases(), st.sampled_from(METHODS))
 def test_streamed_decisions_equal_dense_table_decisions(case, method):
     image, config, block, rng = case
-    assume(method not in ("mp", "mp_x_meanmap") or pca_is_well_posed(image))
     table = build_feature_table(image, method, config, MP)
     with mock.patch.object(hsi, "_BLOCK", block):
         space = prepare_features(image, method, config, MP)
@@ -232,7 +220,6 @@ def test_streamed_decisions_equal_dense_table_decisions(case, method):
 def test_patch_training_rows_equal_table_rows(case, method):
     # per-pixel methods train through 1 x 1 windows
     image, config, block, rng = case
-    assume(method != "mp" or pca_is_well_posed(image))
     n = image.height * image.width
     idx = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
     table = build_feature_table(image, method, config, MP)
@@ -249,7 +236,6 @@ def test_patch_training_rows_equal_table_rows(case, method):
 @given(streamed_cases())
 def test_fused_decisions_equal_explicit_tensor_rows(case):
     image, config, block, rng = case
-    assume(pca_is_well_posed(image))
     profile = _minmax_scale_columns(morphological_profile(image, MP))
     mean_map = build_feature_table(image, "meanmap", config).values
     explicit = np.stack([_fuse(p[None, :], m[None, :])[0] for p, m in zip(profile, mean_map)])
@@ -345,6 +331,45 @@ def test_kernel_rows_of_a_repeated_pixel_drop_its_rank():
     np.testing.assert_allclose(rows @ rows.T, explicit[train] @ explicit[train].T, rtol=0, atol=1e-12)
 
 
+# blocks of 32 MB, 8 MB, 4,096, 256 and 1 value
+BLOCKS = (1 << 22, 1 << 20, 4096, 256, 1)
+
+
+def test_rank_deficient_fused_profile_does_not_depend_on_the_block():
+    # three distinct spectra: the centred pixels span two directions, so two
+    # of the four PCA bands are rounding, which min-max scaling stretches
+    # over [0, 1]. Their bytes follow the order in which the covariance is
+    # summed, and that is fixed by the image's rows, not by the block
+    rng = np.random.default_rng(0)
+    image = HyperspectralImage((rng.random((3, 12)) + 0.1)[rng.integers(0, 3, size=(30, 20))])
+    evals = pca_reduce(image, 4).eigenvalues
+    assert evals[2:].max() <= 1e-12 * evals[0]
+    config = EmbeddingConfig(patch=PatchSpec(3), n_features=16, sigma=0.5, seed=1)
+    profiles = set()
+    for block in BLOCKS:
+        with mock.patch.object(hsi, "_BLOCK", block):
+            profiles.add(prepare_features(image, "mp_x_meanmap", config).profile.tobytes())
+    assert len(profiles) == 1
+
+
+def test_fusion_factor_of_a_gram_wider_than_a_block_does_not_depend_on_the_block():
+    # 300 training pixels of full rank: after each panel of 64 pivots the
+    # trailing triangle is updated, 236 to 44 rows of it, wider than a block
+    # of 4,096 values or fewer
+    rng = np.random.default_rng(0)
+    image = HyperspectralImage(rng.random((30, 20, 12)) + 0.05)
+    config = EmbeddingConfig(patch=PatchSpec(3), n_features=16, sigma=0.5, seed=1)
+    space = prepare_features(image, "mp_x_meanmap", config)
+    train = rng.choice(600, size=300, replace=False)
+    means = space.patch_means(train)
+    factors = []
+    for block in BLOCKS:
+        with mock.patch.object(hsi, "_BLOCK", block):
+            factors.append(space.kernel_rows(train, means))
+    assert factors[0].shape == (300, 300)
+    assert len({rows.tobytes() for rows in factors}) == 1
+
+
 # ---------------------------------------------------------------------------
 # Memory: neither command holds a whole-image table larger than one block
 # ---------------------------------------------------------------------------
@@ -390,7 +415,7 @@ def test_peak_stays_below_the_dense_table(wide_scene, command, method, tmp_path)
     config.update(method=method, mp={"pca_dims": 2, "n_scales": 1})
     (tmp_path / "pipeline.json").write_text(json.dumps(config))
     argv = [command, "--config", str(tmp_path / "pipeline.json"), "--output", str(tmp_path)]
-    # blocks of 64 pixel rows, so the block scratch is small against the image
+    # blocks of at most 64 pixel rows, so the block scratch is small against the image
     with mock.patch.object(hsi, "_BLOCK", 64 * 2 * N_FEATURES):
         peak = traced_peak(lambda: cli.main(argv))
     assert (tmp_path / "metrics.json").is_file()
