@@ -229,51 +229,44 @@ class FeatureTable:
         return self.values.shape[1]
 
 
-def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, band: int):
+def _window_means(image_rows, height: int, width: int, k: int, patch: PatchSpec, band: int):
     """Means over the patch windows of an (height, width, k) image, in bands
     of ``band`` image rows from top to bottom: yields (first row, (rows, width,
-    k) means) per band. ``rows_of(a, b, out)`` writes image rows a:b into the
-    float64 ``out``, each row once and in order; ``hsi.window_axis`` maps each
-    padded row and column to the pixel it reads, and a side-1 window yields
-    those rows as they are. Other sides walk the padded rows once, top to
-    bottom, keeping the running axis-0 sum of the rows so far and a ring of
-    the last side + 1 summed-area prefix rows (the running sum summed along
-    axis 1): each prefix row completes the means of the image row side rows
-    above it, in a band's own means array. So each padded row is summed along
-    axis 1 once, and every sum is the same sequential sum as over the whole
-    image. A band holds the image rows its padded rows read, and keeps those
-    that later bands read, at the front of one buffer of the most rows any
-    band holds, allocated once; the caller sizes the bands
+    k) means) per band. ``image_rows(a, b)`` returns image rows a:b, float64
+    (b - a, width, k), and is asked for each row once and in order; a side-1
+    window yields its arrays as they are. Other sides walk the padded rows
+    (``hsi.window_axis`` maps each padded row and column to the pixel it
+    reads) once, top to bottom, keeping the running axis-0 sum of the rows so
+    far and a ring of the last side + 1 summed-area prefix rows (the running
+    sum summed along axis 1): each prefix row completes the means of the
+    image row side rows above it, in a band's own means array. So each padded
+    row is summed along axis 1 once, and every sum is the same sequential sum
+    as over the whole image. A padded row that reads a row not yet asked for
+    asks for the rows up to it, and at least ``band`` of them; each row is
+    held until the last padded row that reads it. The caller sizes the bands
     (``FeatureSpace.scores`` keeps a band's new rows and its means within the
     size of the ring)."""
     side = patch.side
     if side == 1:
         for a in range(0, height, band):
-            rows = np.empty((min(a + band, height) - a, width, k))
-            rows_of(a, a + len(rows), rows)
-            yield a, rows
-            del rows
+            yield a, image_rows(a, min(a + band, height))
         return
     row_of, col_of = window_axis(height, patch), window_axis(width, patch)
-    # the first image row that padded rows p and on read; past the last, none
-    first_read = np.minimum.accumulate(np.append(row_of, height)[::-1])[::-1]
+    last = np.zeros(height, dtype=np.intp)  # the last padded row that reads each image row
+    np.maximum.at(last, row_of, np.arange(len(row_of)))
     # prefix row q at q % (side + 1): column j sums padded rows < q and columns < j
     ring = np.zeros((side + 1, width + side, k))
-    # each band's padded rows (each p adds prefix row p + 1); a band holds the
-    # image rows from the first that they and the padded rows after them read
-    starts = range(0, height, band)
-    bands = [range(a + side - 1 if a else 0, min(a + band, height) + side - 1) for a in starts]
-    reads = [row_of[p.start : p.stop].max() + 1 - first_read[p.start] for p in bands]
-    held, n_held = np.empty((max(reads), width, k)), 0
-    flat = held.reshape(-1)
-    for a, padded, read in zip(starts, bands, reads):
-        b, held_from = min(a + band, height), first_read[padded.start]
-        if read > n_held:
-            rows_of(held_from + n_held, held_from + read, held[n_held:read])
-            n_held = read
+    held, read = {}, 0  # the image rows that padded rows still read; the next row to ask for
+    for a in range(0, height, band):
+        b = min(a + band, height)
         means = np.empty((b - a, width, k))
-        for p in padded:
-            row = held[row_of[p] - held_from, col_of]
+        for p in range(a + side - 1 if a else 0, b + side - 1):
+            r = row_of[p]
+            if r >= read:
+                end = min(height, max(r + 1, read + band))
+                held.update(zip(range(read, end), image_rows(read, end)))
+                read = end
+            row = (held[r] if last[r] > p else held.pop(r))[col_of]
             down = np.add(down, row, out=row) if p else row
             prefix, top = ring[(p + 1) % (side + 1)], ring[(p + 1 - side) % (side + 1)]
             np.cumsum(down[None], axis=1, out=prefix[None, 1:])
@@ -283,11 +276,6 @@ def _window_means(rows_of, height: int, width: int, k: int, patch: PatchSpec, ba
                 out -= prefix[:-side]
                 out += top[:-side]
         means /= side * side
-        # move the rows later bands read to the front: a 1-D copy to lower
-        # addresses, which numpy makes in place
-        drop = min(first_read[b + side - 1] - held_from, n_held)
-        n_held -= drop
-        flat[: n_held * width * k] = flat[drop * width * k : (drop + n_held) * width * k]
         yield a, means
         del means, out  # neither the band nor a view of it is held while the next is made
 
@@ -499,15 +487,16 @@ class FeatureSpace:
         spectra = 0 if self.method == "mp" else self.image.bands
         weights32 = None if fused else weights.astype(np.float32)
 
-        def image_rows(a, b, out):
+        def image_rows(a, b):
             # float64 rows: the band's z (fusion) or its scores, widened; a
             # float32 z meets the weights in float32, other rows in float64
-            rows = out.reshape(-1, width)  # a view: out is contiguous
+            rows = np.empty(((b - a) * w, width))
             for c, d in row_blocks(len(rows), max(self.row_dim, k, spectra)):
                 pixels = self.pixel_rows(slice(a * w + c, a * w + d))
                 if not fused:
                     pixels = pixels @ (weights32 if pixels.dtype == np.float32 else weights)
                 rows[c:d] = pixels
+            return rows.reshape(b - a, w, width)
 
         if fused:
             train_idx, train_means = support
@@ -606,11 +595,11 @@ def build_feature_table(
         space = prepare_features(image, method, config, mp_config)
     h, w, dim = image.height, image.width, space.row_dim
 
-    def rows_of(a, b, out):
-        out[...] = space.pixel_rows(slice(a * w, b * w)).reshape(out.shape)
+    def image_rows(a, b):
+        return space.pixel_rows(slice(a * w, b * w)).astype(np.float64).reshape(b - a, w, dim)
 
     values = np.empty((h * w, dim))
-    for a, means in _window_means(rows_of, h, w, dim, space.patch, block_rows(w * dim)):
+    for a, means in _window_means(image_rows, h, w, dim, space.patch, block_rows(w * dim)):
         values[a * w : (a + len(means)) * w] = means.reshape(-1, dim)
         del means
     if space.dual:

@@ -26,6 +26,7 @@ from .embedding import (
 from .errors import (
     ContractViolation,
     DegenerateDataError,
+    ParameterError,
     ShapeError,
     UndefinedInputError,
     check_integer,
@@ -112,8 +113,8 @@ def kappa(counts: np.ndarray) -> float:
 class McProtocol:
     """How to sample training pixels and how often.
 
-    ``fixed_test`` optionally pins the evaluation to given flat pixel
-    indices (training is then sampled from the remaining labeled pixels).
+    ``fixed_test`` optionally pins the evaluation to given distinct flat
+    pixel indices (training is then sampled from the remaining ones).
     ``eval_on_train`` is a sanity mode that scores the training pixels
     themselves.
     """
@@ -129,7 +130,10 @@ class McProtocol:
         check_integer(self.per_class, "per_class", 1)
         check_integer(self.seed, "seed", 0)
         if self.fixed_test is not None:
-            idx = np.asarray(self.fixed_test, dtype=np.int64)
+            idx = np.asarray(self.fixed_test)
+            if idx.ndim != 1 or idx.dtype.kind not in "iu" or np.unique(idx).size < idx.size:
+                raise ParameterError("fixed_test must be a 1-D array of distinct integer indices")
+            idx = idx.astype(np.int64)
             idx.flags.writeable = False
             object.__setattr__(self, "fixed_test", idx)
 
@@ -230,21 +234,22 @@ def protocol_split(
     counts = gt.class_counts()
     if counts.size < 2:
         raise DegenerateDataError("protocol needs at least two labeled classes")
+    test = protocol.fixed_test
+    if test is not None and not ((0 <= test) & (test < gt.labels.size)).all():
+        raise ParameterError(f"fixed_test indices must lie in 0 ... {gt.labels.size - 1}")
     needed = protocol.per_class if protocol.eval_on_train else protocol.per_class + 1
-    if protocol.fixed_test is None and (counts < needed).any():
+    if test is None and (counts < needed).any():
         small = int(np.flatnonzero(counts < needed)[0]) + 1
         raise DegenerateDataError(
             f"class {small} has {int(counts[small - 1])} labeled pixels, "
             f"needs at least {needed}"
         )
     rng = np.random.default_rng(np.random.SeedSequence([protocol.seed, run]))
-    train_idx = sample_training_indices(
-        gt, protocol.per_class, rng, exclude=protocol.fixed_test
-    )
+    train_idx = sample_training_indices(gt, protocol.per_class, rng, exclude=test)
     if protocol.eval_on_train:
         return train_idx, train_idx
-    if protocol.fixed_test is not None:
-        return train_idx, protocol.fixed_test
+    if test is not None:
+        return train_idx, test
     labels_flat = gt.labels.ravel()
     in_train = np.zeros(labels_flat.size, dtype=bool)
     in_train[train_idx] = True

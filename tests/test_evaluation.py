@@ -13,6 +13,7 @@ from hsembed import (
     HyperspectralImage,
     GroundTruthMap,
     McProtocol,
+    ParameterError,
     PatchSpec,
     SceneSpec,
     UndefinedInputError,
@@ -189,6 +190,22 @@ class TestMonteCarloProtocol:
         s = monte_carlo_protocol(image, gt, protocol, classifier())
         assert len(s.oa) == 2
         assert all(0.0 <= v <= 1.0 for v in s.oa)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [-1, 1.7, "repeat", 256],
+        ids=["negative", "not-an-integer", "repeated", "past-the-last-pixel"],
+    )
+    def test_bad_fixed_test_indices_are_rejected(self, blob_scene, extra):
+        # a valid fixed test set and one bad index, which is not wrapped,
+        # truncated, scored twice or left to numpy's IndexError: the scene
+        # has 16 x 16 = 256 pixels
+        image, gt = blob_scene
+        fixed = np.flatnonzero(gt.labels.ravel() > 0)[::3]
+        fixed = np.append(fixed, fixed[0] if extra == "repeat" else extra)
+        with pytest.raises(ParameterError, match="fixed_test"):
+            protocol = McProtocol(runs=1, per_class=5, fixed_test=fixed)
+            monte_carlo_protocol(image, gt, protocol, classifier())
 
     def test_grid_search_path(self, blob_scene):
         image, gt = blob_scene

@@ -1,4 +1,5 @@
-"""Every public name in ``src/hsembed`` is used by the package or the benchmark.
+"""Every public name in ``src/hsembed`` is used by the package or the
+benchmark, and every import by its module.
 
 A public top-level function or class, or a public method or property of a
 public class, must be referenced somewhere in ``src/hsembed`` outside its
@@ -81,3 +82,30 @@ def unused_public_names():
 def test_every_public_name_is_used_outside_the_tests():
     assert unused_public_names() == []
 
+
+def unused_imports():
+    """"module:line: name" of each name that an import in ``src/hsembed``
+    (``__init__.py`` aside, which imports to re-export) binds and its module
+    never reads, unless the import's line carries ``# noqa: F401``: the
+    check pyflakes names F401, made without a linter."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        tree, lines = ast.parse(source), source.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # "import a.b" binds a
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append(f"{path.name}:{alias.lineno}: {name}")
+    return unused
+
+
+def test_every_import_is_used_by_its_module():
+    assert unused_imports() == []

@@ -127,11 +127,11 @@ def test_banded_window_means_equal_the_whole_image_filter_bit_for_bit(case):
     h, w, k = stack.shape
     asked = []
 
-    def rows_of(a, b, out):
+    def image_rows(a, b):
         asked.append((a, b))
-        out[...] = stack[a:b]
+        return stack[a:b]
 
-    bands = list(embedding._window_means(rows_of, h, w, k, PatchSpec(side, border), band))
+    bands = list(embedding._window_means(image_rows, h, w, k, PatchSpec(side, border), band))
     assert [first for first, _ in bands] == list(range(0, h, band))
     got = np.concatenate([means for _, means in bands])
     expected = sliding_window_mean_reference(stack.copy(), side, border)
@@ -154,35 +154,42 @@ def test_banded_window_means_sum_each_padded_row_along_axis_1_once(side, border,
             summed.append(a.shape[0])
         return cumsum(a, axis=axis, **kwargs)
 
-    def rows_of(a, b, out):
-        out[...] = stack[a:b]
-
     monkeypatch.setattr(np, "cumsum", counted)
     for band in range(1, side + 3):
         summed.clear()
-        bands = embedding._window_means(rows_of, h, w, k, PatchSpec(side, border), band)
+        bands = embedding._window_means(
+            lambda a, b: stack[a:b], h, w, k, PatchSpec(side, border), band
+        )
         assert np.concatenate([means for _, means in bands]).tobytes() == expected
         # whatever the band: the h + side - 1 padded rows, each summed once
         assert sum(summed) == h + side - 1
 
 
+@pytest.mark.parametrize("border", ["clamp", "mirror"])
 @pytest.mark.parametrize("band", [1, 2, 4, 13])
-def test_banded_window_means_hold_no_earlier_band_while_the_next_is_made(band):
+def test_banded_window_means_hold_no_earlier_band_while_the_next_is_made(band, border):
     h, w, k, side = 13, 7, 3, 3
+    patch = PatchSpec(side, border)
     stack = np.random.default_rng(band).normal(size=(h, w, k))
-    given, yielded = [], []  # the arrays the filter filled; weak references to its means
+    # the last padded row that reads each image row
+    last = {r: p for p, r in enumerate(hsi.window_axis(h, patch))}
+    given, yielded = [], []  # (weak reference, rows) of each returned array; of each band's means
 
-    def rows_of(a, b, out):
+    def image_rows(a, b):
         assert all(ref() is None for ref in yielded)
-        out[...] = stack[a:b]
-        given.append(out if out.base is None else out.base)
+        rows = stack[a:b].copy()
+        given.append((weakref.ref(rows), range(a, b)))
+        return rows
 
-    for _, means in embedding._window_means(rows_of, h, w, k, PatchSpec(side), band):
+    for a, means in embedding._window_means(image_rows, h, w, k, patch, band):
         yielded.append(weakref.ref(means))
         del means
+        # the band's means are done once padded row a + band + side - 2 is
+        # summed: no array outlives the last padded row that reads its rows
+        done = min(a + band, h) + side - 2
+        assert all(ref() is None for ref, rows in given if max(last[r] for r in rows) <= done)
     assert len(given) > 1 or band == h
-    # every read fills the one buffer of held rows, allocated once per pass
-    assert all(array is given[0] for array in given)
+    assert all(ref() is None for ref, _ in given)
 
 
 @settings(max_examples=150, deadline=None)
@@ -276,9 +283,9 @@ def test_scores_do_not_depend_on_the_band_bit_for_bit(method, side, border, monk
     window_means, bands = embedding._window_means, []
 
     def scores(band=None):
-        def fixed(rows_of, height, width, k, patch, rule):
+        def fixed(image_rows, height, width, k, patch, rule):
             bands.append(rule)
-            return window_means(rows_of, height, width, k, patch, band or rule)
+            return window_means(image_rows, height, width, k, patch, band or rule)
 
         monkeypatch.setattr(embedding, "_window_means", fixed)
         return banded_scores(space, weights, support).tobytes()
@@ -594,18 +601,19 @@ def test_peak_of_many_runs_stays_below_their_score_image():
 def test_scoring_pass_peaks_within_about_half_a_score_block():
     # the README's float32 accounting of the streamed pass, in blocks. Bands
     # are 2 image rows here, by the ring rule at side 3 (one block would be
-    # 33 rows). The pass peaks while a band's rows are read: the ring of
-    # side + 1 prefix rows (1/8), the pass's own state (weights, class ids,
-    # coefficients: about 1/10), the buffer of the image rows a band holds
-    # (3 rows, 3/32), the running axis-0 row (1/32), and the read's float32 z
-    # of 264 pixels and its chunk of reduction scratch (1/32 each). The vote,
-    # from a band's yield to the next band, holds the buffer, the ring and
-    # the band's means, and no more than a read.
-    # Measured: 2.03 MB up to a yield and 2.02 MB from a yield to the next
-    # band (0.48 blocks of 4 MiB each), against the bounds of 0.52 and 0.50
-    # blocks. So a new temporary of a sixteenth of a block held across a
-    # read or while a band's means are made fails the first, and one held
-    # across the yield in FeatureSpace.scores (0.54 blocks) the second
+    # 33 rows). The pass peaks while image rows are read, in the middle of a
+    # band: the ring of side + 1 prefix rows (1/8), the pass's own state
+    # (weights, class ids, coefficients: about 1/10), the band's means (2
+    # rows, 1/16), the read's own array of scores (2 rows, 1/16), the running
+    # axis-0 row (1/32), and the read's float32 z of 264 pixels and its
+    # chunk of reduction scratch (1/32 each). The vote, from a band's yield
+    # to the next band, holds the ring, the band's means and the rest of the
+    # last read, and no more than a read.
+    # Measured: 2.14 MB up to a yield and 1.89 MB from a yield to the next
+    # band (0.51 and 0.45 blocks of 4 MiB each), against the bounds of 0.52
+    # and 0.50 blocks. So a new temporary of a sixteenth of a block held
+    # across a read fails the first (0.57 blocks), and one held across the
+    # yield in FeatureSpace.scores the second (0.51 blocks)
     rng = np.random.default_rng(8)
     h = w = 132
     image = HyperspectralImage(rng.random((h, w, 10)) + 0.05)
