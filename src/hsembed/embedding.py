@@ -98,12 +98,11 @@ def median_heuristic(image: HyperspectralImage, seed: int = 0) -> float:
     does. Holds the n(n - 1) / 2 values of ``pdist``'s output and one block.
     """
     check_integer(seed, "seed", 0)
-    pixels = image.pixels()
-    n = pixels.shape[0]
+    n = image.height * image.width
     rng = np.random.default_rng(seed)
     take = min(1000, n)
     idx = rng.choice(n, size=take, replace=False)
-    sample = unit_rows(pixels[idx])[0]
+    sample = unit_rows(image.spectra(idx))[0]
     if (sample == sample[0]).all():  # every distance is 0, and so the median
         return 1.0
     norms = np.einsum("ij,ij->i", sample, sample)
@@ -390,12 +389,12 @@ class FeatureSpace:
 
     def pixel_rows(self, idx: np.ndarray | slice) -> np.ndarray:
         """Features of flat pixel indices (an index array, or a slice of
-        contiguous pixels, read without a copy) before the window mean:
+        contiguous pixels) before the window mean, read by ``image.spectra``:
         spectra, profile rows, float32 z of unit (or raw) spectra, or
         (convmeanmap) |x| z of [position, spectrum]."""
         if self.method == "mp":
             return self.profile[idx]
-        spectra = self.image.pixels()[idx]
+        spectra = self.image.spectra(idx)
         if self.method == "raw":
             return spectra
         if self.method != "convmeanmap":

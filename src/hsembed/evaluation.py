@@ -237,6 +237,8 @@ def protocol_split(
     test = protocol.fixed_test
     if test is not None and not ((0 <= test) & (test < gt.labels.size)).all():
         raise ParameterError(f"fixed_test indices must lie in 0 ... {gt.labels.size - 1}")
+    if test is not None and not (gt.labels.ravel()[test] > 0).any():
+        raise DegenerateDataError("fixed_test holds no labeled pixel to score")
     needed = protocol.per_class if protocol.eval_on_train else protocol.per_class + 1
     if test is None and (counts < needed).any():
         small = int(np.flatnonzero(counts < needed)[0]) + 1

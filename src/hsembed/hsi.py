@@ -1,22 +1,24 @@
 """Hyperspectral cube data model, ENVI ingestion, synthetic scenes, patches.
 
-Cubes are stored band-interleaved-by-pixel, i.e. as a C-contiguous
-``(height, width, bands)`` array, so the spectrum of one pixel is a
-contiguous slice. Images and ground-truth maps are immutable after
-construction and safe for concurrent reads. The ENVI reader takes every
-interleave, data type and byte order that real scenes arrive in; the writer
-writes the one format the synthetic scenes need, bsq little-endian float64.
-The reader and writer, the scene generator and the image's own finiteness
-check move a cube through memory in row blocks of about ``_BLOCK`` values
-(see ``row_blocks``), so none of them holds a second cube, and
-``write_synthetic_scene`` writes each block of a scene as it is drawn, so
-it holds no cube at all. The feature, scoring and prediction loops of the
-other modules take their blocks from here too.
+An image is read as float64 ``(height, width, bands)`` rows or as pixel
+spectra, from an array it holds or from an ENVI file left on disk, a row
+block of about ``_BLOCK`` values at a time (see ``row_blocks``). Images and
+ground-truth maps are immutable after construction and safe for concurrent
+reads. The ENVI reader takes every interleave, data type and byte order
+that real scenes arrive in; the writer writes the one format the synthetic
+scenes need, bsq little-endian float64, a row block at a time, and
+``write_synthetic_scene`` writes each block as it is drawn. The feature,
+scoring and prediction loops of the other modules take their blocks from
+here too.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,44 +82,122 @@ def row_blocks(n: int, width: int):
         yield n * j // parts, n * (j + 1) // parts
 
 
-@dataclass(frozen=True)
 class HyperspectralImage:
-    """A ``height x width x bands`` cube of finite reflectance values.
+    """A ``height x width x bands`` cube of finite values, read through ``rows``
+    and ``spectra`` from an array (a C-contiguous float64 cube kept read-only,
+    any other copied once into one, checked in row blocks) or a file's row
+    blocks (``load_envi``). Immutable, and safe to read from many threads."""
 
-    A C-contiguous float64 cube is kept as given, not copied (and is made
-    read-only); any other is copied once into that form. Finiteness is
-    checked in row blocks, so the check holds no cube-sized mask.
-    """
+    def __init__(self, data):
+        if not isinstance(data, _Payload):
+            data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
+            if data.ndim != 3:
+                raise ShapeError(f"cube must be 3-D (height, width, bands), got {data.shape}")
+            if min(data.shape) < 1:
+                raise ShapeError(f"cube dimensions must be positive, got {data.shape}")
+            for a, b in row_blocks(data.shape[0], data.shape[1] * data.shape[2]):
+                if not np.isfinite(data[a:b]).all():
+                    raise ParameterError("cube values must be finite")
+            data.flags.writeable = False
+        self._source = data
+        self.height, self.width, self.bands = self.shape = data.shape
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        cube = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if cube.ndim != 3:
-            raise ShapeError(f"cube must be 3-D (height, width, bands), got {cube.shape}")
-        if min(cube.shape) < 1:
-            raise ShapeError(f"cube dimensions must be positive, got {cube.shape}")
-        for a, b in row_blocks(cube.shape[0], cube.shape[1] * cube.shape[2]):
-            if not np.isfinite(cube[a:b]).all():
-                raise ParameterError("cube values must be finite")
+    @property
+    def data(self) -> np.ndarray:
+        """The whole cube, read now, as a read-only float64 array (no command reads it)."""
+        cube = self._source if isinstance(self._source, np.ndarray) else self.rows(0, self.height)
         cube.flags.writeable = False
-        object.__setattr__(self, "data", cube)
+        return cube
 
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Image rows a ... b - 1 as float64 ``(b - a, width, bands)``: a read-only
+        view of an array image's cube, else a new array from the file's blocks."""
+        if isinstance(self._source, np.ndarray):
+            return self._source[a:b]
+        out, edges = np.empty((b - a, self.width, self.bands)), self._source.edges
+        for j in range(np.searchsorted(edges, a, "right") - 1, np.searchsorted(edges, b)):
+            with self._source.block(j) as (first, rows):
+                out[max(first - a, 0) : first + len(rows) - a] = rows[max(a - first, 0) : b - first]
+        return out
 
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
+    def spectra(self, idx: np.ndarray | slice) -> np.ndarray:
+        """Float64 ``(n, bands)`` spectra of flat pixel indices: a slice of contiguous
+        pixels (cut from the ``rows`` that hold them), or an index array in any
+        order, repeats allowed, gathered from each row block without a transpose."""
+        w, bands = self.width, self.bands
+        if isinstance(idx, slice):
+            start, stop, _ = idx.indices(self.height * w)
+            a, b = start // w, max(start // w, -(-stop // w))
+            return self.rows(a, b).reshape(-1, bands)[start - a * w : stop - a * w]
+        idx = np.asarray(idx)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.height * w):
+            raise ParameterError(f"pixel indices must lie in [0, {self.height * w})")
+        if isinstance(self._source, np.ndarray):
+            return self._source.reshape(-1, bands)[idx]
+        out = np.empty((idx.size, bands))
+        rows, cols = np.divmod(idx, w)
+        at = np.searchsorted(self._source.edges, rows, "right") - 1  # their blocks
+        for j in np.unique(at):
+            with self._source.block(j) as (start, block):
+                sel = at == j
+                out[sel] = block[rows[sel] - start, cols[sel]]
+        return out
 
-    @property
-    def bands(self) -> int:
-        return self.data.shape[2]
 
-    def pixels(self) -> np.ndarray:
-        """All spectra as a ``(height*width, bands)`` matrix (read-only view)."""
-        return self.data.reshape(-1, self.bands)
+class _Payload:
+    """An ENVI payload left in its file, read a row block of ``row_blocks(lines,
+    samples * bands)`` at a time with ``os.preadv`` (a bil or bip block is one
+    run of the file, a bsq block one run per band) into one buffer of the
+    largest block. Opening checks the payload's size and scans it once for a
+    non-finite value; each later read checks the file's size and mtime
+    against those at open and the block's finiteness, so a changed payload
+    raises."""
+
+    def __init__(self, path: Path, offset: int, dtype: np.dtype, interleave: str, shape):
+        self.path, self.offset, self.dtype, self.shape = path, offset, dtype, shape
+        self.axes, self.bsq = _FILE_AXES[interleave], interleave == "bsq"
+        self.fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self.fd)
+        stat, width = os.fstat(self.fd), shape[1] * shape[2]  # values per image row
+        self.stamp = (stat.st_size, stat.st_mtime_ns)
+        if stat.st_size != (expected := offset + shape[0] * width * dtype.itemsize):
+            raise TruncationError(f"{path}: expected {expected} bytes ({shape[0] * width} "
+                                  f"values), found {stat.st_size}")
+        self.edges = np.append([a for a, _ in row_blocks(shape[0], width)], shape[0])
+        self.raw = np.empty(np.diff(self.edges).max() * width * dtype.itemsize, np.uint8)
+        self.lock = threading.Lock()
+        for j in range(len(self.edges) - 1):
+            self.kept = (j, self._read(j))
+
+    @contextlib.contextmanager
+    def block(self, j: int):
+        """(first row, file-order (rows, samples, bands) view) of block j, valid in the ``with``."""
+        with self.lock:
+            stat = os.fstat(self.fd)
+            if (stat.st_size, stat.st_mtime_ns) != self.stamp:
+                error = TruncationError if stat.st_size != self.stamp[0] else FormatError
+                raise error(f"{self.path}: payload changed since it was loaded")
+            if self.kept[0] != j:
+                self.kept = (-1, None)  # the buffer is j's once read whole, until the next read
+                self.kept = (j, self._read(j))
+            yield int(self.edges[j]), self.kept[1]
+
+    def _read(self, j: int) -> np.ndarray:
+        (lines, samples, bands), (a, b) = self.shape, self.edges[j : j + 2]
+        # the first value of each contiguous run of the block in the file
+        per_band = [(k * lines + a) * samples for k in range(bands)]
+        starts = per_band if self.bsq else [a * samples * bands]
+        run = (b - a) * samples * bands // len(starts) * self.dtype.itemsize
+        for k, start in enumerate(starts):
+            at = self.offset + start * self.dtype.itemsize
+            if os.preadv(self.fd, [self.raw[k * run : (k + 1) * run]], at) != run:
+                raise TruncationError(f"{self.path}: payload ended early")
+        dims = [(b - a, samples, bands)[i] for i in self.axes]
+        values = self.raw[: len(starts) * run].view(self.dtype).reshape(dims)
+        if not np.isfinite(values).all():
+            raise FormatError(f"{self.path}: payload contains non-finite values")
+        values.flags.writeable = False
+        return values.transpose(np.argsort(self.axes))
 
 
 @dataclass(frozen=True)
@@ -293,18 +373,14 @@ def _find_companion(header_path: Path) -> Path:
 
 
 def load_envi(header_path: str | Path) -> HyperspectralImage:
-    """Read an ENVI cube (bsq/bil/bip; uint8, int16, int32, uint16, uint32,
+    """Open an ENVI cube (bsq/bil/bip; uint8, int16, int32, uint16, uint32,
     float32 or float64 payloads, either byte order).
 
-    Returns the cube converted to the internal band-interleaved-by-pixel
-    layout with values cast to float64. The payload is read in row blocks
-    of about ``_BLOCK`` values over all bands (see ``row_blocks``), each
-    into one raw buffer: a bil or bip block is one contiguous run of the
-    file, a bsq block one run per band, that band's rows of the block. The
-    buffer is copied, cast and transposed, into its rows of the one float64
-    cube, so the cube is written in memory order; ``HyperspectralImage``'s
-    one finiteness scan of the cube then rejects a non-finite payload value
-    as a FormatError. Besides the cube, the read holds about one block.
+    The header and the payload's size are checked, and the payload is
+    scanned once, a row block at a time: a non-finite value is a
+    FormatError. The image holds no cube: its reads take the row blocks
+    they need from the file, which must stay in place, unchanged, while the
+    image is read (see ``_Payload``). The scan holds about one block.
     """
     header_path = Path(header_path)
     if not header_path.is_file():
@@ -335,45 +411,16 @@ def load_envi(header_path: str | Path) -> HyperspectralImage:
         raise FormatError(f"{header_path}: interleave must be one of {_INTERLEAVES}")
 
     dtype = _ENVI_DTYPES[dtype_code].newbyteorder("<" if byte_order == 0 else ">")
-    data_path = _find_companion(header_path)
-    n_values = samples * lines * bands
-    expected = offset + n_values * dtype.itemsize
-    actual = data_path.stat().st_size
-    if actual != expected:
-        raise TruncationError(
-            f"{data_path}: expected {expected} bytes ({n_values} values), found {actual}"
-        )
-    axes = _FILE_AXES[interleave]
-    cube = np.empty((lines, samples, bands))
-    most = min(lines, block_rows(samples * bands)) * samples * bands
-    raw = np.empty(most * dtype.itemsize, dtype=np.uint8)
-    with open(data_path, "rb") as f:
-        for a, b in row_blocks(lines, samples * bands):
-            # the first value of each contiguous run of the block in the file
-            if interleave == "bsq":
-                starts = [(j * lines + a) * samples for j in range(bands)]
-            else:
-                starts = [a * samples * bands]
-            run = (b - a) * samples * bands // len(starts) * dtype.itemsize
-            for k, start in enumerate(starts):
-                f.seek(offset + start * dtype.itemsize)
-                if f.readinto(raw[k * run:(k + 1) * run]) != run:
-                    raise TruncationError(f"{data_path}: payload ended early")
-            dims = (b - a, samples, bands)
-            values = raw[: len(starts) * run].view(dtype).reshape([dims[i] for i in axes])
-            cube[a:b] = values.transpose(np.argsort(axes))
-    try:
-        return HyperspectralImage(cube)  # which scans the cube for non-finite values
-    except ParameterError as exc:
-        raise FormatError(f"{data_path}: payload contains non-finite values") from exc
+    return HyperspectralImage(_Payload(_find_companion(header_path), offset, dtype, interleave,
+                                       (lines, samples, bands)))
 
 
 def save_envi(image: HyperspectralImage, header_path: str | Path) -> Path:
     """Write ``image`` as an ENVI header + binary pair, bsq little-endian
     float64; returns the header path. The data file sits next to the header
     with an ``.img`` extension; see ``_write_bsq``."""
-    blocks = ((a, image.data[a:b]) for a, b in row_blocks(image.height, image.width * image.bands))
-    return _write_bsq(blocks, image.data.shape, header_path)
+    blocks = ((a, image.rows(a, b)) for a, b in row_blocks(image.height, image.width * image.bands))
+    return _write_bsq(blocks, image.shape, header_path)
 
 
 def _write_bsq(blocks, shape: tuple[int, int, int], header_path: str | Path) -> Path:
@@ -433,7 +480,7 @@ def read_label_grid(path: str | Path) -> np.ndarray:
         image = load_envi(path)
         if image.bands != 1:
             raise ShapeError(f"{path}: label raster must have exactly 1 band")
-        values = image.data[:, :, 0]
+        values = image.rows(0, image.height)[:, :, 0]
         if not np.array_equal(values, np.round(values)):
             raise FormatError(f"{path}: raster labels are not integers")
         labels = values.astype(np.int64)
@@ -598,8 +645,8 @@ def normalize_spectra(image: HyperspectralImage) -> HyperspectralImage:
     All-zero spectra are left as the zero vector, so the result's per-pixel
     norms are exactly 0 or 1 and the operation is idempotent.
     """
-    unit = unit_rows(image.pixels())[0]
-    return HyperspectralImage(unit.reshape(image.data.shape))
+    unit = unit_rows(image.spectra(slice(None)))[0]
+    return HyperspectralImage(unit.reshape(image.shape))
 
 
 def window_axis(n: int, spec: PatchSpec) -> np.ndarray:

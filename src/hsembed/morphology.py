@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, NumericalError, ParameterError, ShapeError, check_integer
-from .hsi import HyperspectralImage
+from .hsi import HyperspectralImage, row_blocks
 
 
 @dataclass(frozen=True)
@@ -259,28 +259,37 @@ class PcaResult:
 def pca_reduce(image: HyperspectralImage, dims: int) -> PcaResult:
     """Project pixels onto the top ``dims`` eigenvectors of the spectral covariance.
 
-    The pixels are centred one image row at a time, into one buffer of one
-    image row: the covariance is summed image row by image row, and the
-    scores are projected the same way. So no centred cube is made, and the
-    sums split where the image's rows do, whatever the block size."""
+    The image is read three times, a row block at a time, and taken an image
+    row at a time: the mean's sequential sum runs on from row to row, and the
+    pixels are centred into one buffer of one image row, the covariance
+    summed and the scores projected row by row. So no centred cube is made,
+    and no sum depends on the block size."""
     d_in = image.bands
     check_integer(dims, "dims", 1)
     if dims > d_in:
         raise ParameterError(f"dims must be in [1, {d_in}], got {dims}")
-    x = image.pixels()
-    mean = x.mean(axis=0)
-    centred = np.empty((image.width, d_in))
+    h, w = image.height, image.width
+
+    def image_rows():  # each image row in turn, read a row block at a time
+        for a, b in row_blocks(h, w * d_in):
+            yield from image.rows(a, b)
+
+    mean = None  # one band, which numpy sums pairwise, is summed at once
+    for x in image_rows() if d_in > 1 else [image.rows(0, h).reshape(-1, 1)]:
+        mean = np.add.reduce(x if mean is None else np.concatenate([mean[None], x]))
+    mean /= h * w
+    centred = np.empty((w, d_in))
     cov = np.zeros((d_in, d_in))
-    for row in image.data:
+    for row in image_rows():
         xc = np.subtract(row, mean, out=centred)
         cov += xc.T @ xc
-    cov /= max(len(x) - 1, 1)
+    cov /= max(h * w - 1, 1)
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:dims]
     evals, comps = evals[order], evecs[:, order].T.copy()
     comps *= np.sign(comps[np.arange(dims), np.abs(comps).argmax(axis=1)])[:, None]
-    scores = np.empty((image.height, image.width, dims))
-    for row, out in zip(image.data, scores):
+    scores = np.empty((h, w, dims))
+    for row, out in zip(image_rows(), scores):
         np.matmul(np.subtract(row, mean, out=centred), comps.T, out=out)
     return PcaResult(scores.transpose(2, 0, 1), evals, comps, mean)
 

@@ -95,8 +95,11 @@ def feature_matrix(fmap: RandomFeatureMap, xs: np.ndarray) -> np.ndarray:
     cos and sin are taken there and multiplied by sqrt(1/N) in float64,
     rounded to float32 once, while the chunk is in cache. A call
     allocates its result and one chunk of scratch. All of it runs on the
-    calling thread, so the caller's ``np.errstate`` holds, and the bytes
-    of a row do not depend on the other rows of ``xs``.
+    calling thread, so the caller's ``np.errstate`` holds. A row's float64
+    projection can follow the other rows of ``xs`` in its last bit (BLAS
+    sums a product of other rows in its own order); its z has not in any
+    comparison made, as the float32 narrowing absorbs such a bit unless it
+    lands on a rounding boundary.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     if xs.ndim != 2:

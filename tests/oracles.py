@@ -1,10 +1,19 @@
 """Independent reference implementations shared by test modules."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 
-from hsembed.hsi import patch_indices
+from hsembed.hsi import (
+    _ENVI_DTYPES,
+    _FILE_AXES,
+    _find_companion,
+    _parse_envi_header,
+    block_rows,
+    patch_indices,
+    row_blocks,
+)
 from hsembed.morphology import dilate, disk, erode, pca_reduce, square
 
 
@@ -354,6 +363,38 @@ def synthetic_scene_reference(spec):
     if spec.noise_sigma > 0:
         cube = cube + rng.normal(0.0, spec.noise_sigma, size=cube.shape)
     return cube, labels
+
+
+def envi_cube_reference(header_path):
+    """The whole float64 (lines, samples, bands) cube of a well-formed ENVI
+    pair, read as ``load_envi`` once did: a row block at a time into one
+    raw buffer (a bil or bip block one run of the file, a bsq block one run
+    per band), each block cast and transposed into its rows of one cube."""
+    header_path = Path(header_path)
+    entries = _parse_envi_header(header_path.read_text(), str(header_path))
+    lines, samples, bands = (int(entries[k]) for k in ("lines", "samples", "bands"))
+    offset = int(entries.get("header offset", 0))
+    order = "<>"[int(entries.get("byte order", 0))]
+    dtype = _ENVI_DTYPES[int(entries["data type"])].newbyteorder(order)
+    interleave = entries["interleave"].lower()
+    axes = _FILE_AXES[interleave]
+    cube = np.empty((lines, samples, bands))
+    raw = np.empty(min(lines, block_rows(samples * bands)) * samples * bands * dtype.itemsize,
+                   dtype=np.uint8)
+    with open(_find_companion(header_path), "rb") as f:
+        for a, b in row_blocks(lines, samples * bands):
+            if interleave == "bsq":
+                starts = [(j * lines + a) * samples for j in range(bands)]
+            else:
+                starts = [a * samples * bands]
+            run = (b - a) * samples * bands // len(starts) * dtype.itemsize
+            for k, start in enumerate(starts):
+                f.seek(offset + start * dtype.itemsize)
+                assert f.readinto(raw[k * run:(k + 1) * run]) == run
+            dims = (b - a, samples, bands)
+            values = raw[: len(starts) * run].view(dtype).reshape([dims[i] for i in axes])
+            cube[a:b] = values.transpose(np.argsort(axes))
+    return cube
 
 
 def augment(positions, spectra, beta, sigma):

@@ -74,7 +74,7 @@ def test_criterion_01_rff_fidelity():
     image = HyperspectralImage(rng.random((40, 25, 10)))
     sigma = median_heuristic(image, seed=101)
     fmap = sample_frequencies(10, 4096, sigma, seed=101)
-    pixels = normalize_spectra(image).pixels()
+    pixels = normalize_spectra(image).spectra(slice(None))
     idx = rng.choice(pixels.shape[0], size=(100, 2), replace=False)
     za = feature_matrix(fmap, pixels[idx[:, 0]])
     zb = feature_matrix(fmap, pixels[idx[:, 1]])

@@ -326,6 +326,51 @@ class TestBlock:
         self.check(scene_config, monkeypatch, tmp_path, method, command, files, block, 0.0)
 
 
+class TestEnviScene:
+    """A command on the ``synth`` file of a scene reads it a row block at a
+    time, and writes what it writes on the same scene in memory."""
+
+    @pytest.mark.parametrize("block", [None, 256])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("command, files", TestBlock.COMMANDS)
+    def test_outputs_equal_the_in_memory_scene_s(
+        self, scene_config, monkeypatch, tmp_path, method, command, files, block
+    ):
+        from hsembed import hsi
+
+        if block is not None:
+            monkeypatch.setattr(hsi, "_BLOCK", block)
+        _, out, cfg = scene_config
+        spec = tmp_path / "scene.json"
+        spec.write_text(json.dumps(cfg["data"]["synthetic"]))
+        assert main(["synth", "--config", str(spec), "--output", str(tmp_path / "scene")]) == 0
+        outputs = []
+        for data in (cfg["data"], {"image": str(tmp_path / "scene" / "scene.hdr"),
+                                   "ground_truth": str(tmp_path / "scene" / "gt.csv")}):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(dict(cfg, method=method, data=data)))
+            assert main([command, "--config", str(config)]) == 0
+            outputs.append({name: (out / name).read_bytes() for name in files})
+        assert outputs[0] == outputs[1]
+
+    def test_a_non_finite_payload_exits_two_before_any_feature(self, tmp_path, scene_config, capsys):
+        _, out, cfg = scene_config
+        spec = tmp_path / "scene.json"
+        spec.write_text(json.dumps(cfg["data"]["synthetic"]))
+        assert main(["synth", "--config", str(spec), "--output", str(tmp_path / "scene")]) == 0
+        with open(tmp_path / "scene" / "scene.img", "r+b") as f:
+            f.seek(-8, 2)  # the last value of the last band
+            f.write(np.array([np.nan], dtype="<f8").tobytes())
+        cfg["data"] = {"image": str(tmp_path / "scene" / "scene.hdr"),
+                       "ground_truth": str(tmp_path / "scene" / "gt.csv")}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["classify", "--config", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'data'" in err and "non-finite" in err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestSynth:
     def test_writes_scene_and_round_trips(self, tmp_path):
         spec = {"height": 8, "width": 9, "bands": 4, "classes": 2,

@@ -93,7 +93,7 @@ class TestAugmentation:
         image = HyperspectralImage(rng.normal(size=(4, 5, 3)))
         cfg = EmbeddingConfig(n_features=16, seed=2, sigma=0.7, beta=2.5)
         space = prepare_features(image, "convmeanmap", cfg)
-        spectra = image.pixels()
+        spectra = image.spectra(slice(None))
         norms = np.linalg.norm(spectra, axis=1)
         positions = np.stack(np.divmod(np.arange(20), 5), axis=1).astype(float)
         points = augment(positions, spectra / norms[:, None], 2.5, 0.7)
@@ -242,7 +242,7 @@ class TestFeatureTable:
     def test_raw_rows_are_spectra(self, small_scene):
         image, _ = small_scene
         table = build_feature_table(image, "raw")
-        np.testing.assert_array_equal(table.values, image.pixels())
+        np.testing.assert_array_equal(table.values, image.spectra(slice(None)))
 
     def test_meanmap_s1_equals_rff(self, small_scene):
         image, _ = small_scene
@@ -260,7 +260,7 @@ class TestFeatureTable:
         rng = np.random.default_rng(5)
         for _ in range(5):
             r, c = rng.integers(0, 10, 2)
-            patch = normalized.pixels()[patch_indices([r * 10 + c], cfg.patch, 10, 10)[0]]
+            patch = normalized.spectra(slice(None))[patch_indices([r * 10 + c], cfg.patch, 10, 10)[0]]
             expected = mean_map_feature(fmap, patch).values
             np.testing.assert_allclose(table.values[r * 10 + c], expected, atol=1e-10)
 
@@ -271,7 +271,7 @@ class TestFeatureTable:
         )
         table = build_feature_table(image, "meanmap", cfg)
         fmap = sample_frequencies(5, 32, 1.0, seed=4)
-        patch = image.pixels()[patch_indices([44], cfg.patch, 10, 10)[0]]
+        patch = image.spectra(slice(None))[patch_indices([44], cfg.patch, 10, 10)[0]]
         np.testing.assert_allclose(
             table.values[44], mean_map_feature(fmap, patch).values, atol=1e-10
         )

@@ -207,6 +207,25 @@ class TestMonteCarloProtocol:
             protocol = McProtocol(runs=1, per_class=5, fixed_test=fixed)
             monte_carlo_protocol(image, gt, protocol, classifier())
 
+    @pytest.mark.parametrize("which", ["empty", "unlabeled"])
+    def test_fixed_test_without_a_labeled_pixel_is_refused_before_training(
+        self, blob_scene, monkeypatch, which
+    ):
+        image, gt = blob_scene
+        labels = gt.labels.copy()
+        labels[:2] = 0  # two unlabeled image rows
+        gt = GroundTruthMap(labels)
+        unlabeled = np.flatnonzero(labels.ravel() == 0)
+        fixed = np.array([], dtype=np.int64) if which == "empty" else unlabeled
+        protocol = McProtocol(runs=2, per_class=5, fixed_test=fixed)
+
+        def trained(*args):
+            raise AssertionError("trained before the fixed test was checked")
+
+        monkeypatch.setattr(evaluation, "predict_runs", trained)
+        with pytest.raises(DegenerateDataError, match="fixed_test holds no labeled pixel"):
+            monte_carlo_protocol(image, gt, protocol, classifier())
+
     def test_grid_search_path(self, blob_scene):
         image, gt = blob_scene
         protocol = McProtocol(runs=1, per_class=5, seed=9)

@@ -261,7 +261,7 @@ class TestPca:
         image = HyperspectralImage(rng.normal(size=(30, 20, 7)) * 3 + 5)
         with mock.patch.object(hsi, "_BLOCK", block):
             result = pca_reduce(image, 4)
-        x = image.pixels()
+        x = image.spectra(slice(None))
         xc = x - x.mean(axis=0)
         evals, evecs = np.linalg.eigh(xc.T @ xc / (x.shape[0] - 1))
         comps = evecs[:, ::-1][:, :4].T
@@ -287,7 +287,7 @@ class TestPca:
         result = results[0]
         for field in ("bands", "eigenvalues", "components", "mean"):
             assert getattr(result, field).tobytes() == getattr(results[1], field).tobytes()
-        x = image.pixels()
+        x = image.spectra(slice(None))
         xc = x - x.mean(axis=0)
         evals, evecs = np.linalg.eigh(xc.T @ xc / 2)
         comps = evecs[:, ::-1][:, :2].T

@@ -1,5 +1,6 @@
 """Every public name in ``src/hsembed`` is used by the package or the
-benchmark, and every import by its module.
+benchmark, every import by its module, and no module but ``hsi.py`` reads
+an image's whole cube.
 
 A public top-level function or class, or a public method or property of a
 public class, must be referenced somewhere in ``src/hsembed`` outside its
@@ -109,3 +110,22 @@ def unused_imports():
 
 def test_every_import_is_used_by_its_module():
     assert unused_imports() == []
+
+
+def whole_cube_reads():
+    """"module:line: .name" of each attribute ``data`` or ``pixels`` read in
+    ``src/hsembed`` outside ``hsi.py``: an image's whole cube, read at once.
+    Everything else reads an image through ``rows`` and ``spectra``, a row
+    block at a time."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "hsi.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("data", "pixels"):
+                found.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    return found
+
+
+def test_no_module_but_hsi_reads_a_whole_cube():
+    assert whole_cube_reads() == []

@@ -43,7 +43,7 @@ def same_bits(a, b) -> bool:
 
 def pdist_median(image, seed):
     """The median heuristic as scipy computes it, on the same sample."""
-    pixels = image.pixels()
+    pixels = image.spectra(slice(None))
     take = min(1000, len(pixels))
     idx = np.random.default_rng(seed).choice(len(pixels), size=take, replace=False)
     med = float(np.median(pdist(unit_rows(pixels[idx])[0]))) if take > 1 else 0.0

@@ -449,36 +449,50 @@ def test_dense_table_holds_the_table_and_a_few_blocks():
     assert peak <= 145 * 145 * 512 * 8 + 5 * hsi._BLOCK * 8
 
 
-def test_fusion_peaks_below_cube_profile_and_a_few_blocks(tmp_path):
-    # evaluate holds the cube (25 blocks here) and the profile; the rest is
-    # the scoring pass's first band (its z, its means and the ring of prefix
-    # rows), the per-pixel labels and class ids, and the ENVI read.
-    # Measured 10.3 blocks above cube + profile; a centred copy of the cube
-    # in the PCA read 26.3, and the 240 fused training rows (1.5 MB, 768
-    # wide) 24.4, against the bound of 16
+@pytest.fixture(scope="module")
+def envi_scene(tmp_path_factory):
+    """A 64 x 64 x 100 synth scene on disk: 25 blocks of 2^14 values."""
+    base = tmp_path_factory.mktemp("envi")
     spec = {"height": 64, "width": 64, "bands": 100, "classes": 3,
             "region_scale": 10.0, "noise_sigma": 0.2, "seed": 3}
-    (tmp_path / "scene.json").write_text(json.dumps(spec))
-    assert cli.main(["synth", "--config", str(tmp_path / "scene.json"),
-                     "--output", str(tmp_path / "scene")]) == 0
+    (base / "scene.json").write_text(json.dumps(spec))
+    assert cli.main(["synth", "--config", str(base / "scene.json"),
+                     "--output", str(base / "scene")]) == 0
+    return base / "scene"
+
+
+@pytest.mark.parametrize("command", ["classify", "evaluate"])
+@pytest.mark.parametrize("method", ["meanmap", "mp_x_meanmap"])
+def test_commands_on_a_file_hold_no_cube(envi_scene, tmp_path, command, method):
+    # the image stays in its file, so besides fusion's profile a command
+    # holds the scoring pass's first band (its z, its means and the ring of
+    # prefix rows), the per-pixel labels and class ids, a block of the file
+    # and the training rows: measured 6.5 (classify) and 7.0 (evaluate)
+    # blocks for meanmap, 12.0 and 11.0 above the profile for fusion. With
+    # the cube held (25 blocks) they were 30.3, 31.3, 35.4 and 34.8, and a
+    # centred copy of the cube in the PCA or the 240 fused training rows
+    # (1.5 MB, 768 wide, 11.7 blocks) would each break the bound
     mp = {"pca_dims": 2, "n_scales": 1}
     config = {
         "seed": 3,
-        "data": {"image": str(tmp_path / "scene" / "scene.hdr"),
-                 "ground_truth": str(tmp_path / "scene" / "gt.csv")},
-        "method": "mp_x_meanmap", "mp": mp,
+        "data": {"image": str(envi_scene / "scene.hdr"),
+                 "ground_truth": str(envi_scene / "gt.csv")},
+        "method": method, "mp": mp,
         "embedding": {"patch_side": SIDE, "n_features": N_FEATURES, "sigma": 1.0},
         "svm": {"c": 8.0},
         "protocol": {"runs": 2, "per_class": 40},
     }
     (tmp_path / "pipeline.json").write_text(json.dumps(config))
-    argv = ["evaluate", "--config", str(tmp_path / "pipeline.json"), "--output", str(tmp_path)]
+    argv = [command, "--config", str(tmp_path / "pipeline.json"), "--output", str(tmp_path)]
     block = 1 << 14
     with mock.patch.object(hsi, "_BLOCK", block):
         peak = traced_peak(lambda: cli.main(argv))
+    assert (tmp_path / "metrics.json").is_file()
     cube = 64 * 64 * 100 * 8
-    profile = 64 * 64 * mp["pca_dims"] * (2 * mp["n_scales"] + 1) * 8
-    assert peak < cube + profile + 16 * block * 8
+    profile = 64 * 64 * mp["pca_dims"] * (2 * mp["n_scales"] + 1) * 8 if method != "meanmap" else 0
+    margin = 16 * block * 8
+    assert margin < cube
+    assert peak < profile + margin
 
 
 # ---------------------------------------------------------------------------
